@@ -33,7 +33,28 @@ import numpy as np
 from .. import obs
 from ..indexes.base import QueryResult
 
-__all__ = ["ResultCache", "cached_query", "canonical_weight_key"]
+__all__ = [
+    "ResultCache",
+    "cached_query",
+    "canonical_weight_key",
+    "canonical_weight_keys",
+]
+
+
+def _normalized_rows(weights: np.ndarray) -> np.ndarray:
+    """Rows of a ``(m, d)`` weight matrix rescaled to sum 1.
+
+    The single normalization behind every cache key: row sums are
+    accumulated column by column, so a row's bytes do not depend on
+    how many other rows share the matrix and batched keys equal
+    :func:`canonical_weight_key` byte for byte.
+    """
+    total = weights[:, 0].copy()
+    for j in range(1, weights.shape[1]):
+        total += weights[:, j]
+    if np.any(weights < 0) or not np.all(total > 0):
+        raise ValueError("only non-negative, non-zero weights are cacheable")
+    return weights / total[:, None]
 
 
 def canonical_weight_key(weights) -> bytes:
@@ -47,10 +68,19 @@ def canonical_weight_key(weights) -> bytes:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty vector")
-    total = w.sum()
-    if np.any(w < 0) or not total > 0:
-        raise ValueError("only non-negative, non-zero weights are cacheable")
-    return (w / total).tobytes()
+    return _normalized_rows(w[None, :]).tobytes()
+
+
+def canonical_weight_keys(weights) -> list[bytes]:
+    """:func:`canonical_weight_key` of every row of a ``(m, d)`` matrix,
+    normalized in one vectorized pass."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[1] == 0:
+        raise ValueError("weights must be a non-empty (m, d) matrix")
+    normalized = _normalized_rows(w)
+    flat = normalized.tobytes()
+    step = normalized.shape[1] * normalized.itemsize
+    return [flat[i:i + step] for i in range(0, len(flat), step)]
 
 
 class ResultCache:
@@ -93,8 +123,9 @@ class ResultCache:
         return len(self._entries)
 
     def _count(self, name: str, value: int = 1) -> None:
-        self.metrics.inc(name, value)
-        obs.inc(name, value)
+        if value:
+            self.metrics.inc(name, value)
+            obs.inc(name, value)
 
     def lookup(self, scope, weights, k: int):
         """The exact top-k tids, or ``None`` on a miss.
@@ -104,23 +135,46 @@ class ResultCache:
         answer that is too shallow counts as both a miss and a
         ``cache.deepenings`` (the caller is about to deepen it).
         """
+        return self._lookup_keys(scope, [canonical_weight_key(weights)], k)[0]
+
+    def lookup_many(self, scope, weights, k: int) -> list:
+        """:meth:`lookup` for every row of a ``(m, d)`` weight matrix.
+
+        Rows are probed in order, exactly as m scalar lookups would
+        (same answers, LRU order and counters), but keys come from one
+        vectorized normalization and counters are bumped once.
+        """
+        return self._lookup_keys(scope, canonical_weight_keys(weights), k)
+
+    def _lookup_keys(self, scope, digests, k: int) -> list:
         if k < 0:
             raise ValueError("k must be non-negative")
-        key = (scope, canonical_weight_key(weights))
-        entry = self._entries.get(key)
-        if entry is None:
-            self._count("cache.misses")
-            return None
-        tids, complete = entry
-        if tids.size < k and not complete:
-            self._count("cache.misses")
-            self._count("cache.deepenings")
-            return None
-        self._entries.move_to_end(key)
-        self._count("cache.hits")
-        if tids.size > k:
-            self._count("cache.truncations")
-        return tids[:k].copy()
+        entries = self._entries
+        answers = []
+        hits = misses = deepenings = truncations = 0
+        for digest in digests:
+            key = (scope, digest)
+            entry = entries.get(key)
+            if entry is None:
+                misses += 1
+                answers.append(None)
+                continue
+            tids, complete = entry
+            if tids.size < k and not complete:
+                misses += 1
+                deepenings += 1
+                answers.append(None)
+                continue
+            entries.move_to_end(key)
+            hits += 1
+            if tids.size > k:
+                truncations += 1
+            answers.append(tids[:k].copy())
+        self._count("cache.misses", misses)
+        self._count("cache.deepenings", deepenings)
+        self._count("cache.hits", hits)
+        self._count("cache.truncations", truncations)
+        return answers
 
     def store(self, scope, weights, k: int, tids) -> None:
         """Record the exact top-k answer ``tids`` for (scope, weights).
@@ -131,20 +185,41 @@ class ResultCache:
         """
         if self._capacity == 0:
             return
-        tids = np.asarray(tids, dtype=np.intp)
-        key = (scope, canonical_weight_key(weights))
-        existing = self._entries.get(key)
-        if existing is not None and (
-            existing[1] or existing[0].size >= tids.size
-        ):
-            self._entries.move_to_end(key)
+        self._store_keys(scope, [canonical_weight_key(weights)], k, [tids])
+
+    def store_many(self, scope, weights, k: int, tids) -> None:
+        """:meth:`store` for every row of a ``(m, d)`` weight matrix;
+        ``tids[i]`` is row i's answer.  Rows are stored in order, so
+        LRU order and evictions match m scalar stores."""
+        if self._capacity == 0:
             return
-        self._entries[key] = (tids.copy(), tids.size < k)
-        self._entries.move_to_end(key)
-        self._count("cache.insertions")
-        while len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
-            self._count("cache.evictions")
+        digests = canonical_weight_keys(weights)
+        if len(tids) != len(digests):
+            raise ValueError(
+                f"{len(tids)} answers for {len(digests)} weight rows"
+            )
+        self._store_keys(scope, digests, k, tids)
+
+    def _store_keys(self, scope, digests, k: int, answers) -> None:
+        entries = self._entries
+        insertions = evictions = 0
+        for digest, tids in zip(digests, answers):
+            tids = np.asarray(tids, dtype=np.intp)
+            key = (scope, digest)
+            existing = entries.get(key)
+            if existing is not None and (
+                existing[1] or existing[0].size >= tids.size
+            ):
+                entries.move_to_end(key)
+                continue
+            entries[key] = (tids.copy(), tids.size < k)
+            entries.move_to_end(key)
+            insertions += 1
+            while len(entries) > self._capacity:
+                entries.popitem(last=False)
+                evictions += 1
+        self._count("cache.insertions", insertions)
+        self._count("cache.evictions", evictions)
 
     def invalidate(self, scope) -> int:
         """Eagerly drop every entry of ``scope``; returns the count."""

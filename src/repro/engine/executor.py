@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .. import obs
+from ..core.qkernel import topk_select
 from ..queries.ranking import LinearQuery
 from .cache import ResultCache
 from .catalog import Catalog
@@ -74,6 +75,16 @@ def materialize_layers(
     catalog.replace_table(extended)
     order = np.lexsort((np.arange(layers.size), layers))
     return BlockStore(extended, storage_order=order, block_size=block_size)
+
+
+def _index_columns(relation: Relation) -> dict[str, int]:
+    """Attribute -> weight position for the relation's indexes.
+
+    Indexes cover the table's float attributes in schema order;
+    attributes a statement does not rank get weight zero.
+    """
+    floats = [a.name for a in relation.schema if a.kind == "float"]
+    return {name: j for j, name in enumerate(floats)}
 
 
 class TopKExecutor:
@@ -192,126 +203,164 @@ class TopKExecutor:
         extra["metrics"] = local.as_dict()
         return replace(result, extra=extra)
 
-    def _resolve_index_plan(self, query: ParsedQuery) -> ParsedQuery | None:
-        """The statement rewritten to an index plan, or ``None`` when
-        it cannot be batch-served (explain / layer-bound / negative
-        weights / planner prefers another plan)."""
-        if query.explain or query.layer_bound is not None:
-            return None
-        weights = np.array(list(query.order_by.values()))
-        if np.any(weights < 0):
-            return None
-        if query.index_hint is not None:
-            return query
-        chosen = self.planner.choose(query.table, query.k)
-        if chosen.kind != "index":
-            return None
-        return ParsedQuery(
-            k=query.k,
-            table=query.table,
-            order_by=query.order_by,
-            index_hint=chosen.index_name,
-        )
+    def _planned_index(self, table: str, k: int) -> str | None:
+        """The index the planner routes an unhinted monotone top-k on
+        ``table`` to, or ``None`` when it prefers another plan."""
+        chosen = self.planner.choose(table, k)
+        return chosen.index_name if chosen.kind == "index" else None
 
     def execute_many(self, statements) -> list[ExecutionResult]:
-        """Answer many statements, batching where the engine can.
+        """Answer many statements, set at a time where the engine can.
 
-        Statements that resolve to an index plan are grouped by
-        (table, index, k) and each group is answered through the
-        index's vectorized :meth:`~repro.indexes.base.RankedIndex.query_batch`
-        (consulting the result cache per query when enabled);
-        everything else falls back to :meth:`execute_auto` per
-        statement.  Results come back in input order and each batched
-        result carries the per-batch ``query.*`` / ``cache.*`` metrics
-        snapshot plus its batch size in ``extra``.
+        Statements that route to an index plan — through a ``USING
+        INDEX`` hint or, resolved once per ``(table, k)`` per call,
+        the planner — are grouped by (table, index, k).  Each group is
+        answered with array operations: one ``(m, d)`` weight matrix
+        built from the ``ORDER BY`` dicts, one vectorized validity
+        check, one batched result-cache probe and store, and one
+        ``query_batch`` call for the misses, handed the weight matrix
+        itself (for a robust index that is one GEMM through
+        :meth:`~repro.indexes.robust.RobustIndex.query_matrix`).
+        Everything else — ``EXPLAIN``, ``layer <=``
+        predicates, planner scans, and group rows with negative, zero,
+        non-finite or non-indexed weights — goes through
+        :meth:`execute_auto` per statement, so errors and answers are
+        exactly those of single-statement execution.  Results come
+        back in input order; each batched result carries its group's
+        ``query.*`` / ``cache.*`` metrics snapshot and ``batch_size``
+        in ``extra``.
         """
         parsed = [
             parse(s) if isinstance(s, str) else s for s in statements
         ]
         results: list[ExecutionResult | None] = [None] * len(parsed)
-        groups: dict[tuple, list[tuple[int, ParsedQuery]]] = {}
+        routes: dict[tuple, str | None] = {}
+        groups: dict[tuple, list[int]] = {}
         for i, query in enumerate(parsed):
-            indexed = self._resolve_index_plan(query)
-            if indexed is None:
+            index_name = None
+            if not query.explain and query.layer_bound is None:
+                index_name = query.index_hint
+                if index_name is None:
+                    route = (query.table, query.k)
+                    if route not in routes:
+                        routes[route] = self._planned_index(*route)
+                    index_name = routes[route]
+            if index_name is None:
                 results[i] = self.execute_auto(query)
             else:
-                key = (indexed.table, indexed.index_hint, indexed.k)
-                groups.setdefault(key, []).append((i, indexed))
+                key = (query.table, index_name, query.k)
+                groups.setdefault(key, []).append(i)
         for (table, index_name, k), members in groups.items():
-            self._execute_index_batch(table, index_name, k, members, results)
+            self._execute_index_batch(
+                table, index_name, k, members, parsed, results
+            )
         return results
 
+    def _weight_matrix(self, relation, queries):
+        """``(m, d)`` index weights for ``queries`` plus a mask of the
+        rows a monotone index can serve.
+
+        A row is servable when every attribute it ranks is indexed and
+        its weights are finite, non-negative and not all zero.
+        """
+        position = _index_columns(relation)
+        rows: list[int] = []
+        cols: list[int] = []
+        vals: list[float] = []
+        unmapped: list[int] = []
+        for r, query in enumerate(queries):
+            try:
+                cols.extend([position[name] for name in query.order_by])
+            except KeyError:
+                unmapped.append(r)
+                continue
+            rows.extend([r] * len(query.order_by))
+            vals.extend(query.order_by.values())
+        weights = np.zeros((len(queries), len(position)))
+        weights[rows, cols] = vals
+        servable = (
+            np.isfinite(weights).all(axis=1)
+            & (weights >= 0).all(axis=1)
+            & (weights != 0).any(axis=1)
+        )
+        servable[unmapped] = False
+        return weights, servable
+
     def _execute_index_batch(
-        self, table, index_name, k, members, results
+        self, table, index_name, k, members, parsed, results
     ) -> None:
         relation = self._catalog.table(table)
         index = self._catalog.index(table, index_name)
+        weights, servable = self._weight_matrix(
+            relation, [parsed[i] for i in members]
+        )
+        if not servable.all():
+            # Single-statement semantics: a scan for negative weights,
+            # or execute()'s own error for what no plan can serve.
+            for r in np.flatnonzero(~servable).tolist():
+                results[members[r]] = self.execute_auto(parsed[members[r]])
+            members = [i for i, ok in zip(members, servable.tolist()) if ok]
+            weights = weights[servable]
+        if not members:
+            return
+        m = len(members)
         local = obs.Metrics()
         with obs.collect(local):
             started = time.perf_counter()
-            weight_rows = [
-                self._index_weights(relation, index_name, q.order_by)
-                for _, q in members
-            ]
-            # (tids, retrieved, layers_scanned, cache state) per member.
-            answers: list[tuple | None] = [None] * len(members)
+            # Per row: tids (None until answered), tuples read, layers
+            # scanned.  Cache hits read nothing.
             if self.cache is not None:
                 scope = self._cache_scope(table, index_name)
-                misses = []
-                for j, weights in enumerate(weight_rows):
-                    hit = self.cache.lookup(scope, weights, k)
-                    if hit is not None:
-                        answers[j] = (hit, 0, 0, "hit")
-                    else:
-                        misses.append(j)
+                tids = self.cache.lookup_many(scope, weights, k)
             else:
-                misses = list(range(len(members)))
+                tids = [None] * m
+            misses = [j for j, hit in enumerate(tids) if hit is None]
+            retrieved = [0] * m
+            layers = [0] * m
             if misses:
-                batch = index.query_batch(
-                    [LinearQuery(weight_rows[j]) for j in misses], k
-                )
-                for j, result in zip(misses, batch):
-                    if self.cache is not None:
-                        self.cache.store(
-                            scope, weight_rows[j], k, result.tids
-                        )
-                    answers[j] = (
-                        result.tids,
-                        result.retrieved,
-                        result.layers_scanned,
-                        "miss",
+                missed = weights[misses]
+                answers = index.query_batch(missed, k)
+                for j, answer in zip(misses, answers):
+                    tids[j] = answer.tids
+                    retrieved[j] = answer.retrieved
+                    layers[j] = answer.layers_scanned
+                if self.cache is not None:
+                    self.cache.store_many(
+                        scope, missed, k, [a.tids for a in answers]
                     )
-            retrieved = [a[1] for a in answers]
             blocks = [
                 -(-r // self._block_size) if r else 0 for r in retrieved
             ]
             local.add_time("query.index", time.perf_counter() - started)
-            local.inc("query.count", len(members))
+            local.inc("query.count", m)
             local.inc("query.batches")
             local.inc("query.retrieved", sum(retrieved))
             local.inc("query.blocks_read", sum(blocks))
         self.metrics.merge(local)
         snapshot = local.as_dict()
-        for j, (i, _query) in enumerate(members):
-            tids, tuples_read, layers_scanned, cache_state = answers[j]
+        plan = f"index({index_name})"
+        missed_rows = set(misses)
+        for j, i in enumerate(members):
             extra = {
-                "layers_scanned": layers_scanned,
+                "layers_scanned": layers[j],
                 "metrics": snapshot,
-                "batch_size": len(members),
+                "batch_size": m,
             }
             if self.cache is not None:
-                extra["cache"] = cache_state
+                extra["cache"] = "miss" if j in missed_rows else "hit"
             results[i] = ExecutionResult(
-                tids=tids,
-                rows=relation.take(tids),
-                retrieved=tuples_read,
+                tids=tids[j],
+                rows=relation.take(tids[j]),
+                retrieved=retrieved[j],
                 blocks_read=blocks[j],
-                plan=f"index({index_name})",
+                plan=plan,
                 extra=extra,
             )
 
     def _execute_parsed(self, query: ParsedQuery) -> ExecutionResult:
         relation = self._catalog.table(query.table)
+        if query.k < 0:
+            raise ValueError("k must be non-negative")
 
         ranked_attrs = list(query.order_by)
         for attr in ranked_attrs:
@@ -339,15 +388,16 @@ class TopKExecutor:
     def _index_weights(
         self, relation, index_name: str, order_by: dict
     ) -> np.ndarray:
-        # Indexes cover the table's float attributes in schema order;
-        # attributes the statement does not rank get weight zero.
-        indexed = [a.name for a in relation.schema if a.kind == "float"]
-        unknown = [a for a in order_by if a not in indexed]
+        position = _index_columns(relation)
+        unknown = [a for a in order_by if a not in position]
         if unknown:
             raise ValueError(
                 f"index {index_name!r} does not cover {unknown}"
             )
-        return np.array([order_by.get(name, 0.0) for name in indexed])
+        weights = np.zeros(len(position))
+        for name, weight in order_by.items():
+            weights[position[name]] = weight
+        return weights
 
     def _cache_scope(self, table: str, index_name: str) -> tuple:
         return (table, index_name, self._catalog.table_version(table))
@@ -402,8 +452,7 @@ class TopKExecutor:
         else:
             blocks = -(-retrieved // self._block_size) if retrieved else 0
         scores = linear.scores(data[candidates]) if retrieved else np.zeros(0)
-        order = np.lexsort((candidates, scores))
-        tids = candidates[order[: query.k]]
+        tids = topk_select(scores, candidates, query.k)
         return ExecutionResult(
             tids=tids,
             rows=relation.take(tids),
@@ -414,7 +463,7 @@ class TopKExecutor:
 
     def _execute_scan(self, query, relation, linear, data) -> ExecutionResult:
         n = relation.n_rows
-        tids = linear.top_k(data, query.k)
+        tids = topk_select(linear.scores(data), np.arange(n), query.k)
         blocks = -(-n // self._block_size) if n else 0
         return ExecutionResult(
             tids=tids,

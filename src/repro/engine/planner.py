@@ -56,16 +56,24 @@ class CostBasedPlanner:
     def __init__(self, catalog, block_size: int = 64):
         self._catalog = catalog
         self._block_size = block_size
-        self._stats_cache: dict[str, TableStats] = {}
+        # table -> (catalog table_version analyzed, statistics).
+        self._stats_cache: dict[str, tuple[int, TableStats]] = {}
 
     def statistics(self, table_name: str) -> TableStats:
-        """ANALYZE-once-and-cache statistics for a table."""
+        """ANALYZE-once-and-cache statistics for a table.
+
+        Cached per catalog :meth:`~repro.engine.catalog.Catalog.table_version`,
+        so any :meth:`~repro.engine.catalog.Catalog.replace_table` —
+        even one that keeps the row count, such as a new ``layer``
+        column — re-analyzes on next use.
+        """
         relation = self._catalog.table(table_name)
+        version = self._catalog.table_version(table_name)
         cached = self._stats_cache.get(table_name)
-        if cached is None or cached.n_rows != relation.n_rows:
-            cached = analyze(relation)
+        if cached is None or cached[0] != version:
+            cached = (version, analyze(relation))
             self._stats_cache[table_name] = cached
-        return cached
+        return cached[1]
 
     def invalidate(self, table_name: str | None = None) -> None:
         if table_name is None:

@@ -46,6 +46,20 @@ class Relation:
         self._n_rows = next(iter(lengths.values())) if lengths else 0
 
     @classmethod
+    def _trusted(
+        cls, name: str, schema: Schema, columns: dict[str, np.ndarray],
+        n_rows: int,
+    ) -> "Relation":
+        """Wrap columns already known to be valid (correct names,
+        dtypes and equal lengths) without re-checking them."""
+        relation = cls.__new__(cls)
+        relation._name = name
+        relation._schema = schema
+        relation._columns = columns
+        relation._n_rows = n_rows
+        return relation
+
+    @classmethod
     def from_matrix(cls, name: str, attribute_names, matrix) -> "Relation":
         """Build an all-float relation from a (n, d) matrix."""
         matrix = np.asarray(matrix, dtype=float)
@@ -82,7 +96,8 @@ class Relation:
         """Float (n, d) matrix over the named (default: all) attributes."""
         names = list(attribute_names) if attribute_names else list(self._schema.names)
         return np.stack(
-            [self._columns[self._schema.attribute(n).name].astype(float)
+            [np.asarray(self._columns[self._schema.attribute(n).name],
+                        dtype=float)
              for n in names],
             axis=1,
         )
@@ -108,8 +123,8 @@ class Relation:
     def take(self, tids) -> "Relation":
         """A new relation containing only the given rows, in order."""
         tids = np.asarray(tids, dtype=np.intp)
-        columns = {n: self._columns[n][tids] for n in self._schema.names}
-        return Relation(self._name, self._schema, columns)
+        columns = {n: col[tids] for n, col in self._columns.items()}
+        return Relation._trusted(self._name, self._schema, columns, len(tids))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Relation({self._name!r}, {self._schema!r}, n={self._n_rows})"

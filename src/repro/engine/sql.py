@@ -18,6 +18,12 @@ instead of the rows.
 
 where the linear expression is a ``+``/``-`` combination of optionally
 scaled attributes, e.g. ``2*price + distance - 0.5*age``.
+
+Parsing is one compiled regex over the whole clause skeleton plus one
+``findall`` over the expression's terms — no per-token Python.  Keywords
+are case-insensitive, ``3 a`` means ``3*a``, and repeated attributes
+add up.  A rejected statement is scanned once more to report its first
+stray character (``unexpected character ... at position N``).
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ class ParsedQuery:
     extra: dict = field(default_factory=dict)
 
 
+#: One token of the dialect, for error reporting: a statement the
+#: skeleton rejects is scanned with this to locate its first stray
+#: character (``bad``).
 _TOKEN_RE = re.compile(
     r"""
     (?P<number>\d+\.\d*|\.\d+|\d+)
@@ -56,143 +65,69 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# Token patterns.  An identifier must not run on into the next
+# character, so the skeleton splits a statement exactly where a
+# longest-match tokenizer would (``TOP5`` is one identifier, while
+# ``5FROM`` is ``5`` then ``FROM``).  Numbers need no such guard:
+# nothing that may follow one starts with a digit or a dot.
+_END_IDENT = r"(?![A-Za-z_0-9])"
+_IDENT = r"[A-Za-z_][A-Za-z_0-9]*" + _END_IDENT
+_INT = r"\d+"
+_NUMBER = r"(?:\d+\.\d*|\.\d+|\d+)"
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
+
+def _keyword(word: str) -> str:
+    # ASCII-only case folding: identifiers are ASCII, so e.g. the long
+    # s (U+017F) must not match an ``S``.
+    return rf"(?ai:{word}){_END_IDENT}"
+
+
+#: One term of the linear expression: optional sign, optional
+#: coefficient (``2*a``, ``2 a``), attribute.
+_TERM_RE = re.compile(
+    rf"([+\-]?)\s*(?:({_NUMBER})\s*(?:\*\s*)?)?([A-Za-z_][A-Za-z_0-9]*)"
+)
+_TERM = rf"(?:{_NUMBER}\s*(?:\*\s*)?)?{_IDENT}"
+
+#: Every clause up to and including ``ORDER BY``.
+_HEAD = (
+    rf"\s*(?:(?P<explain>{_keyword('EXPLAIN')})\s*)?"
+    rf"{_keyword('SELECT')}\s*{_keyword('TOP')}\s*(?P<k>{_INT})\s*"
+    rf"{_keyword('FROM')}\s*(?P<table>{_IDENT})\s*"
+    rf"(?:{_keyword('USING')}\s*{_keyword('INDEX')}\s*(?P<index>{_IDENT})\s*)?"
+    rf"(?:{_keyword('WHERE')}\s*{_keyword('layer')}\s*<=\s*"
+    rf"(?P<bound>{_INT})\s*)?"
+    rf"{_keyword('ORDER')}\s*{_keyword('BY')}"
+)
+_HEAD_RE = re.compile(_HEAD)
+
+#: The whole statement; ``expr`` is re-read term by term by _TERM_RE.
+_STATEMENT_RE = re.compile(
+    rf"{_HEAD}\s*(?P<expr>[+\-]?\s*{_TERM}(?:\s*[+\-]\s*{_TERM})*)\s*"
+)
+
+_SHAPE = (
+    "[EXPLAIN] SELECT TOP <k> FROM <table> [USING INDEX <name>] "
+    "[WHERE layer <= <c>] ORDER BY <linear expression>"
+)
+
+
+def _reject(text: str) -> SqlError:
+    """The error for a statement the skeleton does not match."""
     for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise SqlError(
-                f"unexpected character {match.group()!r} at position {match.start()}"
+        if match.lastgroup == "bad":
+            return SqlError(
+                f"unexpected character {match.group()!r} at position "
+                f"{match.start()}"
             )
-        tokens.append((kind, match.group()))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self._text = text
-        self._tokens = _tokenize(text)
-        self._pos = 0
-
-    def _peek(self):
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return ("eof", "")
-
-    def _next(self):
-        token = self._peek()
-        self._pos += 1
-        return token
-
-    def _expect_keyword(self, *words: str) -> str:
-        kind, value = self._next()
-        if kind != "ident" or value.upper() not in words:
-            raise SqlError(
-                f"expected {'/'.join(words)}, got {value!r} in {self._text!r}"
-            )
-        return value.upper()
-
-    def _expect_op(self, op: str) -> None:
-        kind, value = self._next()
-        if kind != "op" or value != op:
-            raise SqlError(f"expected {op!r}, got {value!r} in {self._text!r}")
-
-    def _expect_int(self) -> int:
-        kind, value = self._next()
-        if kind != "number" or "." in value:
-            raise SqlError(f"expected an integer, got {value!r}")
-        return int(value)
-
-    def _expect_ident(self) -> str:
-        kind, value = self._next()
-        if kind != "ident":
-            raise SqlError(f"expected an identifier, got {value!r}")
-        return value
-
-    def parse(self) -> ParsedQuery:
-        explain = False
-        kind, value = self._peek()
-        if kind == "ident" and value.upper() == "EXPLAIN":
-            self._next()
-            explain = True
-        self._expect_keyword("SELECT")
-        self._expect_keyword("TOP")
-        k = self._expect_int()
-        self._expect_keyword("FROM")
-        table = self._expect_ident()
-
-        index_hint = None
-        layer_bound = None
-        kind, value = self._peek()
-        if kind == "ident" and value.upper() == "USING":
-            self._next()
-            self._expect_keyword("INDEX")
-            index_hint = self._expect_ident()
-            kind, value = self._peek()
-        if kind == "ident" and value.upper() == "WHERE":
-            self._next()
-            column = self._expect_ident()
-            if column.lower() != "layer":
-                raise SqlError(
-                    f"only 'layer <= c' predicates are supported, got {column!r}"
-                )
-            self._expect_op("<=")
-            layer_bound = self._expect_int()
-
-        self._expect_keyword("ORDER")
-        self._expect_keyword("BY")
-        weights = self._parse_linear_expression()
-        kind, value = self._peek()
-        if kind != "eof":
-            raise SqlError(f"trailing input starting at {value!r}")
-        if k < 0:
-            raise SqlError("TOP k must be non-negative")
-        return ParsedQuery(
-            k=k,
-            table=table,
-            order_by=weights,
-            index_hint=index_hint,
-            layer_bound=layer_bound,
-            explain=explain,
+    head = _HEAD_RE.match(text)
+    if head is not None:
+        return SqlError(
+            f"malformed ORDER BY expression {text[head.end():].strip()!r} "
+            f"in {text!r}: expected a +/- combination of optionally "
+            "scaled attributes, e.g. '2*price + distance'"
         )
-
-    def _parse_linear_expression(self) -> dict[str, float]:
-        weights: dict[str, float] = {}
-        sign = 1.0
-        kind, value = self._peek()
-        if kind == "op" and value in "+-":
-            self._next()
-            sign = -1.0 if value == "-" else 1.0
-        while True:
-            coefficient, attribute = self._parse_term()
-            weights[attribute] = weights.get(attribute, 0.0) + sign * coefficient
-            kind, value = self._peek()
-            if kind == "op" and value in "+-":
-                self._next()
-                sign = -1.0 if value == "-" else 1.0
-                continue
-            break
-        if not weights:
-            raise SqlError("ORDER BY needs at least one attribute term")
-        return weights
-
-    def _parse_term(self) -> tuple[float, str]:
-        kind, value = self._peek()
-        if kind == "number":
-            self._next()
-            coefficient = float(value)
-            kind, value = self._peek()
-            if kind == "op" and value == "*":
-                self._next()
-            attribute = self._expect_ident()
-            return coefficient, attribute
-        if kind == "ident":
-            self._next()
-            return 1.0, value
-        raise SqlError(f"expected a term, got {value!r}")
+    return SqlError(f"malformed statement {text!r}; expected {_SHAPE}")
 
 
 def parse(statement: str) -> ParsedQuery:
@@ -206,4 +141,20 @@ def parse(statement: str) -> ParsedQuery:
     >>> parse("SELECT TOP 3 FROM d WHERE layer <= 3 ORDER BY a").layer_bound
     3
     """
-    return _Parser(statement).parse()
+    match = _STATEMENT_RE.fullmatch(statement)
+    if match is None:
+        raise _reject(statement)
+    weights: dict[str, float] = {}
+    for sign, number, attribute in _TERM_RE.findall(match["expr"]):
+        coefficient = float(number) if number else 1.0
+        value = (-1.0 if sign == "-" else 1.0) * coefficient
+        weights[attribute] = weights.get(attribute, 0.0) + value
+    bound = match["bound"]
+    return ParsedQuery(
+        k=int(match["k"]),
+        table=match["table"],
+        order_by=weights,
+        index_hint=match["index"],
+        layer_bound=None if bound is None else int(bound),
+        explain=match["explain"] is not None,
+    )

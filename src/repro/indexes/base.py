@@ -87,10 +87,14 @@ class RankedIndex(ABC):
     def query_batch(self, queries, k: int) -> list[QueryResult]:
         """Answer many top-k queries.
 
+        ``queries`` is an iterable of :class:`LinearQuery` or a
+        ``(q, d)`` weight matrix holding one monotone query per row.
         The default loops over :meth:`query`; indexes whose candidate
         set is query-independent (the robust index) override this with
         one vectorized scoring pass.
         """
+        if isinstance(queries, np.ndarray):
+            queries = [LinearQuery(w) for w in queries]
         return [self.query(q, k) for q in queries]
 
     def build_info(self) -> dict:

@@ -210,49 +210,72 @@ class RobustIndex(RankedIndex):
         """Vectorized batch answering.
 
         The robust index's candidate set depends only on k, so a whole
-        workload is answered in one shot: a single GEMM scores the
-        layer-packed slab prefix against every weight vector, then the
-        batch kernel (:func:`repro.core.qkernel.batch_topk`) selects
-        each query's top k under the exact ``(score, tid)`` tie rule.
-        The GEMM output and the kernel's working sets live in
-        per-index scratch buffers, so repeated batches run entirely in
-        warm memory.  Emits per-batch ``index.batch*`` counters and
-        timers.
+        workload is answered in one shot through :meth:`query_matrix`
+        (one GEMM plus the batch top-k kernel).  ``queries`` is an
+        iterable of :class:`LinearQuery` or a ``(q, d)`` weight matrix,
+        which skips building a query object per row.
         """
-        queries = list(queries)
-        if not queries:
+        if isinstance(queries, np.ndarray):
+            weights = queries
+        else:
+            queries = list(queries)
+            for q in queries:
+                self._check_query(q, k)
+            weights = np.array([q.weights for q in queries])
+        if len(weights) == 0:
             return []
-        ks = {self._check_query(q, k) for q in queries}
-        k = ks.pop()
-        if k == 0:
-            return [
-                QueryResult(np.zeros(0, dtype=np.intp), 0, 0) for _ in queries
-            ]
+        top, prefix, layers_scanned = self.query_matrix(weights, k)
+        return [QueryResult(row, prefix, layers_scanned) for row in top]
+
+    def query_matrix(self, weights, k: int):
+        """Answer one top-k query per row of a ``(q, d)`` weight matrix.
+
+        Returns ``(tids, retrieved, layers_scanned)``: a ``(q, k')``
+        tid matrix (``k' = min(k, size)``) whose row j is row j's
+        exact answer under the ``(score, tid)`` tie rule, plus the
+        retrieval cost and layer depth every row shares — the
+        candidate set depends only on k.  A single GEMM scores the
+        layer-packed slab prefix against every row, then the batch
+        kernel (:func:`repro.core.qkernel.batch_topk`) selects each
+        row's top k.  The GEMM output and the kernel's working sets
+        live in per-index scratch buffers, so repeated batches run
+        entirely in warm memory.  Rows are taken as given (monotone,
+        like :meth:`query`); emits per-batch ``index.batch*`` counters
+        and timers.
+        """
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 2 or weights.shape[1] != self.dimensions:
+            raise ValueError(
+                f"weights must be (q, {self.dimensions}); "
+                f"got shape {weights.shape}"
+            )
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        k = min(k, self.size)
+        n_queries = weights.shape[0]
+        if k == 0 or n_queries == 0:
+            return np.zeros((n_queries, 0), dtype=np.intp), 0, 0
         with obs.timed("index.batch"):
             prefix = self.retrieval_cost(k)
             candidates = self._order[:prefix]
             layers_scanned = (
                 int(self._layers[candidates[-1]]) if prefix else 0
             )
-            weights = np.stack([q.weights for q in queries])  # (q, d)
             # One GEMM over the contiguous prefix, written into a
             # reused C-order (q, c) buffer: the kernel's row passes
             # stay contiguous per query, with no transpose copy and no
             # fresh multi-megabyte allocation per batch.
             scratch = self._batch_scratch
             scores = scratch.get("scores")
-            if scores is None or scores.shape != (len(queries), prefix):
-                scores = np.empty((len(queries), prefix))
+            if scores is None or scores.shape != (n_queries, prefix):
+                scores = np.empty((n_queries, prefix))
                 scratch["scores"] = scores
             np.matmul(weights, self._slab[:prefix].T, out=scores)
             top = batch_topk(scores, candidates, k, scratch=scratch)
         obs.inc("index.batch.count")
-        obs.inc("index.batch.queries", len(queries))
-        obs.inc("index.batch.candidates", prefix * len(queries))
-        return [
-            QueryResult(top[j], prefix, layers_scanned)
-            for j in range(len(queries))
-        ]
+        obs.inc("index.batch.queries", n_queries)
+        obs.inc("index.batch.candidates", prefix * n_queries)
+        return top, prefix, layers_scanned
 
     def save(self, path) -> None:
         """Persist the index (data + layers + parameters) as ``.npz``.

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
-from repro.engine.cache import ResultCache, cached_query, canonical_weight_key
+from repro.engine.cache import (
+    ResultCache,
+    cached_query,
+    canonical_weight_key,
+    canonical_weight_keys,
+)
 from repro.engine.catalog import Catalog
 from repro.engine.executor import TopKExecutor
 from repro.engine.relation import Relation
@@ -30,6 +37,70 @@ class TestCanonicalKey:
             canonical_weight_key([1.0, -1.0])
         with pytest.raises(ValueError):
             canonical_weight_key([0.0, 0.0])
+
+
+class TestBatchedKeys:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12).flatmap(
+            lambda d: st.lists(
+                st.lists(
+                    st.floats(min_value=1e-9, max_value=1e9),
+                    min_size=d,
+                    max_size=d,
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+    )
+    def test_rows_equal_scalar_keys_byte_for_byte(self, rows):
+        matrix = np.array(rows)
+        keys = canonical_weight_keys(matrix)
+        assert keys == [canonical_weight_key(row) for row in matrix]
+
+    def test_rescaled_rows_share_a_key(self):
+        keys = canonical_weight_keys(np.array([[1.0, 3.0], [2.0, 6.0]]))
+        assert keys[0] == keys[1]
+
+    def test_rejects_negative_and_zero_rows(self):
+        with pytest.raises(ValueError):
+            canonical_weight_keys(np.array([[1.0, 1.0], [1.0, -1.0]]))
+        with pytest.raises(ValueError):
+            canonical_weight_keys(np.array([[0.0, 0.0]]))
+
+
+class TestBatchedLookupStore:
+    def test_matches_scalar_calls(self, rng):
+        """lookup_many / store_many == the same scalar calls in order:
+        answers, counters and LRU evictions alike."""
+        weights = rng.random((12, 3))
+        weights[5] = 2 * weights[1]  # rescaled duplicate
+        weights[7] = weights[3]  # exact duplicate
+        batched, scalar = ResultCache(capacity=6), ResultCache(capacity=6)
+        for cache in (batched, scalar):
+            cache.store("t", weights[1], 4, np.arange(4))
+            cache.store("t", weights[2], 2, np.arange(2))
+        answers = [np.arange(j, j + 5) for j in range(12)]
+        for k in (3, 5):
+            got = batched.lookup_many("t", weights, k)
+            want = [scalar.lookup("t", w, k) for w in weights]
+            assert [None if a is None else a.tolist() for a in got] == [
+                None if a is None else a.tolist() for a in want
+            ]
+            batched.store_many("t", weights, k, answers)
+            for w, tids in zip(weights, answers):
+                scalar.store("t", w, k, tids)
+            assert batched.metrics.counters == scalar.metrics.counters
+            assert len(batched) == len(scalar)
+        for w in weights:
+            a, b = batched.lookup("t", w, 1), scalar.lookup("t", w, 1)
+            assert (a is None) == (b is None)
+
+    def test_store_many_checks_answer_count(self):
+        cache = ResultCache(capacity=4)
+        with pytest.raises(ValueError, match="answers"):
+            cache.store_many("t", np.ones((2, 2)), 1, [np.array([0])])
 
 
 class TestResultCachePrefixClosedness:

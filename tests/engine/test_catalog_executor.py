@@ -7,6 +7,7 @@ from repro.core.appri import appri_layers
 from repro.engine.catalog import Catalog
 from repro.engine.executor import TopKExecutor, materialize_layers
 from repro.engine.relation import Relation
+from repro.engine.sql import ParsedQuery
 from repro.indexes.robust import RobustIndex
 from repro.queries.ranking import LinearQuery
 
@@ -90,6 +91,13 @@ class TestScanPlan:
         executor = TopKExecutor(catalog)
         with pytest.raises(KeyError, match="unknown attribute"):
             executor.execute("SELECT TOP 1 FROM houses ORDER BY bathrooms")
+
+    def test_negative_k_rejected(self, setup):
+        catalog, _ = setup
+        executor = TopKExecutor(catalog)
+        query = ParsedQuery(k=-1, table="houses", order_by={"price": 1.0})
+        with pytest.raises(ValueError, match="non-negative"):
+            executor.execute(query)
 
 
 class TestIndexPlan:

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.appri import appri_layers
+from repro.engine.cache import ResultCache
 from repro.engine.catalog import Catalog
 from repro.engine.executor import TopKExecutor, materialize_layers
 from repro.engine.relation import Relation
+from repro.engine.sql import parse
+from repro.indexes.linear_scan import LinearScanIndex
 from repro.indexes.robust import RobustIndex
+from repro.queries.ranking import LinearQuery
 
 
 @pytest.fixture
@@ -120,3 +124,196 @@ class TestExecuteMany:
             assert (
                 result.tids.tolist() == solo.execute(statement).tids.tolist()
             )
+
+
+@pytest.fixture
+def two_tables(rng):
+    """``t``: AppRI index ``ri`` and no layer column (the planner routes
+    unhinted statements to the index).  ``u``: the same data with a
+    materialized layer column (layer-prefix plans)."""
+    data = rng.random((120, 3))
+    catalog = Catalog()
+    catalog.create_table(Relation.from_matrix("t", ["x", "y", "z"], data))
+    catalog.attach_index("t", "ri", RobustIndex(data, n_partitions=4))
+    catalog.create_table(Relation.from_matrix("u", ["x", "y", "z"], data))
+    store = materialize_layers(catalog, "u", appri_layers(data, n_partitions=4))
+    return catalog, store
+
+
+HINT = "SELECT TOP {k} FROM t USING INDEX ri ORDER BY {expr}"
+WARM = [
+    HINT.format(k=20, expr="x + 2*y + z"),  # A at depth 20
+    HINT.format(k=5, expr="3*x + y"),  # C at depth 5
+]
+MIXED = [
+    HINT.format(k=10, expr="x + 2*y + z"),  # A: truncation hit
+    HINT.format(k=20, expr="x + 2*y + z"),  # A: exact-depth hit
+    HINT.format(k=10, expr="3*x + y"),  # C: deepening miss
+    HINT.format(k=10, expr="y + 4*z"),  # B: miss
+    HINT.format(k=10, expr="y + 4*z"),  # B again: miss (same group)
+    HINT.format(k=10, expr="2*y + 8*z"),  # 2B: rescaled, miss
+    HINT.format(k=0, expr="x + y"),  # k = 0
+    "SELECT TOP 10 FROM t ORDER BY x + z",  # planner -> index group
+    "SELECT TOP 10 FROM t ORDER BY 2*x - z",  # negative: scan
+    "SELECT TOP 10 FROM u WHERE layer <= 10 ORDER BY x + y",
+    "SELECT TOP 7 FROM u ORDER BY x + y + z",  # planner -> layer-prefix
+    HINT.format(k=10, expr="x + 2*y + z"),  # A again: hit
+]
+
+
+def _expected_cache_states(batches):
+    """Replay ``batches`` on a bare cache under lookup-then-store
+    semantics: every group's rows are looked up before its misses are
+    stored.  Returns the last batch's per-statement 'hit' / 'miss'
+    (index-plan statements only) and the cache."""
+    cache = ResultCache(capacity=64)
+    for statements in batches:
+        groups = {}
+        for i, text in enumerate(statements):
+            query = parse(text)
+            if query.table == "t" and min(query.order_by.values()) >= 0:
+                weights = [query.order_by.get(a, 0.0) for a in ("x", "y", "z")]
+                groups.setdefault(query.k, []).append((i, weights))
+        states = {}
+        for k, members in groups.items():
+            for i, weights in members:
+                hit = cache.lookup("t", weights, k) is not None
+                states[i] = "hit" if hit else "miss"
+            for i, weights in members:
+                if states[i] == "miss":
+                    cache.store("t", weights, k, np.arange(min(k, 120)))
+    return states, cache
+
+
+class TestSetAtATime:
+    def test_mixed_batch_matches_single_statement_execution(self, two_tables):
+        catalog, store = two_tables
+        executor = TopKExecutor(catalog, cache_size=64)
+        executor.register_store("u", store)
+        solo = TopKExecutor(catalog)
+        solo.register_store("u", store)
+        executor.execute_many(WARM)
+        results = executor.execute_many(MIXED)
+        states, reference = _expected_cache_states([WARM, MIXED])
+        for i, (text, result) in enumerate(zip(MIXED, results)):
+            expected = solo.execute_auto(text)
+            assert result.tids.tolist() == expected.tids.tolist(), text
+            assert result.plan == expected.plan, text
+            assert result.rows.n_rows == len(expected.tids)
+            if i in states:
+                assert result.extra["cache"] == states[i], text
+                want = 0 if states[i] == "hit" else expected.retrieved
+                assert result.retrieved == want, text
+            else:
+                assert "cache" not in result.extra
+                assert result.retrieved == expected.retrieved, text
+        assert [results[i].extra["cache"] for i in range(6)] == [
+            "hit", "hit", "miss", "miss", "miss", "miss",
+        ]
+        assert [r.plan for r in results[8:11]] == [
+            "scan", "layer-prefix(<= 10)", "layer-prefix(<= 7)",
+        ]
+        assert results[6].tids.size == 0
+        assert executor.cache.metrics.counters == reference.metrics.counters
+        assert executor.cache.metrics.counters["cache.deepenings"] == 1
+        assert executor.cache.metrics.counters["cache.truncations"] == 2
+        assert len(executor.cache) == len(reference)
+
+    def test_non_robust_index_group_matches_execute(self, two_tables, rng):
+        catalog, _ = two_tables
+        data = np.column_stack(
+            [catalog.table("t").column(a) for a in ("x", "y", "z")]
+        )
+        catalog.attach_index("t", "scan", LinearScanIndex(data))
+        statements = [
+            f"SELECT TOP {k} FROM t USING INDEX scan ORDER BY {expr}"
+            for k, expr in [(4, "x + y"), (4, "2*z + y"), (9, "x")]
+        ]
+        executor = TopKExecutor(catalog, cache_size=8)
+        results = executor.execute_many(statements)
+        solo = TopKExecutor(catalog)
+        for statement, result in zip(statements, results):
+            expected = solo.execute(statement)
+            assert result.tids.tolist() == expected.tids.tolist()
+            assert result.retrieved == expected.retrieved == 120
+            assert result.plan == "index(scan)"
+
+    def test_scan_and_layer_prefix_break_ties_by_tid(self, rng):
+        """The partial-selection ranking of scans and layer prefixes
+        equals the full (score, tid) sort, ties included."""
+        data = rng.integers(0, 3, size=(400, 2)).astype(float)
+        catalog = Catalog()
+        catalog.create_table(Relation.from_matrix("d", ["a", "b"], data))
+        materialize_layers(catalog, "d", np.repeat([1, 2, 3, 4], 100))
+        executor = TopKExecutor(catalog)
+        for k in (1, 5, 40, 500):
+            scan = executor.execute(f"SELECT TOP {k} FROM d ORDER BY a - b")
+            expected = LinearQuery([1, -1], require_monotone=False).top_k(data, k)
+            assert scan.tids.tolist() == expected.tolist()
+            prefix = executor.execute(
+                f"SELECT TOP {k} FROM d WHERE layer <= 3 ORDER BY a + b"
+            )
+            scores = data[:300] @ np.array([1.0, 1.0])
+            assert prefix.tids.tolist() == np.lexsort(
+                (np.arange(300), scores)
+            )[:k].tolist()
+
+    def test_batch_metrics_count_only_batched_rows(self, two_tables):
+        catalog, _ = two_tables
+        executor = TopKExecutor(catalog)
+        statements = [
+            HINT.format(k=5, expr="x + y"),
+            "SELECT TOP 5 FROM t ORDER BY x - y",  # scanned, not batched
+            HINT.format(k=5, expr="y + z"),
+        ]
+        results = executor.execute_many(statements)
+        assert results[1].plan == "scan"
+        for result in (results[0], results[2]):
+            assert result.extra["batch_size"] == 2
+            assert result.metrics["counters"]["query.count"] == 2
+        assert executor.metrics.counters["query.count"] == 3
+
+
+class TestErrorParity:
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "SELECT TOP 5 FROM t USING INDEX ri ORDER BY x + nope",
+            "SELECT TOP 5 FROM t ORDER BY x + nope",
+            "SELECT TOP 5 FROM t ORDER BY x - nope",
+        ],
+    )
+    def test_unknown_attribute_raises_key_error(self, two_tables, statement):
+        catalog, _ = two_tables
+        executor = TopKExecutor(catalog, cache_size=8)
+        with pytest.raises(KeyError, match="unknown attribute 'nope'") as single:
+            executor.execute_auto(statement)
+        with pytest.raises(KeyError, match="unknown attribute 'nope'") as many:
+            executor.execute_many([HINT.format(k=5, expr="x"), statement])
+        assert many.value.args == single.value.args
+
+    def test_non_float_attribute_keeps_value_error(self, two_tables):
+        catalog, _ = two_tables
+        catalog.attach_index(
+            "u", "ri", catalog.index("t", "ri")
+        )
+        statement = "SELECT TOP 5 FROM u USING INDEX ri ORDER BY x + layer"
+        executor = TopKExecutor(catalog)
+        with pytest.raises(ValueError, match="does not cover") as single:
+            executor.execute(statement)
+        with pytest.raises(ValueError, match="does not cover") as many:
+            executor.execute_many([statement])
+        assert many.value.args == single.value.args
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [("0*x", "non-zero"), ("x - y", "negative weights")],
+    )
+    def test_unservable_weights_raise_like_execute(self, two_tables, expr, message):
+        catalog, _ = two_tables
+        statement = HINT.format(k=5, expr=expr)
+        executor = TopKExecutor(catalog)
+        with pytest.raises(ValueError, match=message):
+            executor.execute(statement)
+        with pytest.raises(ValueError, match=message):
+            executor.execute_many([statement])

@@ -8,6 +8,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.executor import TopKExecutor, materialize_layers
 from repro.engine.planner import CostBasedPlanner
 from repro.engine.relation import Relation
+from repro.engine.schema import Attribute
 from repro.engine.statistics import analyze, build_histogram
 from repro.indexes.robust import RobustIndex
 from repro.queries.ranking import LinearQuery
@@ -112,6 +113,27 @@ class TestPlanner:
         assert planner.statistics("d") is first
         planner.invalidate("d")
         assert planner.statistics("d") is not first
+
+    def test_same_length_layer_replacement_refreshes_statistics(self):
+        """Statistics follow the catalog's table version, not the row
+        count: a new same-length layer column must be re-analyzed."""
+        n = 400
+        data = np.random.default_rng(3).random((n, 2))
+        base = Relation.from_matrix("t", ["a", "b"], data)
+        catalog = Catalog()
+        catalog.create_table(
+            base.with_column(Attribute("layer", "int"), np.ones(n, int))
+        )
+        planner = CostBasedPlanner(catalog)
+        assert planner.choose("t", 5).kind == "scan"  # every tuple at layer 1
+        catalog.replace_table(
+            base.with_column(Attribute("layer", "int"), np.arange(1, n + 1))
+        )
+        chosen = planner.choose("t", 5)
+        fresh = CostBasedPlanner(catalog).choose("t", 5)
+        assert chosen == fresh
+        assert chosen.kind == "layer-prefix"
+        assert chosen.est_tuples < 20
 
 
 class TestExecuteAuto:

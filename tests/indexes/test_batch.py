@@ -48,6 +48,28 @@ class TestRobustBatch:
     def test_empty_batch(self, small_2d):
         assert RobustIndex(small_2d, n_partitions=3).query_batch([], 5) == []
 
+    @pytest.mark.parametrize("index_cls", [RobustIndex, ShellIndex])
+    def test_weight_matrix_equals_query_list(self, small_3d, index_cls):
+        index = index_cls(small_3d)
+        queries = simplex_workload(3, 7, seed=4)
+        weights = np.array([q.weights for q in queries])
+        for k in (0, 6, 100):
+            by_matrix = index.query_batch(weights, k)
+            by_list = index.query_batch(queries, k)
+            assert [r.tids.tolist() for r in by_matrix] == [
+                r.tids.tolist() for r in by_list
+            ]
+            assert [r.retrieved for r in by_matrix] == [
+                r.retrieved for r in by_list
+            ]
+
+    def test_query_matrix_rejects_wrong_width(self, small_3d):
+        index = RobustIndex(small_3d, n_partitions=4)
+        with pytest.raises(ValueError, match="weights must be"):
+            index.query_matrix(np.ones((2, 2)), 5)
+        with pytest.raises(ValueError, match="non-negative"):
+            index.query_matrix(np.ones((2, 3)), -1)
+
     def test_k_zero_batch(self, small_2d):
         index = RobustIndex(small_2d, n_partitions=3)
         results = index.query_batch([LinearQuery([1, 1])], 0)
