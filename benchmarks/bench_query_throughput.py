@@ -38,7 +38,7 @@ seed); ``--quick`` runs tiny sizes for CI and writes only to
 ``benchmarks/results/``.
 
 AppRI builds at the full sizes are expensive (hours at n=50k, d=4 on
-one core), so built indexes are cached as ``.npz`` under
+one core), so built indexes are cached as snapshot files under
 ``--index-cache`` (default ``benchmarks/results/index_cache``) and
 reloaded on later runs.
 """
@@ -91,22 +91,23 @@ def _rates(seconds: float, latencies: list[float] | None, n_queries: int):
 
 def _load_or_build(n, d, k, workers, index_cache):
     from repro.data import uniform
+    from repro.engine.snapshot import load_snapshot, save_snapshot
     from repro.indexes.robust import RobustIndex
 
     path = (
-        Path(index_cache) / f"appri_n{n}_d{d}_seed{SEED}.npz"
+        Path(index_cache) / f"appri_n{n}_d{d}_seed{SEED}.snap"
         if index_cache
         else None
     )
     if path is not None and path.exists():
-        return RobustIndex.load(path), None
+        return load_snapshot(path, mmap=False), None
     data = uniform(n, d, seed=SEED)
     started = time.perf_counter()
     index = RobustIndex(data, n_partitions=10, workers=workers)
     build_seconds = time.perf_counter() - started
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        index.save(path)
+        save_snapshot(index, path)
     return index, build_seconds
 
 

@@ -5,22 +5,19 @@ its first top-k query — how much faster is mapping a persistent
 snapshot (:mod:`repro.engine.snapshot`) than re-running the AppRI
 build from tuples?
 
-Per (n, d) configuration, three ways to reach the first correct
-answer against the same data:
+Per (n, d) configuration, two ways to reach the first correct answer
+against the same data:
 
 ``rebuild``
     ``RobustIndex(data)`` from scratch (the paper's build) + one
     query — what a restart without persistence costs.
-``npz``
-    ``RobustIndex.load`` of the PR-0 ``.npz`` format + one query —
-    decompresses every array and re-packs the slab on load.
 ``snapshot``
     ``load_snapshot`` of the checksummed snapshot file with
     ``mmap=True`` + one query — zero-copy: the layer-packed slab and
     all query artefacts map straight from disk, so only the pages the
     query touches are faulted in.
 
-All three must return identical tids (asserted, also against the
+Both must return identical tids (asserted, also against the
 ground-truth full scan).  The acceptance target is ``snapshot``
 reaching the first correct answer >= 20x faster than ``rebuild`` at
 n=50k, d=4.  Full runs write ``BENCH_snapshot.json`` at the repo
@@ -86,7 +83,6 @@ def bench_config(n: int, d: int, k: int = K, workers: int = 2,
                  scratch_dir=None) -> dict:
     from repro.data import uniform
     from repro.engine.snapshot import load_snapshot, save_snapshot
-    from repro.indexes.robust import RobustIndex
     from repro.queries.ranking import LinearQuery
     from repro.queries.workload import simplex_workload
 
@@ -104,20 +100,12 @@ def bench_config(n: int, d: int, k: int = K, workers: int = 2,
     started = time.perf_counter()
     save_snapshot(index, snap_path)
     save_seconds = time.perf_counter() - started
-    npz_path = scratch / f"bench_snapshot_n{n}_d{d}.npz"
-    index.save(npz_path)
 
     snap_tids, snap_load, snap_query = _first_answer_via_loader(
         lambda: load_snapshot(snap_path, mmap=True), query, k
     )
-    npz_tids, npz_load, npz_query = _first_answer_via_loader(
-        lambda: RobustIndex.load(npz_path), query, k
-    )
 
-    if not (
-        list(truth) == list(rebuild_tids) == list(snap_tids)
-        == list(npz_tids)
-    ):
+    if not list(truth) == list(rebuild_tids) == list(snap_tids):
         raise AssertionError(
             f"n={n} d={d}: warm-start answers diverged from the rebuild"
         )
@@ -137,10 +125,8 @@ def bench_config(n: int, d: int, k: int = K, workers: int = 2,
 
     rebuild_total = build_seconds + build_query_seconds
     snap_total = snap_load + snap_query
-    npz_total = npz_load + npz_query
     snapshot_bytes = snap_path.stat().st_size
     snap_path.unlink()
-    npz_path.unlink()
     return {
         "n": n,
         "d": d,
@@ -158,12 +144,6 @@ def bench_config(n: int, d: int, k: int = K, workers: int = 2,
             "first_answer_seconds": round(snap_total, 6),
             "speedup_vs_rebuild": round(rebuild_total / snap_total, 1),
         },
-        "npz": {
-            "load_seconds": round(npz_load, 6),
-            "first_query_seconds": round(npz_query, 6),
-            "first_answer_seconds": round(npz_total, 6),
-            "speedup_vs_rebuild": round(rebuild_total / npz_total, 1),
-        },
         "round_trip_exact": True,
     }
 
@@ -174,15 +154,13 @@ def render(records: list[dict]) -> str:
         "(load times are best of "
         f"{LOAD_REPEATS}; speedups vs rebuilding from tuples)",
         "",
-        f"{'n':>7} {'d':>3} | {'rebuild s':>10} | {'npz ms':>9} "
-        f"{'speedup':>9} | {'snap ms':>9} {'speedup':>9}",
+        f"{'n':>7} {'d':>3} | {'rebuild s':>10} | "
+        f"{'snap ms':>9} {'speedup':>9}",
     ]
     for r in records:
         lines.append(
             f"{r['n']:>7} {r['d']:>3} | "
             f"{r['rebuild']['first_answer_seconds']:>10.2f} | "
-            f"{r['npz']['first_answer_seconds'] * 1e3:>9.2f} "
-            f"{r['npz']['speedup_vs_rebuild']:>8.0f}x | "
             f"{r['snapshot']['first_answer_seconds'] * 1e3:>9.2f} "
             f"{r['snapshot']['speedup_vs_rebuild']:>8.0f}x"
         )

@@ -7,7 +7,7 @@ info
 generate
     Write a synthetic or surrogate data set to CSV.
 build
-    Build a robust index over a CSV file and save it as ``.npz``.
+    Build a robust index over a CSV file and save it as a snapshot.
 query
     Run a top-k query against a saved index.
 audit
@@ -20,8 +20,8 @@ stats
     Build an index with instrumentation on and report per-phase build
     metrics plus query-path statistics over a random workload.
 snapshot
-    Persist an index as a versioned, checksummed snapshot file and
-    warm-start from it: ``save`` / ``load`` / ``info`` subcommands.
+    Warm-start from or inspect a versioned, checksummed snapshot file
+    written by ``build``: ``load`` / ``info`` subcommands.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ def _cmd_generate(args) -> int:
 def _cmd_build(args) -> int:
     from repro.data import minmax_normalize
     from repro.data.io import load_csv
+    from repro.engine.snapshot import save_snapshot
     from repro.indexes.robust import RobustIndex
 
     names, data = load_csv(args.data)
@@ -88,7 +89,7 @@ def _cmd_build(args) -> int:
         refine="peel" if args.peel else None,
         workers=args.workers,
     )
-    index.save(args.output)
+    save_snapshot(index, args.output)
     info = index.build_info()
     print(
         f"indexed {index.size} tuples ({', '.join(names)}): "
@@ -106,10 +107,10 @@ def _parse_weights(text: str) -> np.ndarray:
 
 
 def _cmd_query(args) -> int:
-    from repro.indexes.robust import RobustIndex
+    from repro.engine.snapshot import load_snapshot
     from repro.queries.ranking import LinearQuery
 
-    index = RobustIndex.load(args.index)
+    index = load_snapshot(args.index)
     query = LinearQuery(_parse_weights(args.weights))
     result = index.query(query, args.k)
     print(
@@ -124,9 +125,9 @@ def _cmd_query(args) -> int:
 
 def _cmd_audit(args) -> int:
     from repro.core.validate import audit_layering
-    from repro.indexes.robust import RobustIndex
+    from repro.engine.snapshot import load_snapshot
 
-    index = RobustIndex.load(args.index)
+    index = load_snapshot(args.index)
     report = audit_layering(
         index.points,
         index.layers,
@@ -325,33 +326,6 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_snapshot_save(args) -> int:
-    from repro.data import minmax_normalize
-    from repro.data.io import load_csv
-    from repro.engine.snapshot import save_snapshot
-    from repro.indexes.robust import RobustIndex
-
-    if args.source.endswith(".npz"):
-        index = RobustIndex.load(args.source)
-        origin = "loaded"
-    else:
-        names, data = load_csv(args.source)
-        if args.normalize:
-            data = minmax_normalize(data)
-        index = RobustIndex(
-            data, n_partitions=args.partitions, workers=args.workers
-        )
-        origin = "built"
-    header = save_snapshot(index, args.output)
-    nbytes = header["file_size"]
-    print(
-        f"{origin} {type(index).__name__} over {index.size} tuples; "
-        f"snapshot kind {header['kind']!r}, {nbytes} bytes "
-        f"-> {args.output}"
-    )
-    return 0
-
-
 def _cmd_snapshot_load(args) -> int:
     import time
 
@@ -406,7 +380,6 @@ def _cmd_snapshot_info(args) -> int:
 
 def _cmd_snapshot(args) -> int:
     handlers = {
-        "save": _cmd_snapshot_save,
         "load": _cmd_snapshot_load,
         "info": _cmd_snapshot_info,
     }
@@ -468,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build and save a robust index")
     p.add_argument("data", help="input CSV (header + numeric rows)")
-    p.add_argument("-o", "--output", required=True, help="output .npz")
+    p.add_argument("-o", "--output", required=True,
+                   help="output snapshot file")
     p.add_argument("--partitions", type=int, default=10)
     p.add_argument("--systems", default="complementary",
                    choices=["complementary", "families"])
@@ -480,12 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for the chunked build pipeline")
 
     p = sub.add_parser("query", help="top-k query against a saved index")
-    p.add_argument("index", help="index .npz from 'build'")
+    p.add_argument("index", help="snapshot file from 'build'")
     p.add_argument("--weights", required=True, help="e.g. 1,2,4")
     p.add_argument("-k", type=int, default=10)
 
     p = sub.add_parser("audit", help="verify a saved index's soundness")
-    p.add_argument("index")
+    p.add_argument("index", help="snapshot file from 'build'")
     p.add_argument("--queries", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--engine", default="auto",
@@ -546,35 +520,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "snapshot",
-        help="save/load/inspect persistent index snapshots",
+        help="load/inspect persistent index snapshots",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "example:\n"
             "  python -m repro generate --n 5000 --d 3 -o data.csv\n"
-            "  python -m repro snapshot save data.csv -o data.snap\n"
+            "  python -m repro build data.csv -o data.snap\n"
             "  python -m repro snapshot load data.snap --weights 1,2,4 -k 5\n"
             "builds once, persists the index, then warm-starts a fresh\n"
             "process from the memory-mapped snapshot in milliseconds."
         ),
     )
     snap_sub = p.add_subparsers(dest="snapshot_command", required=True)
-
-    sp = snap_sub.add_parser(
-        "save", help="build (CSV) or load (.npz) an index, then snapshot it",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "example:\n"
-            "  python -m repro snapshot save data.csv -o data.snap "
-            "--workers 2"
-        ),
-    )
-    sp.add_argument("source", help="input CSV to build from, or .npz index")
-    sp.add_argument("-o", "--output", required=True, help="output .snap")
-    sp.add_argument("--partitions", type=int, default=10)
-    sp.add_argument("--workers", type=int, default=1,
-                    help="worker processes for the chunked build pipeline")
-    sp.add_argument("--normalize", action="store_true",
-                    help="min-max normalize attributes before indexing")
 
     sp = snap_sub.add_parser(
         "load", help="warm-start an index from a snapshot, optionally query",
@@ -584,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  python -m repro snapshot load data.snap --weights 1,2,4 -k 5"
         ),
     )
-    sp.add_argument("snapshot", help=".snap file from 'snapshot save'")
+    sp.add_argument("snapshot", help="snapshot file from 'build'")
     sp.add_argument("--weights", default=None,
                     help="run one top-k query, e.g. 1,2,4")
     sp.add_argument("-k", type=int, default=10)

@@ -52,7 +52,10 @@ layer-packed query slab — is an :class:`numpy.memmap` view of the
 file, opened read-only.  Nothing is materialized up front; the first
 query faults in exactly the slab prefix it scans.  Restorers bypass
 ``__init__`` (no rebuild, no re-sort, no slab re-pack), which is what
-makes warm start O(header) instead of O(build).
+makes warm start O(header) instead of O(build): the layered kinds'
+buffers (``points``, ``layers``, ``order``, ``offsets``, ``slab``) are
+the fields of one :class:`~repro.indexes.robust.LayeredSlab`, adopted
+as they are.
 
 Registered kinds
 ----------------
@@ -63,8 +66,10 @@ Registered kinds
 :class:`~repro.indexes.onion.ShellIndex`),
 ``dynamic-layers`` (:class:`~repro.core.dynamic.DynamicRobustLayers`,
 including its staleness counters) and ``dynamic-robust``
-(:class:`~repro.indexes.dynamic.DynamicRobustIndex`).  New index
-classes join via :func:`register_snapshot_kind`.
+(:class:`~repro.indexes.dynamic.DynamicRobustIndex`).  Each class
+serializes itself through its public ``export_state()`` /
+``from_state(arrays, meta)`` pair; new index classes join via
+:func:`register_snapshot_kind`.
 
 Counters/timers: ``snapshot.saves`` / ``snapshot.loads`` /
 ``snapshot.bytes_written`` / ``snapshot.bytes_read`` and the
@@ -396,104 +401,21 @@ def snapshot_info(path) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _export_layered(index) -> tuple[dict, dict]:
-    """Arrays shared by every layer-packed index: data + layering +
-    the precomputed query artefacts (order, offsets, slab) so a load
-    never re-sorts or re-packs."""
-    return (
-        {
-            "points": index.points,
-            "layers": np.asarray(index.layers, dtype=np.int64),
-            "order": np.asarray(index._order, dtype=np.int64),
-            "offsets": np.asarray(index._offsets, dtype=np.int64),
-            "slab": index._slab,
-        },
-        {},
-    )
-
-
-def _export_robust(index) -> tuple[dict, dict]:
-    arrays, meta = _export_layered(index)
-    meta.update(
-        {
-            "n_partitions": int(index._n_partitions),
-            "systems": getattr(index, "_systems", "complementary"),
-            "refine": getattr(index, "_refine", None),
-            "workers": int(getattr(index, "_workers", 1)),
-        }
-    )
-    return arrays, meta
-
-
-def _restore_layered(index, arrays) -> None:
-    from ..indexes.base import RankedIndex
-
-    RankedIndex.__init__(index, arrays["points"])
-    index._layers = arrays["layers"]
-    index._order = arrays["order"]
-    index._offsets = arrays["offsets"]
-    index._slab = arrays["slab"]
-    index._build_seconds = 0.0
-
-
-def _robust_restorer(cls) -> Callable:
-    def restore(arrays: dict, meta: dict):
-        index = cls.__new__(cls)
-        _restore_layered(index, arrays)
-        index._batch_scratch = {}
-        index._tid_views = {}
-        index._build_metrics = {}
-        index._n_partitions = int(meta.get("n_partitions", 0))
-        index._systems = meta.get("systems", "complementary")
-        index._refine = meta.get("refine")
-        index._workers = int(meta.get("workers", 1))
-        return index
-
-    return restore
-
-
-def _peeled_restorer(cls) -> Callable:
-    def restore(arrays: dict, meta: dict):
-        index = cls.__new__(cls)
-        _restore_layered(index, arrays)
-        return index
-
-    return restore
-
-
 def _register_builtin_kinds() -> None:
     from ..core.dynamic import DynamicRobustLayers
     from ..indexes.dynamic import DynamicRobustIndex
     from ..indexes.onion import OnionIndex, ShellIndex
     from ..indexes.robust import ExactRobustIndex, RobustIndex
 
-    register_snapshot_kind(
-        "robust", RobustIndex, _export_robust, _robust_restorer(RobustIndex)
-    )
-    register_snapshot_kind(
-        "exact-robust",
-        ExactRobustIndex,
-        _export_robust,
-        _robust_restorer(ExactRobustIndex),
-    )
-    register_snapshot_kind(
-        "onion", OnionIndex, _export_layered, _peeled_restorer(OnionIndex)
-    )
-    register_snapshot_kind(
-        "shell", ShellIndex, _export_layered, _peeled_restorer(ShellIndex)
-    )
-    register_snapshot_kind(
-        "dynamic-layers",
-        DynamicRobustLayers,
-        lambda obj: obj.export_state(),
-        DynamicRobustLayers.from_state,
-    )
-    register_snapshot_kind(
-        "dynamic-robust",
-        DynamicRobustIndex,
-        lambda obj: obj.export_state(),
-        DynamicRobustIndex.from_state,
-    )
+    for kind, cls in (
+        ("robust", RobustIndex),
+        ("exact-robust", ExactRobustIndex),
+        ("onion", OnionIndex),
+        ("shell", ShellIndex),
+        ("dynamic-layers", DynamicRobustLayers),
+        ("dynamic-robust", DynamicRobustIndex),
+    ):
+        register_snapshot_kind(kind, cls, cls.export_state, cls.from_state)
 
 
 _register_builtin_kinds()

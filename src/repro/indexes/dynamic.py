@@ -3,9 +3,10 @@
 :class:`~repro.core.dynamic.DynamicRobustLayers` keeps a layering
 *sound* through inserts and deletes but is not itself queryable.
 :class:`DynamicRobustIndex` closes the loop: it pairs the maintainer
-with an immutable, layer-packed *serving view* (the same order /
-offsets / slab artefacts :class:`~repro.indexes.robust.RobustIndex`
-queries) and republishes a fresh view after every mutation.
+with an immutable *serving view* (a
+:class:`~repro.indexes.robust.LayeredSlab`, the storage
+:class:`~repro.indexes.robust.RobustIndex` queries) and republishes a
+fresh view after every mutation.
 
 The design rule is single-writer / lock-free readers:
 
@@ -25,41 +26,33 @@ re-tighten layers in a background thread without ever blocking reads.
 from __future__ import annotations
 
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
 from .. import obs
 from ..core.appri import appri_layers
 from ..core.dynamic import DynamicRobustLayers
-from ..core.index import layer_offsets, layer_order
 from ..core.qkernel import topk_select
 from ..queries.ranking import LinearQuery
 from .base import QueryResult, RankedIndex
+from .robust import LayeredSlab
 
 __all__ = ["DynamicRobustIndex"]
 
 
-class _ServingView:
-    """One immutable, layer-packed generation of the index.
+class _View(NamedTuple):
+    """One published generation of the index.
 
-    Holds everything a query touches (points in alive order, layers,
-    layer order/offsets, the contiguous slab) so reads never consult
-    the mutable maintainer.  ``generation`` identifies the update state
+    ``slab`` holds everything a query touches, so reads never consult
+    the mutable maintainer; ``generation`` identifies the update state
     it was packed from; ``tight`` records whether the layers are fresh
     from a full build (as opposed to update-compensated bounds).
     """
 
-    __slots__ = ("points", "layers", "order", "offsets", "slab",
-                 "generation", "tight")
-
-    def __init__(self, points, layers, generation: int, tight: bool):
-        self.points = np.asarray(points, dtype=float)
-        self.layers = np.asarray(layers, dtype=np.intp)
-        self.order = layer_order(self.layers)
-        self.offsets = layer_offsets(self.layers)
-        self.slab = np.ascontiguousarray(self.points[self.order])
-        self.generation = generation
-        self.tight = tight
+    slab: LayeredSlab
+    generation: int
+    tight: bool
 
 
 class DynamicRobustIndex(RankedIndex):
@@ -104,31 +97,29 @@ class DynamicRobustIndex(RankedIndex):
         self._maintainer = maintainer
         self._lock = threading.RLock()
         self._generation = generation
-        self._view = _ServingView(
-            maintainer.points, maintainer.layers(), generation, tight
-        )
+        self._publish(tight)
 
     # -- read side ---------------------------------------------------
 
     @property
     def points(self) -> np.ndarray:
         """Alive tuples, in the row order tids refer to."""
-        return self._view.points
+        return self._view.slab.points
 
     @property
     def size(self) -> int:
         """Number of alive tuples in the serving view."""
-        return self._view.points.shape[0]
+        return self._view.slab.points.shape[0]
 
     @property
     def dimensions(self) -> int:
         """Attribute count of the indexed relation."""
-        return self._view.points.shape[1]
+        return self._view.slab.points.shape[1]
 
     @property
     def layers(self) -> np.ndarray:
         """Current sound 1-based layers (per alive tuple)."""
-        return self._view.layers
+        return self._view.slab.layers
 
     @property
     def staleness(self) -> int:
@@ -147,36 +138,28 @@ class DynamicRobustIndex(RankedIndex):
 
     def retrieval_cost(self, k: int) -> int:
         """Tuples a top-k query reads against the current view."""
-        view = self._view
-        c = min(max(k, 0), view.offsets.size - 1)
-        return int(view.offsets[c])
+        return self._view.slab.retrieval_cost(k)
 
     def query(self, query: LinearQuery, k: int) -> QueryResult:
         """Exact top-k against the current view, without locking."""
-        view = self._view  # one atomic grab; swaps cannot tear us
-        if query.dimensions != view.points.shape[1]:
+        slab = self._view.slab  # one atomic grab; swaps cannot tear us
+        if query.dimensions != slab.points.shape[1]:
             raise ValueError(
                 f"query has {query.dimensions} weights; "
-                f"index covers {view.points.shape[1]} attributes"
+                f"index covers {slab.points.shape[1]} attributes"
             )
         if k < 0:
             raise ValueError("k must be non-negative")
-        k = min(k, view.points.shape[0])
+        k = min(k, slab.points.shape[0])
         if k == 0:
             return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
         with obs.timed("index.query"):
-            c = min(k, view.offsets.size - 1)
-            prefix = int(view.offsets[c])
-            candidates = view.order[:prefix]
-            scores = view.slab[:prefix] @ query.weights
-            tids = topk_select(scores, candidates, k)
-            layers_scanned = (
-                int(view.layers[candidates[-1]]) if prefix else 0
-            )
+            rows, candidates, layers_scanned = slab.prefix(k)
+            tids = topk_select(rows @ query.weights, candidates, k)
         obs.inc("index.queries")
-        obs.inc("index.candidates", prefix)
+        obs.inc("index.candidates", candidates.size)
         obs.inc("index.layers_scanned", layers_scanned)
-        return QueryResult(tids, prefix, layers_scanned)
+        return QueryResult(tids, candidates.size, layers_scanned)
 
     def build_info(self) -> dict:
         """Maintenance state: staleness, tightness, generation."""
@@ -186,7 +169,7 @@ class DynamicRobustIndex(RankedIndex):
             "staleness": self.staleness,
             "tight": self.tight,
             "generation": self._generation,
-            "n_layers": int(self.layers.max()) if self.size else 0,
+            "n_layers": self._view.slab.n_layers,
         }
 
     # -- write side --------------------------------------------------
@@ -209,12 +192,10 @@ class DynamicRobustIndex(RankedIndex):
     def _publish(self, tight: bool) -> None:
         # Maintainer accessors hand back fresh arrays (fancy-indexed
         # copies), so the new view shares nothing mutable.
-        self._view = _ServingView(
-            self._maintainer.points,
-            self._maintainer.layers(),
-            self._generation,
-            tight,
+        slab = LayeredSlab.from_layers(
+            self._maintainer.points, self._maintainer.layers()
         )
+        self._view = _View(slab, self._generation, tight)
 
     # -- rebuild protocol (used by RebuildManager) -------------------
 

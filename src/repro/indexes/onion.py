@@ -23,6 +23,7 @@ from ..geometry.convex import hull_vertices, shell_vertices
 from ..geometry.peeling import peel_layers
 from ..queries.ranking import LinearQuery
 from .base import QueryResult, RankedIndex, rank_candidates
+from .robust import LayeredSlab
 
 __all__ = ["OnionIndex", "ShellIndex", "peel_layers"]
 
@@ -35,22 +36,31 @@ class _PeeledIndex(RankedIndex):
     def __init__(self, points: np.ndarray):
         super().__init__(points)
         started = time.perf_counter()
-        self._layers = peel_layers(self._points, self._extractor)
+        layers = peel_layers(self._points, self._extractor)
         self._build_seconds = time.perf_counter() - started
-        self._order = np.lexsort((np.arange(self.size), self._layers))
-        max_layer = int(self._layers.max()) if self.size else 0
-        counts = np.bincount(self._layers, minlength=max_layer + 1)
-        self._offsets = np.cumsum(counts)
-        # Layer-packed slab: points rewritten in (layer, tid) order so
-        # the progressive scan reads each layer as one contiguous
-        # slice (the hull layers here are k-indexed too: the top-k of
-        # any linear query lies within the first k peels).
-        self._slab = np.ascontiguousarray(self._points[self._order])
+        # Layer-packed storage: the progressive scan reads each layer
+        # as one contiguous slab slice (the hull layers here are
+        # k-indexed too: the top-k of any linear query lies within the
+        # first k peels).
+        self._layered = LayeredSlab.from_layers(self._points, layers)
 
     @property
     def layers(self) -> np.ndarray:
         """1-based layer number per tuple."""
-        return self._layers
+        return self._layered.layers
+
+    def export_state(self) -> tuple[dict, dict]:
+        """Serializable ``(arrays, meta)``: the slab's buffers."""
+        return self._layered.arrays(), {}
+
+    @classmethod
+    def from_state(cls, arrays: dict, meta: dict) -> "_PeeledIndex":
+        """Restore from :meth:`export_state` output without re-peeling."""
+        index = cls.__new__(cls)
+        index._layered = LayeredSlab.from_arrays(arrays)
+        index._points = index._layered.points
+        index._build_seconds = 0.0
+        return index
 
     def query(self, query: LinearQuery, k: int) -> QueryResult:
         """Progressive layer scan with the domination stop rule.
@@ -63,22 +73,22 @@ class _PeeledIndex(RankedIndex):
         k = self._check_query(query, k)
         if k == 0:
             return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
-        n_layers = self._offsets.size - 1
+        layered = self._layered
         retrieved = 0
         layers_scanned = 0
         best: np.ndarray | None = None
-        for c in range(1, n_layers + 1):
-            lo, hi = int(self._offsets[c - 1]), int(self._offsets[c])
+        for c in range(1, layered.n_layers + 1):
+            lo, hi = int(layered.offsets[c - 1]), int(layered.offsets[c])
             if lo == hi:
                 continue
-            members = self._order[lo:hi]
+            members = layered.order[lo:hi]
             retrieved += members.size
             layers_scanned = c
             pool = members if best is None else np.concatenate([best, members])
             best = rank_candidates(self._points, pool, query, k)
             if best.size >= k:
                 kth_score = float(query.scores(self._points[[best[k - 1]]])[0])
-                layer_min = float(query.scores(self._slab[lo:hi]).min())
+                layer_min = float(query.scores(layered.slab[lo:hi]).min())
                 if kth_score < layer_min:
                     break
         tids = best if best is not None else np.zeros(0, dtype=np.intp)
@@ -87,7 +97,7 @@ class _PeeledIndex(RankedIndex):
     def build_info(self) -> dict:
         return {
             "method": self.name.lower(),
-            "n_layers": int(self._layers.max()) if self.size else 0,
+            "n_layers": self._layered.n_layers,
             "build_seconds": self._build_seconds,
         }
 

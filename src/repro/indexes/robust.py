@@ -5,11 +5,18 @@ query-time is the paper's headline simplicity: read the tuples whose
 layer is at most k — sequentially, in layer order — and rank them.
 No stop-condition bookkeeping is needed, which is why the paper can
 express the query as plain SQL.
+
+That storage decision lives in one value, :class:`LayeredSlab`.  Every
+layered index (AppRI, exact, Onion/Shell, the dynamic index's serving
+view) holds one, built from ``(points, layers)`` or adopted from
+snapshot buffers, and reads the candidates of a top-k query through
+:meth:`LayeredSlab.prefix`.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +28,105 @@ from ..core.qkernel import batch_topk, topk_select
 from ..queries.ranking import LinearQuery
 from .base import QueryResult, RankedIndex
 
-__all__ = ["RobustIndex", "ExactRobustIndex"]
+__all__ = ["LayeredSlab", "RobustIndex", "ExactRobustIndex"]
 
-#: Candidate prefixes at or below this many rows are served from a
-#: cached tid-sorted copy of the slab prefix (one per distinct prefix
-#: length), which lets :meth:`RobustIndex.query` rank with a single
-#: stable ``argsort`` instead of a two-key ``lexsort`` — the dominant
-#: cost at small candidate counts.  Larger prefixes fall back to the
-#: partition kernel, where duplicating the prefix would cost real
-#: memory for no win.
-_TID_VIEW_MAX = 8192
+
+@dataclass(frozen=True, eq=False, slots=True)
+class LayeredSlab:
+    """Tuples stored in ``(layer, tid)`` order: one immutable layout.
+
+    Attributes
+    ----------
+    points:
+        ``(n, d)`` data matrix; row i holds tid i.
+    layers:
+        1-based layer number per tuple.
+    order:
+        Tids sorted by ``(layer, tid)`` — the sequential storage order.
+    offsets:
+        ``offsets[c]`` = number of tuples in layers ``<= c``
+        (``max_layer + 1`` entries, ``offsets[0] == 0``).
+    slab:
+        ``points[order]`` as one C-contiguous array, so the candidates
+        of a top-k query are the slice ``slab[:offsets[k]]`` —
+        sequential memory, no gather.
+
+    The five fields are exactly the buffers of a layered snapshot
+    (:mod:`repro.engine.snapshot`): :meth:`arrays` names them and
+    :meth:`from_arrays` adopts them as they are — no re-sort, no
+    re-pack — so read-only memory maps stay zero-copy.
+
+    Examples
+    --------
+    >>> slab = LayeredSlab.from_layers(np.array([[3.0], [1.0], [2.0]]), [2, 1, 1])
+    >>> slab.order.tolist(), slab.offsets.tolist()
+    ([1, 2, 0], [0, 2, 3])
+    >>> rows, tids, layers_scanned = slab.prefix(1)
+    >>> rows.ravel().tolist(), tids.tolist(), layers_scanned
+    ([1.0, 2.0], [1, 2], 1)
+    """
+
+    points: np.ndarray
+    layers: np.ndarray
+    order: np.ndarray
+    offsets: np.ndarray
+    slab: np.ndarray
+
+    @classmethod
+    def from_layers(cls, points, layers) -> "LayeredSlab":
+        """Sort and pack ``points`` by ``layers`` (the build path)."""
+        points = np.asarray(points, dtype=float)
+        layers = np.asarray(layers, dtype=np.intp)
+        order = layer_order(layers)
+        return cls(
+            points,
+            layers,
+            order,
+            layer_offsets(layers),
+            np.ascontiguousarray(points[order]),
+        )
+
+    @classmethod
+    def from_arrays(cls, arrays: dict) -> "LayeredSlab":
+        """Adopt the buffers :meth:`arrays` produced (the restore path)."""
+        return cls(
+            np.asarray(arrays["points"], dtype=float),
+            arrays["layers"],
+            arrays["order"],
+            arrays["offsets"],
+            arrays["slab"],
+        )
+
+    def arrays(self) -> dict:
+        """The fields as named snapshot buffers (integers as int64)."""
+        return {
+            "points": self.points,
+            "layers": np.asarray(self.layers, dtype=np.int64),
+            "order": np.asarray(self.order, dtype=np.int64),
+            "offsets": np.asarray(self.offsets, dtype=np.int64),
+            "slab": self.slab,
+        }
+
+    @property
+    def n_layers(self) -> int:
+        """Deepest layer number (0 for an empty relation)."""
+        return self.offsets.size - 1
+
+    def retrieval_cost(self, k: int) -> int:
+        """Tuples a top-k query reads: the size of the first k layers."""
+        return int(self.offsets[min(max(k, 0), self.offsets.size - 1)])
+
+    def prefix(self, k: int):
+        """``(slab rows, tids, layers_scanned)`` of the first k layers.
+
+        Row j of ``slab rows`` holds the attributes of ``tids[j]``;
+        both are views.  ``layers_scanned`` is the deepest layer
+        touched — the last candidate's, as storage is
+        ``(layer, tid)``-ordered.
+        """
+        c = self.retrieval_cost(k)
+        tids = self.order[:c]
+        return self.slab[:c], tids, int(self.layers[tids[-1]]) if c else 0
 
 
 class RobustIndex(RankedIndex):
@@ -88,120 +184,72 @@ class RobustIndex(RankedIndex):
             workers=workers,
             chunk_size=chunk_size,
         )
-        self._layers = build.layers
         self._build_metrics = build.metrics
         self._build_seconds = time.perf_counter() - started
         self._n_partitions = n_partitions
         self._systems = systems
         self._refine = refine
         self._workers = workers
-        self._order = layer_order(self._layers)
-        self._offsets = layer_offsets(self._layers)
-        self._pack_slab()
+        self._adopt(LayeredSlab.from_layers(self._points, build.layers))
 
-    def _pack_slab(self) -> None:
-        self._slab = np.ascontiguousarray(self._points[self._order])
+    def _adopt(self, layered: LayeredSlab) -> None:
+        self._layered = layered
+        self._points = layered.points
         # Reusable working memory for the batch path (GEMM output plus
-        # the kernel's probe/mask buffers); rebuilt with the slab so a
-        # reload never aliases stale shapes.
+        # the kernel's probe/mask buffers), sized against this slab.
         self._batch_scratch: dict = {}
-        # Per-prefix tid-sorted candidate views (see _tid_view).
-        self._tid_views: dict = {}
 
-    def _tid_view(self, prefix: int):
-        """``(slab_rows, tids, layers_scanned)`` for a small prefix,
-        with rows and tids sorted by ascending tid.
-
-        With candidates in tid order, one stable ``argsort`` of the
-        scores realizes the full ``(score, tid)`` lexsort (ties keep
-        positional — i.e. tid — order), so the single-query path can
-        skip the lexsort's second key pass.  The prefix depends only
-        on k, so views are built once and reused across the workload.
-        """
-        view = self._tid_views.get(prefix)
-        if view is None:
-            candidates = self._order[:prefix]
-            by_tid = np.argsort(candidates)
-            view = (
-                np.ascontiguousarray(self._slab[:prefix][by_tid]),
-                candidates[by_tid],
-                int(self._layers[candidates[-1]]) if prefix else 0,
-            )
-            self._tid_views[prefix] = view
-        return view
+    @property
+    def layered(self) -> LayeredSlab:
+        """The layer-packed storage every query reads a prefix of."""
+        return self._layered
 
     @property
     def layers(self) -> np.ndarray:
         """1-based layer number per tuple."""
-        return self._layers
+        return self._layered.layers
 
     @property
     def build_metrics(self) -> dict:
         """Per-phase construction metrics (``build.*``; see
         :mod:`repro.obs`).  Empty for loaded indexes (no rebuild ran).
         """
-        return getattr(self, "_build_metrics", {})
+        return self._build_metrics
 
     def retrieval_cost(self, k: int) -> int:
         """Tuples a top-k query reads: the size of the first k layers."""
-        c = min(max(k, 0), self._offsets.size - 1)
-        return int(self._offsets[c])
+        return self._layered.retrieval_cost(k)
 
     def candidates_for_k(self, k: int) -> np.ndarray:
         """Tids in the first k layers, in sequential storage order."""
-        return self._order[: self.retrieval_cost(k)]
-
-    @property
-    def slab(self) -> np.ndarray:
-        """The points re-materialized in layer order (C-contiguous).
-
-        ``slab[:retrieval_cost(k)]`` is the candidate prefix of a
-        top-k query as one cache-friendly slice — row j holds the
-        attributes of tid ``candidates_for_k(k)[j]`` — so the query
-        path never fancy-indexes the original matrix.
-        """
-        return self._slab
+        return self._layered.prefix(k)[1]
 
     def query(self, query: LinearQuery, k: int) -> QueryResult:
         """Answer one top-k query from the first k layers.
 
-        Small candidate prefixes are ranked with a single stable
-        ``argsort`` over a cached tid-sorted view (see
-        :meth:`_tid_view`); large ones go through the partition
-        kernel.  Both realize the exact ``(score, tid)`` tie rule.
+        Scores the slab prefix (:meth:`LayeredSlab.prefix`) and ranks
+        it with :func:`repro.core.qkernel.topk_select`, which realizes
+        the exact ``(score, tid)`` tie rule.
         """
         k = self._check_query(query, k)
         if k == 0:
             return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
         with obs.timed("index.query"):
-            prefix = self.retrieval_cost(k)
-            if prefix <= _TID_VIEW_MAX:
-                slab_rows, cand_tid, layers_scanned = self._tid_view(prefix)
-                scores = query.scores(slab_rows)
-                order = np.argsort(scores, kind="stable")
-                tids = cand_tid[order[:k]]
-            else:
-                candidates = self._order[:prefix]
-                scores = self._slab[:prefix] @ query.weights
-                tids = topk_select(scores, candidates, k)
-                # The slab is (layer, tid)-ordered, so the deepest
-                # layer touched is the last candidate's.
-                layers_scanned = (
-                    int(self._layers[candidates[-1]]) if prefix else 0
-                )
+            rows, candidates, layers_scanned = self._layered.prefix(k)
+            tids = topk_select(rows @ query.weights, candidates, k)
         obs.inc("index.queries")
-        obs.inc("index.candidates", prefix)
+        obs.inc("index.candidates", candidates.size)
         obs.inc("index.layers_scanned", layers_scanned)
-        return QueryResult(tids, prefix, layers_scanned)
+        return QueryResult(tids, candidates.size, layers_scanned)
 
     def build_info(self) -> dict:
         return {
             "method": "appri",
             "n_partitions": self._n_partitions,
-            "systems": getattr(self, "_systems", "complementary"),
-            "refine": getattr(self, "_refine", None),
-            "workers": getattr(self, "_workers", 1),
-            "n_layers": int(self._layers.max()) if self.size else 0,
+            "systems": self._systems,
+            "refine": self._refine,
+            "workers": self._workers,
+            "n_layers": self._layered.n_layers,
             "build_seconds": self._build_seconds,
             "build_metrics": self.build_metrics,
         }
@@ -256,11 +304,8 @@ class RobustIndex(RankedIndex):
         if k == 0 or n_queries == 0:
             return np.zeros((n_queries, 0), dtype=np.intp), 0, 0
         with obs.timed("index.batch"):
-            prefix = self.retrieval_cost(k)
-            candidates = self._order[:prefix]
-            layers_scanned = (
-                int(self._layers[candidates[-1]]) if prefix else 0
-            )
+            rows, candidates, layers_scanned = self._layered.prefix(k)
+            prefix = candidates.size
             # One GEMM over the contiguous prefix, written into a
             # reused C-order (q, c) buffer: the kernel's row passes
             # stay contiguous per query, with no transpose copy and no
@@ -270,46 +315,35 @@ class RobustIndex(RankedIndex):
             if scores is None or scores.shape != (n_queries, prefix):
                 scores = np.empty((n_queries, prefix))
                 scratch["scores"] = scores
-            np.matmul(weights, self._slab[:prefix].T, out=scores)
+            np.matmul(weights, rows.T, out=scores)
             top = batch_topk(scores, candidates, k, scratch=scratch)
         obs.inc("index.batch.count")
         obs.inc("index.batch.queries", n_queries)
         obs.inc("index.batch.candidates", prefix * n_queries)
         return top, prefix, layers_scanned
 
-    def save(self, path) -> None:
-        """Persist the index (data + layers + parameters) as ``.npz``.
-
-        The layered structure is what was expensive to build; loading
-        restores it without recomputation.
-        """
-        np.savez_compressed(
-            path,
-            points=self._points,
-            layers=self._layers,
-            n_partitions=np.int64(self._n_partitions),
-            systems=np.str_(getattr(self, "_systems", "complementary")),
-            refine=np.str_(getattr(self, "_refine", None) or ""),
-            format_version=np.int64(1),
-        )
+    def export_state(self) -> tuple[dict, dict]:
+        """Serializable ``(arrays, meta)``: the slab's buffers plus the
+        build parameters (what :mod:`repro.engine.snapshot` persists)."""
+        return self._layered.arrays(), {
+            "n_partitions": int(self._n_partitions),
+            "systems": self._systems,
+            "refine": self._refine,
+            "workers": int(self._workers),
+        }
 
     @classmethod
-    def load(cls, path) -> "RobustIndex":
-        """Restore an index saved with :meth:`save` (no rebuild)."""
-        with np.load(path, allow_pickle=False) as archive:
-            version = int(archive["format_version"])
-            if version != 1:
-                raise ValueError(f"unsupported index file version {version}")
-            index = cls.__new__(cls)
-            RankedIndex.__init__(index, archive["points"])
-            index._layers = archive["layers"].astype(np.intp)
-            index._n_partitions = int(archive["n_partitions"])
-            index._systems = str(archive["systems"])
-            index._refine = str(archive["refine"]) or None
-            index._build_seconds = 0.0
-        index._order = layer_order(index._layers)
-        index._offsets = layer_offsets(index._layers)
-        index._pack_slab()
+    def from_state(cls, arrays: dict, meta: dict) -> "RobustIndex":
+        """Restore from :meth:`export_state` output without rebuilding
+        (``arrays`` may be read-only memory maps)."""
+        index = cls.__new__(cls)
+        index._adopt(LayeredSlab.from_arrays(arrays))
+        index._build_metrics = {}
+        index._build_seconds = 0.0
+        index._n_partitions = int(meta.get("n_partitions", 0))
+        index._systems = meta.get("systems", "complementary")
+        index._refine = meta.get("refine")
+        index._workers = int(meta.get("workers", 1))
         return index
 
 
@@ -345,18 +379,31 @@ class ExactRobustIndex(RobustIndex):
         RankedIndex.__init__(self, points)
         started = time.perf_counter()
         build = exact_build(self._points, engine=engine, workers=workers)
-        self._layers = build.layers
         self._build_metrics = build.metrics
-        self._engine = build.engine
-        self._workers = workers
         self._build_seconds = time.perf_counter() - started
+        self._engine = build.engine
         self._n_partitions = 0
-        self._order = layer_order(self._layers)
-        self._offsets = layer_offsets(self._layers)
-        self._pack_slab()
+        self._systems = "complementary"
+        self._refine = None
+        self._workers = workers
+        self._adopt(LayeredSlab.from_layers(self._points, build.layers))
 
     def build_info(self) -> dict:
         info = super().build_info()
         info["method"] = "exact"
-        info["engine"] = getattr(self, "_engine", "legacy")
+        info["engine"] = self._engine
         return info
+
+    def export_state(self) -> tuple[dict, dict]:
+        """:meth:`RobustIndex.export_state` plus the resolved engine."""
+        arrays, meta = super().export_state()
+        meta["engine"] = self._engine
+        return arrays, meta
+
+    @classmethod
+    def from_state(cls, arrays: dict, meta: dict) -> "ExactRobustIndex":
+        """Restore with the recorded engine (``None`` for snapshots
+        written before the engine was recorded)."""
+        index = super().from_state(arrays, meta)
+        index._engine = meta.get("engine")
+        return index

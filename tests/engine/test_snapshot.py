@@ -63,9 +63,9 @@ class TestRoundTrip:
         path = tmp_path / "r.snap"
         save_snapshot(index, path)
         loaded = load_snapshot(path)
-        assert np.array_equal(loaded._slab, index._slab)
-        assert np.array_equal(loaded._order, index._order)
-        assert np.array_equal(loaded._offsets, index._offsets)
+        assert np.array_equal(loaded.layered.slab, index.layered.slab)
+        assert np.array_equal(loaded.layered.order, index.layered.order)
+        assert np.array_equal(loaded.layered.offsets, index.layered.offsets)
 
     def test_batch_queries_round_trip(self, tmp_path, rng):
         index = RobustIndex(rng.random((60, 3)), n_partitions=5)
@@ -83,8 +83,8 @@ class TestRoundTrip:
         path = tmp_path / "r.snap"
         save_snapshot(index, path)
         loaded = load_snapshot(path, mmap=True)
-        assert isinstance(loaded._slab, np.memmap)
-        # points passes through RankedIndex.__init__'s asarray, which
+        assert isinstance(loaded.layered.slab, np.memmap)
+        # points passes through LayeredSlab.from_arrays' asarray, which
         # reclasses the memmap as a plain ndarray *view* — still
         # zero-copy: it owns no data and maps the file read-only.
         assert not loaded.points.flags["OWNDATA"]
@@ -130,6 +130,18 @@ class TestRoundTrip:
         loaded = load_snapshot(path)
         assert loaded._n_partitions == 7
         assert loaded._workers == 2
+
+    def test_exact_engine_survives(self, tmp_path, rng):
+        index = ExactRobustIndex(rng.random((200, 2)))
+        assert index.build_info()["engine"] == "kinetic"
+        path = tmp_path / "e.snap"
+        save_snapshot(index, path)
+        assert load_snapshot(path).build_info()["engine"] == "kinetic"
+        # Files written before the engine was recorded do not claim one.
+        arrays, meta = index.export_state()
+        del meta["engine"]
+        restored = ExactRobustIndex.from_state(arrays, meta)
+        assert restored.build_info()["engine"] is None
 
     def test_extra_meta_lands_in_header(self, tmp_path, rng):
         index = RobustIndex(rng.random((30, 3)), n_partitions=5)
@@ -333,3 +345,78 @@ class TestCatalogScoping:
         assert meta["table"] == "t"
         assert meta["index_name"] == "appri"
         assert meta["table_version"] == catalog.table_version("t")
+
+
+def _grid(n, d):
+    """A fixed, RNG-free matrix with varied geometry."""
+    return ((np.arange(n * d) * 37) % 101).reshape(n, d) / 100.0
+
+
+def _golden_index(kind):
+    if kind == "robust":
+        return RobustIndex(_grid(48, 3), n_partitions=5)
+    if kind == "exact-robust":
+        return ExactRobustIndex(_grid(48, 2))
+    if kind == "onion":
+        return OnionIndex(_grid(48, 2))
+    if kind == "shell":
+        return ShellIndex(_grid(48, 3))
+    index = DynamicRobustIndex(_grid(40, 3), n_partitions=5)
+    index.insert(np.array([0.25, 0.5, 0.75]))
+    index.delete(3)
+    return index
+
+
+#: (name, dtype, shape, crc32) of every buffer for these fixed inputs.
+#: Files written by earlier versions carry exactly these buffers; a
+#: change here means old and new files no longer load interchangeably.
+_GOLDEN_BUFFERS = {
+    "robust": [
+        ("points", "<f8", (48, 3), 1956598665),
+        ("layers", "<i8", (48,), 2977144277),
+        ("order", "<i8", (48,), 386148096),
+        ("offsets", "<i8", (20,), 3635256479),
+        ("slab", "<f8", (48, 3), 2185578588),
+    ],
+    "exact-robust": [
+        ("points", "<f8", (48, 2), 1025360371),
+        ("layers", "<i8", (48,), 4035856152),
+        ("order", "<i8", (48,), 3331451591),
+        ("offsets", "<i8", (30,), 827159880),
+        ("slab", "<f8", (48, 2), 1697797345),
+    ],
+    "onion": [
+        ("points", "<f8", (48, 2), 1025360371),
+        ("layers", "<i8", (48,), 124633606),
+        ("order", "<i8", (48,), 1679618784),
+        ("offsets", "<i8", (12,), 1467663640),
+        ("slab", "<f8", (48, 2), 2408883675),
+    ],
+    "shell": [
+        ("points", "<f8", (48, 3), 1956598665),
+        ("layers", "<i8", (48,), 3558344167),
+        ("order", "<i8", (48,), 3521466919),
+        ("offsets", "<i8", (18,), 2124263190),
+        ("slab", "<f8", (48, 3), 3964077109),
+    ],
+    "dynamic-robust": [
+        ("points", "<f8", (41, 3), 163016107),
+        ("raw_layers", "<i8", (41,), 4187771820),
+        ("alive", "|b1", (41,), 3556922883),
+    ],
+}
+
+
+class TestGoldenFiles:
+    @pytest.mark.parametrize("kind", sorted(_GOLDEN_BUFFERS))
+    def test_buffers_unchanged(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.snap"
+        save_snapshot(_golden_index(kind), path)
+        header = read_snapshot_header(path)
+        assert header["kind"] == kind
+        assert header["format_version"] == FORMAT_VERSION == 1
+        buffers = [
+            (b["name"], b["dtype"], tuple(b["shape"]), b["crc32"])
+            for b in header["buffers"]
+        ]
+        assert buffers == _GOLDEN_BUFFERS[kind]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.snapshot import load_snapshot, save_snapshot
 from repro.experiments.harness import INDEX_BUILDERS
 from repro.indexes.linear_scan import LinearScanIndex
 from repro.indexes.onion import ShellIndex
@@ -97,8 +98,8 @@ class TestRobustBatch:
 
     def test_batch_after_load_uses_slab(self, small_3d, tmp_path):
         index = RobustIndex(small_3d, n_partitions=4)
-        index.save(tmp_path / "idx.npz")
-        loaded = RobustIndex.load(tmp_path / "idx.npz")
+        save_snapshot(index, tmp_path / "idx.snap")
+        loaded = load_snapshot(tmp_path / "idx.snap")
         queries = grid_weight_workload(3, 5, seed=6)
         fresh = index.query_batch(queries, 7)
         reloaded = loaded.query_batch(queries, 7)

@@ -74,10 +74,10 @@ class TestViewSemantics:
 
     def test_old_view_keeps_serving_after_updates(self, index, rng):
         view = index._view
-        points_before = view.points.copy()
+        points_before = view.slab.points.copy()
         index.insert(rng.random(3))
         # The captured view is immutable: same object, same answers.
-        assert np.array_equal(view.points, points_before)
+        assert np.array_equal(view.slab.points, points_before)
         assert index._view is not view
 
     def test_retrieval_cost_matches_offsets(self, index):

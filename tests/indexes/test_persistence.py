@@ -1,10 +1,15 @@
-"""Tests for robust-index save/load."""
+"""Robust-index parameters and answers survive a snapshot round trip."""
 
 import numpy as np
-import pytest
 
+from repro.engine.snapshot import load_snapshot, save_snapshot
 from repro.indexes.robust import RobustIndex
 from repro.queries.ranking import LinearQuery
+
+
+def _round_trip(index, path):
+    save_snapshot(index, path)
+    return load_snapshot(path)
 
 
 class TestSaveLoad:
@@ -12,9 +17,7 @@ class TestSaveLoad:
         data = rng.random((80, 3))
         index = RobustIndex(data, n_partitions=6, systems="families",
                             refine="peel")
-        path = tmp_path / "index.npz"
-        index.save(path)
-        loaded = RobustIndex.load(path)
+        loaded = _round_trip(index, tmp_path / "index.snap")
 
         assert loaded.layers.tolist() == index.layers.tolist()
         assert np.allclose(loaded.points, index.points)
@@ -26,9 +29,7 @@ class TestSaveLoad:
     def test_loaded_index_answers_queries(self, tmp_path, rng):
         data = rng.random((60, 2))
         index = RobustIndex(data, n_partitions=4)
-        path = tmp_path / "i.npz"
-        index.save(path)
-        loaded = RobustIndex.load(path)
+        loaded = _round_trip(index, tmp_path / "i.snap")
         q = LinearQuery([1, 3])
         original = index.query(q, 7)
         restored = loaded.query(q, 7)
@@ -38,20 +39,5 @@ class TestSaveLoad:
     def test_refine_none_round_trips(self, tmp_path, rng):
         data = rng.random((20, 2))
         index = RobustIndex(data, n_partitions=3)
-        path = tmp_path / "i.npz"
-        index.save(path)
-        assert RobustIndex.load(path).build_info()["refine"] is None
-
-    def test_unknown_version_rejected(self, tmp_path, rng):
-        path = tmp_path / "bad.npz"
-        np.savez_compressed(
-            path,
-            points=rng.random((3, 2)),
-            layers=np.ones(3, dtype=np.int64),
-            n_partitions=np.int64(2),
-            systems=np.str_("complementary"),
-            refine=np.str_(""),
-            format_version=np.int64(99),
-        )
-        with pytest.raises(ValueError, match="version"):
-            RobustIndex.load(path)
+        loaded = _round_trip(index, tmp_path / "i.snap")
+        assert loaded.build_info()["refine"] is None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.engine.snapshot import SnapshotError
 
 
 @pytest.fixture
@@ -55,7 +56,7 @@ class TestCommands:
         assert matrix.shape == (40, 3)
 
     def test_build_query_audit_pipeline(self, tmp_path, csv_file, capsys):
-        index_path = tmp_path / "index.npz"
+        index_path = tmp_path / "index.snap"
         assert main([
             "build", str(csv_file), "-o", str(index_path),
             "--partitions", "4", "--normalize",
@@ -75,14 +76,14 @@ class TestCommands:
         assert "SOUND" in capsys.readouterr().out
 
     def test_build_with_extensions(self, tmp_path, csv_file):
-        index_path = tmp_path / "plus.npz"
+        index_path = tmp_path / "plus.snap"
         assert main([
             "build", str(csv_file), "-o", str(index_path),
             "--partitions", "3", "--systems", "families", "--peel",
         ]) == 0
 
     def test_query_bad_weights(self, tmp_path, csv_file):
-        index_path = tmp_path / "i.npz"
+        index_path = tmp_path / "i.snap"
         main(["build", str(csv_file), "-o", str(index_path),
               "--partitions", "2"])
         with pytest.raises(SystemExit, match="weights"):
@@ -154,7 +155,7 @@ class TestStatsCommand:
         assert "workers=1" in out
 
     def test_build_accepts_workers(self, tmp_path, csv_file, capsys):
-        out_path = tmp_path / "idx.npz"
+        out_path = tmp_path / "idx.snap"
         assert main([
             "build", str(csv_file), "-o", str(out_path),
             "--partitions", "4", "--workers", "2",
@@ -167,10 +168,9 @@ class TestSnapshotCommand:
                                               capsys):
         snap = tmp_path / "idx.snap"
         assert main([
-            "snapshot", "save", str(csv_file), "-o", str(snap),
-            "--partitions", "4",
+            "build", str(csv_file), "-o", str(snap), "--partitions", "4",
         ]) == 0
-        assert "built RobustIndex" in capsys.readouterr().out
+        assert "layers" in capsys.readouterr().out
         assert snap.exists()
 
         assert main(["snapshot", "info", str(snap)]) == 0
@@ -188,14 +188,20 @@ class TestSnapshotCommand:
         assert out.count("tid=") == 3
 
     def test_save_from_existing_npz(self, tmp_path, csv_file, capsys):
+        # A retired ``.npz`` index is refused by name; ``build`` writes
+        # the snapshot that replaces it, which loads copied and unverified.
         npz = tmp_path / "idx.npz"
+        np.savez(npz, points=np.zeros((4, 3)), layers=np.ones(4))
+        with pytest.raises(SnapshotError, match="not a repro snapshot"):
+            main(["snapshot", "load", str(npz)])
+        with pytest.raises(SnapshotError, match="not a repro snapshot"):
+            main(["query", str(npz), "--weights", "1,2,4"])
+
+        snap = tmp_path / "idx.snap"
         assert main([
-            "build", str(csv_file), "-o", str(npz), "--partitions", "4",
+            "build", str(csv_file), "-o", str(snap), "--partitions", "4",
         ]) == 0
         capsys.readouterr()
-        snap = tmp_path / "idx.snap"
-        assert main(["snapshot", "save", str(npz), "-o", str(snap)]) == 0
-        assert "loaded RobustIndex" in capsys.readouterr().out
         assert main([
             "snapshot", "load", str(snap), "--no-mmap", "--no-verify",
         ]) == 0
@@ -207,7 +213,6 @@ class TestSnapshotCommand:
 
     def test_help_epilogs_carry_runnable_examples(self, capsys):
         for args in (["stats", "--help"], ["snapshot", "--help"],
-                     ["snapshot", "save", "--help"],
                      ["snapshot", "load", "--help"]):
             with pytest.raises(SystemExit):
                 main(args)

@@ -21,6 +21,7 @@ from repro.core.appri import appri_layers
 from repro.data import correlated, minmax_normalize
 from repro.engine import Catalog, Relation, TopKExecutor
 from repro.engine.executor import materialize_layers
+from repro.engine.snapshot import load_snapshot, save_snapshot
 from repro.queries.workload import grid_weight_workload
 
 
@@ -95,9 +96,9 @@ class TestEngineOverTheSameData:
 
     def test_persistence_mid_pipeline(self, world, tmp_path):
         data, indexes = world
-        path = tmp_path / "robust.npz"
-        indexes["robust"].save(path)
-        loaded = RobustIndex.load(path)
+        path = tmp_path / "robust.snap"
+        save_snapshot(indexes["robust"], path)
+        loaded = load_snapshot(path)
         q = LinearQuery([4, 1, 2])
         assert (
             loaded.query(q, 15).tids.tolist()
