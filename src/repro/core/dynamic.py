@@ -8,7 +8,8 @@ minimal rank ``l*(t)``:
   rank (a new tuple adds potential predecessors, never removes any),
   so existing layers stay valid lower bounds untouched.  Only the new
   tuple's own layer must be computed — one AppRI bound of a single
-  tuple against the current data, O(n) with the blocked counter.
+  tuple against the current data, one subspace-bucketed pass over it
+  (:func:`layer_for_new_tuple`).
 * **Deletion** can decrease a remaining tuple's minimal rank by at
   most one per deleted tuple (removing one tuple removes at most one
   guaranteed predecessor), so subtracting the number of deletions from
@@ -24,11 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dstruct.dominance import count_dominators
 from ..geometry.weights import gamma_levels
-from .appri import appri_layers
+from .appri import _validated_points, appri_layers
 from .matching import greedy_staircase_matching
-from .partitioning import level_transform, pair_systems, subspace_transform
+from .partitioning import pair_systems
 
 __all__ = ["DynamicRobustLayers", "layer_for_new_tuple"]
 
@@ -38,9 +38,25 @@ def layer_for_new_tuple(
 ) -> int:
     """AppRI layer of one new tuple against an existing relation.
 
-    Computes ``|DS^1| + sum of EDS^2 bounds`` for the single tuple in
-    O(B * 2^d * n): every region size is one vectorized comparison
-    pass instead of a full all-tuples dominance count.
+    Computes ``|DS^1| + sum of EDS^2 bounds + 1`` for the single tuple
+    ``t`` in one O(n * d) subspace pass plus O(B * n * |J1| * |J2|)
+    level work spread across the pair systems:
+
+    * every row gets its *strict subspace code* — the bitmask of the
+      dimensions it lies above ``t`` on, or -1 when it ties ``t`` on
+      some dimension (a tied row lies in no strict region);
+    * ``|DS^1|`` is the count of code 0 and each full subspace's size
+      (``a_B``, ``b_0``) the count of one code;
+    * a pair's level regions ``a_p`` / ``b_p`` are tested only on its
+      two subspaces' rows, all ``B - 1`` gamma levels in one broadcast;
+    * every pair's wedges are matched in one staircase-matching call.
+
+    Each row lies in at most one pair's subspaces, so the level work is
+    shared out rather than repeated per pair.  The result equals the
+    per-level transformed-space formulation bit for bit: the level tests
+    are the same float expressions ``gamma*u_i + u_j < gamma*t_i + t_j``,
+    and because rounding is monotone no row outside a side's subspace
+    can pass them.
     """
     pts = np.asarray(points, dtype=float)
     t = np.asarray(new_point, dtype=float)
@@ -49,28 +65,38 @@ def layer_for_new_tuple(
     n, d = pts.shape
     if n == 0:
         return 1
-    stacked = np.vstack([pts, t[None, :]])
-    tid = n  # the new tuple's row in the stacked matrix
 
-    bound = int(np.all(pts < t[None, :], axis=1).sum())  # |DS^1|
+    above = pts > t
+    untied = (above | (pts < t)).all(axis=1)
+    codes = np.where(untied, above @ (1 << np.arange(d)), -1)
+    order = np.argsort(codes, kind="stable")
+    # Rows of code c are order[start[c]:start[c + 1]].
+    start = np.searchsorted(codes[order], np.arange((1 << d) + 1))
+    bound = int(start[1] - start[0])  # |DS^1|
+
     gammas = gamma_levels(n_partitions)
-    for pair in pair_systems(d, include_partial=False):
-        a_levels = np.zeros(n_partitions + 1, dtype=np.int64)
-        b_levels = np.zeros(n_partitions + 1, dtype=np.int64)
-        for p, gamma in enumerate(gammas, start=1):
-            ya = level_transform(stacked, pair, float(gamma), "a")
-            yb = level_transform(stacked, pair, float(gamma), "b")
-            a_levels[p] = int((ya[:n] < ya[tid]).all(axis=1).sum())
-            b_levels[p] = int((yb[:n] < yb[tid]).all(axis=1).sum())
-        ya = subspace_transform(stacked, pair, "a")
-        yb = subspace_transform(stacked, pair, "b")
-        a_levels[n_partitions] = int((ya[:n] < ya[tid]).all(axis=1).sum())
-        b_levels[0] = int((yb[:n] < yb[tid]).all(axis=1).sum())
-        i_wedges = np.clip(np.diff(a_levels), 0, None)
-        iii_wedges = np.clip(np.diff(b_levels[::-1]), 0, None)
-        bound += int(
-            greedy_staircase_matching(i_wedges[None, :], iii_wedges[None, :])[0]
-        )
+    pairs = pair_systems(d, include_partial=False)
+    a_levels = np.zeros((len(pairs), n_partitions + 1), dtype=np.int64)
+    b_levels = np.zeros((len(pairs), n_partitions + 1), dtype=np.int64)
+    for row, pair in enumerate(pairs):
+        a, b = pair.mask, pair.complement_mask
+        a_rows = order[start[a]:start[a + 1]]
+        b_rows = order[start[b]:start[b + 1]]
+        u = pts[np.concatenate([a_rows, b_rows])]
+        inside = np.ones((gammas.size, u.shape[0]), dtype=bool)
+        for i in pair.side_b_above:
+            for j in pair.side_a_above:
+                inside &= (
+                    gammas[:, None] * u[:, i] + u[:, j]
+                    < (gammas * t[i] + t[j])[:, None]
+                )
+        a_levels[row, 1:n_partitions] = inside[:, : a_rows.size].sum(axis=1)
+        b_levels[row, 1:n_partitions] = inside[:, a_rows.size:].sum(axis=1)
+        a_levels[row, n_partitions] = a_rows.size
+        b_levels[row, 0] = b_rows.size
+    i_wedges = np.clip(np.diff(a_levels, axis=1), 0, None)
+    iii_wedges = np.clip(np.diff(b_levels[:, ::-1], axis=1), 0, None)
+    bound += int(greedy_staircase_matching(i_wedges, iii_wedges).sum())
     return bound + 1
 
 
@@ -176,9 +202,12 @@ class DynamicRobustLayers:
         """Add a tuple; returns its position among alive tuples' rows.
 
         Existing layers are untouched (sound: minimal ranks only grow);
-        the new tuple gets its own freshly computed bound.
+        the new tuple gets its own freshly computed bound.  A NaN or
+        infinite attribute is rejected before any state changes (a full
+        rebuild could never layer it).
         """
         new_point = np.asarray(new_point, dtype=float)
+        _validated_points(new_point.reshape(1, -1))
         layer = layer_for_new_tuple(
             self._points[self._alive], new_point, self._n_partitions
         )

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.dynamic as dynamic_module
 from repro.core.appri import appri_layers
 from repro.core.dynamic import DynamicRobustLayers, layer_for_new_tuple
 from repro.core.exact import exact_robust_layers
 from repro.core.index import violating_tids
+from repro.geometry.weights import gamma_levels
 from repro.queries.ranking import LinearQuery
+
+from .dynamic_reference import reference_layer_for_new_tuple
 
 
 def assert_sound(points, layers, seed, n_queries=6):
@@ -53,6 +57,110 @@ class TestLayerForNewTuple:
         layer = layer_for_new_tuple(pts, new, n_partitions=8)
         stacked = np.vstack([pts, new[None, :]])
         assert layer <= exact_robust_layers(stacked)[-1]
+
+
+@st.composite
+def _bound_inputs(draw):
+    """``(points, t, n_partitions)`` built to stress boundary ties.
+
+    Value families: tied integer grids, 0.1-rounded values, large
+    magnitudes, and each with optional constant columns, duplicated
+    rows and rows moved onto gamma level boundaries; ``t`` is a fresh
+    row, a copy of an existing row, or a fresh row sharing some
+    coordinates with an existing one.
+    """
+    n = draw(st.sampled_from([0, 1, 2, 3, 5, 12, 40]))
+    d = draw(st.integers(1, 5))
+    n_partitions = draw(st.sampled_from([1, 2, 3, 10]))
+    family = draw(st.sampled_from(["grid", "rounded", "large", "uniform"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape):
+        if family == "grid":
+            return rng.integers(0, 4, shape).astype(float)
+        if family == "rounded":
+            return np.round(rng.random(shape), 1)
+        if family == "large":
+            return np.round(rng.random(shape), 2) * 10.0 ** draw(
+                st.sampled_from([6, 150, 300])
+            )
+        return rng.random(shape)
+
+    pts = values((n, d))
+    t = values(d)
+    if n and draw(st.booleans()):  # constant columns
+        width = int(rng.integers(1, d + 1))
+        columns = rng.choice(d, size=width, replace=False)
+        pts[:, columns] = t[columns]
+    if n > 1 and draw(st.booleans()):  # duplicated rows
+        pts[rng.integers(n, size=n // 2)] = pts[rng.integers(n)]
+    if n:
+        source = pts[rng.integers(n)]
+        how = draw(st.sampled_from(["fresh", "copy", "partial"]))
+        if how == "copy":
+            t = source.copy()
+        elif how == "partial":
+            shared = rng.random(d) < 0.5
+            t[shared] = source[shared]
+    gammas = gamma_levels(n_partitions)
+    if n and d > 1 and gammas.size and draw(st.booleans()):
+        # Put rows on (or within rounding of) a gamma level boundary
+        # gamma*u_i + u_j == gamma*t_i + t_j, where strict and non-strict
+        # level tests disagree.
+        for r in rng.integers(n, size=max(1, n // 2)):
+            i, j = rng.choice(d, size=2, replace=False)
+            g = gammas[rng.integers(gammas.size)]
+            pts[r, j] = (g * t[i] + t[j]) - g * pts[r, i]
+    return pts, t, n_partitions
+
+
+class TestMatchesReference:
+    """The one-pass bound equals the per-level formulation exactly."""
+
+    @given(_bound_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_property_equals_reference(self, case):
+        pts, t, n_partitions = case
+        assert layer_for_new_tuple(pts, t, n_partitions) == (
+            reference_layer_for_new_tuple(pts, t, n_partitions)
+        )
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_generic_data_equals_reference(self, d):
+        rng = np.random.default_rng(d)
+        pts = rng.random((500, d))
+        for t in rng.random((5, d)):
+            assert layer_for_new_tuple(pts, t, 10) == (
+                reference_layer_for_new_tuple(pts, t, 10)
+            )
+
+    def test_seeded_stream_matches_reference(self, monkeypatch):
+        """Same insert/delete stream, bound from either implementation:
+        every intermediate layering is identical."""
+        rng = np.random.default_rng(7)
+        data = rng.integers(0, 5, (40, 3)).astype(float)
+        fast = DynamicRobustLayers(data, n_partitions=4)
+        slow = DynamicRobustLayers(data, n_partitions=4)
+        for step in range(60):
+            if step % 4 == 3:
+                position = int(rng.integers(fast.size))
+                fast.delete(position)
+                slow.delete(position)
+            else:
+                row = (
+                    fast.points[rng.integers(fast.size)]
+                    if step % 5 == 0
+                    else rng.integers(0, 5, 3).astype(float)
+                )
+                fast.insert(row)
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        dynamic_module,
+                        "layer_for_new_tuple",
+                        reference_layer_for_new_tuple,
+                    )
+                    slow.insert(row)
+            assert fast.layers().tolist() == slow.layers().tolist()
 
 
 class TestDynamicIndex:
@@ -108,6 +216,20 @@ class TestDynamicIndex:
         idx = DynamicRobustLayers(rng.random((5, 2)), n_partitions=2)
         with pytest.raises(IndexError):
             idx.delete(5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_insert_is_rejected_without_state_change(
+        self, rng, bad
+    ):
+        idx = DynamicRobustLayers(rng.random((20, 3)), n_partitions=4)
+        idx.insert(rng.random(3))
+        before = (idx.size, idx.staleness, idx.layers().tolist())
+        with pytest.raises(ValueError, match="points must be finite"):
+            idx.insert([bad, 0.5, 0.5])
+        assert (idx.size, idx.staleness, idx.layers().tolist()) == before
+        assert np.isfinite(idx.points).all()
+        idx.rebuild()
+        assert idx.staleness == 0
 
     def test_insert_after_delete_compensation(self, rng):
         """A tuple inserted after deletions must not get an inflated

@@ -51,6 +51,23 @@ class TestThreshold:
         assert RebuildManager(index, threshold=1).maybe_rebuild() is True
         assert index.retrieval_cost(10) <= before
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejected_non_finite_insert_keeps_rebuilds_working(
+        self, index, rng, bad
+    ):
+        """A NaN/inf row must never reach the maintainer: once accepted,
+        every later rebuild would fail validation and staleness would
+        grow without bound."""
+        index.insert(rng.random(3))
+        before = (index.size, index.generation, index.staleness)
+        with pytest.raises(ValueError, match="points must be finite"):
+            index.insert([bad, 0.5, 0.5])
+        assert (index.size, index.generation, index.staleness) == before
+        assert index.rebuild() is True
+        index.insert(rng.random(3))
+        assert RebuildManager(index, threshold=1).rebuild_now() is True
+        assert index.staleness == 0
+
     def test_parameter_validation(self, index):
         with pytest.raises(ValueError):
             RebuildManager(index, threshold=0)
