@@ -4,27 +4,29 @@ The question this benchmark answers: how much faster does the AppRI
 build get when dominance counting runs through the fused bitset
 kernels (:mod:`repro.core.kernels` / :mod:`repro.dstruct.kernels`)
 instead of the legacy schedule — one blocked O(n^2) dominance pass per
-gamma level per side, which is what ``method="auto"`` resolved to
-before the kernels existed (the pre-kernel snapshot benchmark
-recorded a 94 s build at n=10k, d=4).
+gamma level per side, which is what dominance counting ran before the
+kernels existed (the pre-kernel snapshot benchmark recorded a 94 s
+build at n=10k, d=4).
 
 Per configuration, the same data is built twice:
 
 ``legacy``
-    ``appri_build(..., counting="blocked")`` — the paper-faithful
-    serial schedule with the pre-kernel default engine.
+    ``reference_layers(..., count=count_dominators_blocked)`` from
+    ``tests/core/appri_reference.py`` — the paper-faithful per-level
+    schedule with the pre-kernel engine, kept with the tests that pin
+    the build to it.
 ``kernel``
-    ``appri_build(...)`` — ``auto`` routes every system through one
-    fused kernel call that shares bilinear columns across sides and
-    lead columns across levels.
+    ``appri_build(...)`` — every system runs through one fused kernel
+    call that shares bilinear columns across sides and lead columns
+    across levels.
 
 The layer arrays must be **bit-identical** (asserted), making the
 speedup a pure scheduling/kernel win with zero accuracy cost.  Full
 runs write ``BENCH_build_kernels.json`` at the repo root (the
 acceptance evidence for the >= 10x target) plus a text report in
 ``benchmarks/results/``; ``--quick`` runs a tiny size for CI,
-additionally cross-checking the kernel build against the ``naive``
-reference engine, and writes only the text report.
+additionally cross-checking the kernel build against the per-level
+schedule on the ``naive`` engine, and writes only the text report.
 """
 
 from __future__ import annotations
@@ -39,11 +41,14 @@ from pathlib import Path
 
 import numpy as np
 
-if __name__ == "__main__":  # standalone: make src/ importable
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
 REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULTS_DIR = Path(__file__).parent / "results"
+
+if __name__ == "__main__":  # standalone: make src/ importable
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+# The per-level reference schedule lives in tests/core/appri_reference.py.
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
 
 #: (n, d, measure the legacy schedule too?).  Legacy at n=50k would
 #: take ~44 minutes (the pre-kernel recorded rebuild below), so the
@@ -72,12 +77,21 @@ def _machine() -> dict:
     }
 
 
-def _timed_build(data, counting):
-    from repro.core.appri import appri_build
+def _legacy_layers(data, count_name="count_dominators_blocked"):
+    """The per-level schedule on one of the paper's named engines."""
+    from repro.dstruct import dominance
 
+    from tests.core.appri_reference import reference_layers
+
+    return reference_layers(
+        data, N_PARTITIONS, count=getattr(dominance, count_name)
+    )
+
+
+def _timed(build, data):
     started = time.perf_counter()
-    build = appri_build(data, n_partitions=N_PARTITIONS, counting=counting)
-    return build, time.perf_counter() - started
+    result = build(data)
+    return result, time.perf_counter() - started
 
 
 def run(configs, quick: bool):
@@ -94,7 +108,9 @@ def run(configs, quick: bool):
     ]
     for n, d, measure_legacy in configs:
         data = uniform(n, d, seed=SEED)
-        kernel_build, kernel_seconds = _timed_build(data, "auto")
+        kernel_build, kernel_seconds = _timed(
+            lambda x: appri_build(x, n_partitions=N_PARTITIONS), data
+        )
         entry = {
             "n": n,
             "d": d,
@@ -103,8 +119,8 @@ def run(configs, quick: bool):
         }
         legacy_text = recorded_text = "-"
         if measure_legacy:
-            legacy_build, legacy_seconds = _timed_build(data, "blocked")
-            if not np.array_equal(legacy_build.layers, kernel_build.layers):
+            legacy, legacy_seconds = _timed(_legacy_layers, data)
+            if not np.array_equal(legacy, kernel_build.layers):
                 raise AssertionError(
                     f"n={n}: kernel layers differ from the legacy "
                     "schedule — engines must be bit-identical"
@@ -116,10 +132,8 @@ def run(configs, quick: bool):
             entry["layers_identical"] = True
             legacy_text = f"{legacy_seconds:10.2f}"
         if quick:
-            naive = appri_build(
-                data, n_partitions=N_PARTITIONS, counting="naive"
-            )
-            assert np.array_equal(naive.layers, kernel_build.layers), (
+            naive = _legacy_layers(data, "count_dominators_naive")
+            assert np.array_equal(naive, kernel_build.layers), (
                 "kernel build must match the naive reference engine"
             )
             entry["matches_naive"] = True
@@ -140,7 +154,7 @@ def run(configs, quick: bool):
         )
     lines.append("")
     lines.append(
-        "legacy = per-level blocked passes (pre-kernel auto); recorded = "
+        "legacy = per-level blocked passes (pre-kernel engine); recorded = "
         "pre-kernel RobustIndex build time on this machine"
     )
     return results, "\n".join(lines)
@@ -156,8 +170,7 @@ def test_build_kernel_speedup(benchmark):
     data = uniform(QUICK_CONFIGS[0][0], QUICK_CONFIGS[0][1], seed=SEED)
     build = benchmark(lambda: appri_build(data, n_partitions=N_PARTITIONS))
     assert np.array_equal(
-        build.layers,
-        appri_build(data, n_partitions=N_PARTITIONS, counting="naive").layers,
+        build.layers, _legacy_layers(data, "count_dominators_naive")
     )
     _, text = run(QUICK_CONFIGS, quick=True)
     publish("bench_build_kernels", text)

@@ -1,17 +1,19 @@
-"""Parallel chunked build pipeline vs. the serial reference schedule.
+"""Pooled build schedule vs. the inline one.
 
-Runs ``appri_build`` at ``workers=1`` (the paper's serial schedule) and
-at increasing worker counts (the chunked pipeline), verifies the layer
-arrays are identical, and reports wall-clock speedup plus the
-per-phase timer breakdown from the ``build.*`` metrics.
+Runs ``appri_build`` at ``workers=1`` (inline: one task per pair
+system) and at increasing worker counts (gamma-level chunks over a
+process pool), verifies the layer arrays are identical, and reports
+wall-clock speedup plus the per-phase timer breakdown from the
+``build.*`` metrics.
 
-Both pipelines run the fused bitset counting kernel
-(:mod:`repro.core.kernels`), so on a single core their times are
-near-identical; with more than one usable core the parallel pipeline
-additionally fans per-system level chunks out across a
-``ProcessPoolExecutor`` (the ``build.pool_used`` counter records
-whether the pool actually engaged — on single-core machines it is
-bypassed because competing processes would only add overhead).  The
+Every schedule runs the same fused bitset counting kernel
+(:mod:`repro.core.kernels`) through one pipeline
+(:mod:`repro.core.pipeline`), so on a single core their times are
+near-identical; with more than one usable core the pool fans
+per-system level chunks out across a ``ProcessPoolExecutor`` (the
+``build.pool_used`` counter records whether the pool actually engaged
+— on single-core machines it is bypassed because competing processes
+would only add overhead).  The
 kernel-vs-legacy speedup itself is measured by
 ``bench_build_kernels.py``.
 
@@ -59,7 +61,7 @@ def run(n: int, d: int = 3, n_partitions: int = 10, seed: int = 0) -> str:
         if not identical:
             raise AssertionError(
                 f"workers={workers} layers differ from serial — "
-                "the pipelines must be interchangeable"
+                "the schedules must be interchangeable"
             )
         pool = "yes" if build.metrics["counters"].get("build.pool_used") else "no"
         lines.append(

@@ -133,7 +133,6 @@ def _cmd_audit(args) -> int:
         index.layers,
         n_queries=args.queries,
         seed=args.seed,
-        engine=args.engine,
     )
     print(report.summary())
     return 0 if report.sound else 1
@@ -213,7 +212,7 @@ def _cmd_stats(args) -> int:
         print()
         print(
             counting.summary(
-                "counting engines (selection, kernel time, fallbacks):"
+                "dominance counting (kernel path, kernel time):"
             )
         )
 
@@ -263,9 +262,7 @@ def _cmd_stats(args) -> int:
         if data.shape[1] <= 3:
             from repro.indexes.robust import ExactRobustIndex
 
-            eidx = ExactRobustIndex(
-                data, engine=args.exact_engine, workers=args.workers
-            )
+            eidx = ExactRobustIndex(data, workers=args.workers)
             einfo = eidx.build_info()
             emetrics = obs.Metrics.from_dict(eidx.build_metrics)
             print(
@@ -275,11 +272,8 @@ def _cmd_stats(args) -> int:
                     f"{einfo['n_layers']} layers):"
                 )
             )
-            deeper = int(np.count_nonzero(index.layers > eidx.layers))
-            print(
-                f"\nexactness gap: {deeper} of {index.size} tuples sit "
-                f"deeper than their exact robust layer"
-            )
+            print()
+            print(_exactness_gap(index.layers, eidx.layers))
         else:
             from repro.core.exact import minimal_rank_sampled
 
@@ -326,6 +320,29 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _exactness_gap(approx: np.ndarray, exact: np.ndarray) -> str:
+    """How far AppRI layers sit above the exact ones (the ablation's gap).
+
+    A sound layering never puts a tuple *deeper* than its exact layer,
+    so any such tuple is reported as UNSOUND.
+    """
+    n = approx.size
+    shallower = int(np.count_nonzero(approx < exact))
+    ratio = float(np.mean(approx / exact)) if n else 1.0
+    lines = [
+        f"exactness gap: {shallower} of {n} tuples sit shallower than "
+        f"their exact robust layer (mean approx/exact layer ratio "
+        f"{ratio:.3f})"
+    ]
+    deeper = int(np.count_nonzero(approx > exact))
+    if deeper:
+        lines.append(
+            f"UNSOUND: {deeper} of {n} tuples sit deeper than their "
+            f"exact robust layer"
+        )
+    return "\n".join(lines)
+
+
 def _cmd_snapshot_load(args) -> int:
     import time
 
@@ -365,7 +382,8 @@ def _cmd_snapshot_info(args) -> int:
     print(f"{args.snapshot}: snapshot format v{info['format_version']}")
     print(f"  kind:       {info['kind']} ({info['class']})")
     print(f"  tuples:     {info['n_points']} x {info['dimensions']}")
-    print(f"  layers:     {info['n_layers']}")
+    layers = info["n_layers"]
+    print(f"  layers:     {'unknown' if layers is None else layers}")
     print(f"  file size:  {info['file_size']} bytes")
     for name, buf in info["buffers"].items():
         shape = "x".join(str(s) for s in buf["shape"])
@@ -451,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_true",
                    help="min-max normalize attributes before indexing")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for the chunked build pipeline")
+                   help="worker processes for large builds")
 
     p = sub.add_parser("query", help="top-k query against a saved index")
     p.add_argument("index", help="snapshot file from 'build'")
@@ -462,9 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("index", help="snapshot file from 'build'")
     p.add_argument("--queries", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", default="auto",
-                   choices=["auto", "legacy", "kinetic", "prune"],
-                   help="exact engine for the exact-layer comparison")
 
     p = sub.add_parser("sql", help="run a ranked SQL statement on a CSV")
     p.add_argument("data", help="CSV backing the table named in FROM")
@@ -500,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--systems", default="complementary",
                    choices=["complementary", "families"])
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for the chunked build pipeline")
+                   help="worker processes for large builds")
     p.add_argument("--normalize", action="store_true",
                    help="min-max normalize attributes before indexing")
     p.add_argument("--queries", type=int, default=100,
@@ -511,12 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="result-cache capacity for the cache-serving "
                         "report (0 disables the cache section)")
     p.add_argument("--exact", action="store_true",
-                   help="also build with the exact engine (d <= 3) and "
+                   help="also build the exact layers (d <= 3) and "
                         "report exact.* metrics plus the exactness gap; "
                         "for d > 3 report sampled rank-bound gaps")
-    p.add_argument("--exact-engine", default="auto",
-                   choices=["auto", "legacy", "kinetic", "prune"],
-                   help="exact engine for the --exact section")
 
     p = sub.add_parser(
         "snapshot",

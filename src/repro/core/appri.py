@@ -36,19 +36,19 @@ query) — which tightens deep tuples where wedge counting saturates.
 All region sizes are dominance-factor counts in transformed spaces
 (paper Example 4), delegated to :mod:`repro.dstruct.dominance`.
 
-Construction pipelines
-----------------------
-``workers=1`` (the default) walks the pair systems serially,
-computing each system's level sizes with the fused bitset kernel
-(:func:`repro.core.kernels.pair_level_data`) — the schedule is
-deterministic and kept bit-identical release to release.
-``workers > 1`` switches to the chunked parallel pipeline
-(:mod:`repro.core.pipeline`): the same kernel runs on per-system
-chunks of gamma levels dispatched across worker processes.  The two
-pipelines produce **identical layers** on every input because they
-run the same kernel on a different schedule.  :func:`appri_build`
-exposes per-phase build metrics; :func:`appri_layers` returns just
-the layer array.
+Construction
+------------
+One path builds every layering:
+:func:`repro.core.pipeline.build_level_data` computes the dominance
+factor and every pair system's level-region sizes with the fused
+bitset kernel (:func:`repro.core.kernels.pair_level_data`), and the
+builder matches each system's wedges with
+:func:`~repro.core.matching.greedy_staircase_matching` (equal to the
+paper's Lemma-3 closed form, :func:`~repro.core.matching.lemma3_bound`).
+``workers`` only picks the schedule: inline, one task per system, or
+gamma-level chunks over a process pool — the same kernel either way,
+so the layers are identical.  :func:`appri_build` exposes per-phase build metrics;
+:func:`appri_layers` returns just the layer array.
 """
 
 from __future__ import annotations
@@ -58,27 +58,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from ..dstruct.dominance import count_dominators
 from ..geometry.peeling import shell_peel_layers
-from ..geometry.weights import gamma_levels
-from .matching import greedy_staircase_matching, lemma3_bound
-from .partitioning import (
-    disjoint_system_families,
-    level_transform,
-    pair_systems,
-    subspace_transform,
-)
+from .kernels import pair_level_data
+from .matching import greedy_staircase_matching
+from .partitioning import disjoint_system_families
+from .pipeline import build_level_data
 
 __all__ = [
     "appri_layers",
     "appri_build",
     "AppRIBuild",
     "wedge_counts",
-    "pair_eds2_bound",
 ]
 
-#: Matching rules accepted by the builder.
-_MATCHINGS = ("greedy", "lemma3")
 #: System configurations accepted by the builder.
 _SYSTEMS = ("complementary", "families")
 #: Refinements accepted by the builder.
@@ -90,10 +82,10 @@ class AppRIBuild:
     """A built layering plus its construction accounting.
 
     ``metrics`` is a :meth:`repro.obs.Metrics.as_dict` snapshot:
-    ``build.*`` phase timers, dominance-pass counters (``df.*``) and —
-    for the parallel pipeline — task/chunk accounting.  Worker-side
-    timers are summed across processes, so with ``workers > 1`` they
-    read as aggregate CPU seconds while ``build.total`` is wall time.
+    ``build.*`` phase timers, dominance-pass counters (``df.*``) and
+    task/chunk accounting.  Task timers are summed across processes,
+    so when the pool engages they read as aggregate CPU seconds while
+    ``build.total`` is wall time.
     """
 
     layers: np.ndarray
@@ -115,32 +107,23 @@ def _validated_points(points) -> np.ndarray:
     return pts
 
 
-def _validate_options(n_partitions, matching, systems, refine, workers, chunk_size):
+def _validate_options(n_partitions, systems, refine, workers):
     if not isinstance(n_partitions, (int, np.integer)) or n_partitions < 1:
         raise ValueError("n_partitions must be an integer >= 1")
-    if matching not in _MATCHINGS:
-        raise ValueError(f"matching must be one of {_MATCHINGS}")
     if systems not in _SYSTEMS:
         raise ValueError(f"systems must be one of {_SYSTEMS}")
     if refine not in _REFINEMENTS:
         raise ValueError(f"refine must be one of {_REFINEMENTS}")
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError("workers must be an integer >= 1")
-    if chunk_size is not None and (
-        not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1
-    ):
-        raise ValueError("chunk_size must be None or an integer >= 1")
 
 
 def appri_layers(
     points: np.ndarray,
     n_partitions: int = 10,
-    counting: str = "auto",
-    matching: str = "greedy",
     systems: str = "complementary",
     refine: str | None = None,
     workers: int = 1,
-    chunk_size: int | None = None,
 ) -> np.ndarray:
     """Approximate robust layer of every tuple (paper Algorithm 3).
 
@@ -154,31 +137,16 @@ def appri_layers(
         The paper's B; larger B tightens the bound at linear extra
         build cost (Figures 6-7 study this trade-off; B = 10 is the
         paper's operating point).
-    counting:
-        Dominance-counting engine (see
-        :func:`repro.dstruct.dominance.count_dominators`).  The
-        default ``auto`` (and ``kernel``) runs the fused vectorized
-        kernels; explicit legacy engines run the paper's per-level
-        schedule — same counts either way (the ablation benchmark
-        compares them).  The parallel pipeline always uses the fused
-        kernels.
-    matching:
-        ``greedy`` (exact staircase matching) or ``lemma3`` (the
-        paper's closed form); the two are provably equal, both kept
-        for the ablation benchmark.
     systems:
         ``complementary`` (the paper) or ``families`` (extension; see
         module docstring).
     refine:
         ``None`` or ``"peel"`` (take the max with shell-peeling depth).
     workers:
-        ``1`` runs the serial reference pipeline (bit-identical to
-        prior releases); ``>1`` runs the chunked parallel pipeline
-        with up to that many worker processes.  Identical output
-        either way.
-    chunk_size:
-        Gamma levels per parallel task (``workers > 1`` only);
-        ``None`` picks ~4 chunks per worker per system.
+        Upper bound on worker processes.  ``1`` runs everything
+        inline; ``> 1`` fans gamma-level chunks out over a process
+        pool once the input is large enough to pay for it
+        (:mod:`repro.core.pipeline`).  Identical output either way.
 
     Returns
     -------
@@ -188,24 +156,18 @@ def appri_layers(
     return appri_build(
         points,
         n_partitions=n_partitions,
-        counting=counting,
-        matching=matching,
         systems=systems,
         refine=refine,
         workers=workers,
-        chunk_size=chunk_size,
     ).layers
 
 
 def appri_build(
     points: np.ndarray,
     n_partitions: int = 10,
-    counting: str = "auto",
-    matching: str = "greedy",
     systems: str = "complementary",
     refine: str | None = None,
     workers: int = 1,
-    chunk_size: int | None = None,
 ) -> AppRIBuild:
     """Build AppRI layers and return them with per-phase build metrics.
 
@@ -214,7 +176,7 @@ def appri_build(
     the ``repro stats`` CLI, the parallel-build benchmark).
     """
     pts = _validated_points(points)
-    _validate_options(n_partitions, matching, systems, refine, workers, chunk_size)
+    _validate_options(n_partitions, systems, refine, workers)
     n, d = pts.shape
 
     metrics = obs.Metrics()
@@ -225,14 +187,9 @@ def appri_build(
     with obs.collect(metrics), metrics.timeit("build.total"):
         if n == 0:
             layers = np.zeros(0, dtype=np.intp)
-        elif workers == 1:
-            layers = _serial_layers(
-                pts, n_partitions, counting, matching, systems, refine
-            )
         else:
-            layers = _parallel_layers(
-                pts, n_partitions, matching, systems, refine, workers,
-                chunk_size, metrics,
+            layers = _layers(
+                pts, n_partitions, systems, refine, workers, metrics
             )
     return AppRIBuild(
         layers=layers,
@@ -243,56 +200,21 @@ def appri_build(
     )
 
 
-def _serial_layers(pts, n_partitions, counting, matching, systems, refine):
-    """Serial schedule: one fused kernel call per pair system."""
-    n = pts.shape[0]
-    with obs.timed("build.phase.dominators"):
-        dominators = count_dominators(pts, method=counting).astype(np.int64)
-    all_systems = pair_systems(
-        pts.shape[1], include_partial=(systems == "families")
-    )
-    obs.inc("build.systems", len(all_systems))
-    eds2 = np.zeros((len(all_systems), n), dtype=np.int64)
-    for s, system in enumerate(all_systems):
-        with obs.timed("build.phase.levels"):
-            i_wedges, iii_wedges = wedge_counts(
-                pts, system, n_partitions, counting
-            )
-        with obs.timed("build.phase.matching"):
-            eds2[s] = pair_eds2_bound(i_wedges, iii_wedges, matching)
-    return _combine_bounds(
-        pts, dominators, eds2, all_systems, systems, refine
-    )
-
-
-def _parallel_layers(
-    pts, n_partitions, matching, systems, refine, workers, chunk_size, metrics
-):
-    """The chunked pipeline (see :mod:`repro.core.pipeline`)."""
-    from .pipeline import build_level_data
-
+def _layers(pts, n_partitions, systems, refine, workers, metrics):
+    """Count (:func:`build_level_data`), match per system, aggregate."""
     dominators, level_data, all_systems = build_level_data(
         pts,
         n_partitions,
         include_partial=(systems == "families"),
         workers=workers,
-        chunk_size=chunk_size,
         metrics=metrics,
     )
     obs.inc("build.systems", len(all_systems))
-    n = pts.shape[0]
-    eds2 = np.zeros((len(all_systems), n), dtype=np.int64)
+    eds2 = np.zeros((len(all_systems), pts.shape[0]), dtype=np.int64)
     for s, (a_levels, b_levels) in enumerate(level_data):
         i_wedges, iii_wedges = _wedges_from_levels(a_levels, b_levels)
         with obs.timed("build.phase.matching"):
-            eds2[s] = pair_eds2_bound(i_wedges, iii_wedges, matching)
-    return _combine_bounds(
-        pts, dominators, eds2, all_systems, systems, refine
-    )
-
-
-def _combine_bounds(pts, dominators, eds2, all_systems, systems, refine):
-    """Shared tail of both pipelines: aggregate, +1, optional peel."""
+            eds2[s] = greedy_staircase_matching(i_wedges, iii_wedges)
     with obs.timed("build.phase.aggregate"):
         if systems == "complementary":
             bound = dominators + eds2.sum(axis=0)
@@ -310,7 +232,7 @@ def _combine_bounds(pts, dominators, eds2, all_systems, systems, refine):
 
 
 def _wedges_from_levels(a_levels: np.ndarray, b_levels: np.ndarray):
-    """Wedge sizes from nested level-region sizes (shared by pipelines).
+    """Wedge sizes from nested level-region sizes.
 
     ``|I_i| = |a_i| - |a_{i-1}|`` with ``a_0`` empty and ``a_B`` the
     whole subspace, and ``|III_i| = |b_{B-i}| - |b_{B+1-i}|`` with
@@ -328,53 +250,14 @@ def _wedges_from_levels(a_levels: np.ndarray, b_levels: np.ndarray):
     return i_wedges, iii_wedges
 
 
-def wedge_counts(points, pair, n_partitions, counting="auto"):
+def wedge_counts(points, pair, n_partitions):
     """Per-tuple wedge sizes ``(|I_i|, |III_i|)`` for one pair system.
 
-    With ``counting="auto"`` (or ``"kernel"``) all of the system's
-    level sizes come from one fused bitset kernel
-    (:func:`repro.core.kernels.pair_level_data`) that shares the
-    bilinear columns across sides and the lead columns across levels.
-    An explicit legacy engine runs the paper's schedule instead — one
-    dominance pass per level per side — which the ablation benchmark
-    uses for comparison; both produce bit-identical wedge sizes.
+    All of the system's level sizes come from one fused bitset kernel
+    call (:func:`repro.core.kernels.pair_level_data`), bit-identical
+    to the paper's schedule of one dominance pass per level per side.
 
     Returns two ``(n, B)`` arrays.
     """
     pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    b = n_partitions
-
-    if counting in ("auto", "kernel"):
-        from .kernels import pair_level_data
-
-        a_levels, b_levels = pair_level_data(pts, pair, b)
-        obs.inc("counting.engine.fused")
-        return _wedges_from_levels(a_levels, b_levels)
-
-    obs.inc("counting.fallback.explicit_engine")
-    gammas = gamma_levels(b)
-    a_levels = np.zeros((n, b + 1), dtype=np.int64)  # a_levels[:, p] = |a_p|
-    b_levels = np.zeros((n, b + 1), dtype=np.int64)
-    for p, gamma in enumerate(gammas, start=1):
-        a_levels[:, p] = count_dominators(
-            level_transform(pts, pair, float(gamma), "a"), method=counting
-        )
-        b_levels[:, p] = count_dominators(
-            level_transform(pts, pair, float(gamma), "b"), method=counting
-        )
-    a_levels[:, b] = count_dominators(
-        subspace_transform(pts, pair, "a"), method=counting
-    )
-    b_levels[:, 0] = count_dominators(
-        subspace_transform(pts, pair, "b"), method=counting
-    )
-    # b_levels[:, b] stays 0 (b_B is empty by definition).
-    return _wedges_from_levels(a_levels, b_levels)
-
-
-def pair_eds2_bound(i_wedges, iii_wedges, matching="greedy"):
-    """Lower bound on |EDS^2| for one pair system, per tuple."""
-    if matching == "greedy":
-        return greedy_staircase_matching(i_wedges, iii_wedges)
-    return lemma3_bound(i_wedges, iii_wedges)
+    return _wedges_from_levels(*pair_level_data(pts, pair, n_partitions))

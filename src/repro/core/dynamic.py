@@ -158,8 +158,9 @@ class DynamicRobustLayers:
         ``arrays`` maps names to numpy arrays (the full point matrix
         including dead rows, the raw uncompensated layers, the alive
         mask); ``meta`` holds the JSON-safe scalars (partition count,
-        update counters, build kwargs).  The pair round-trips through
-        :meth:`from_state` and is what
+        update counters, build kwargs, and ``n_layers`` — the deepest
+        live layer, for headers read without loading the buffers).
+        The pair round-trips through :meth:`from_state` and is what
         :mod:`repro.engine.snapshot` persists for this class.
         """
         arrays = {
@@ -167,11 +168,13 @@ class DynamicRobustLayers:
             "raw_layers": self._raw_layers,
             "alive": self._alive,
         }
+        layers = self.layers()
         meta = {
             "n_partitions": int(self._n_partitions),
             "deletions": int(self._deletions),
             "insertions": int(self._insertions),
             "appri_kwargs": dict(self._appri_kwargs),
+            "n_layers": int(layers.max()) if layers.size else 0,
         }
         return arrays, meta
 
@@ -187,6 +190,10 @@ class DynamicRobustLayers:
         obj = cls.__new__(cls)
         obj._n_partitions = int(meta["n_partitions"])
         obj._appri_kwargs = dict(meta.get("appri_kwargs", {}))
+        # Older files record build options that never changed the
+        # layers and that appri_layers no longer accepts.
+        for removed in ("counting", "matching", "chunk_size"):
+            obj._appri_kwargs.pop(removed, None)
         obj._points = np.asarray(arrays["points"], dtype=float)
         obj._raw_layers = np.array(arrays["raw_layers"], dtype=np.int64)
         obj._alive = np.array(arrays["alive"], dtype=bool)

@@ -3,13 +3,12 @@
 Theorem 1 reduces robust indexing to computing, for every tuple ``t``,
 the *minimal rank* of ``t`` over all monotone linear queries; the
 robust layer is exactly that minimal rank.  This module implements the
-exact computation behind three interchangeable engines:
+exact computation with one solver per dimensionality — the dimension
+picks it, there is no engine option:
 
-``legacy``
-    The reference per-tuple solvers: a rotating sweep per tuple at
-    d = 2 and an arrangement-vertex enumeration per tuple at d = 3.
-    Simple, trusted, slow — kept as the bit-identity oracle.
-``kinetic`` (d = 2)
+d = 1
+    A sort (``ExactBuild.engine`` records it as ``legacy``).
+d = 2: ``kinetic``
     One *global* rotating sweep shared by all tuples.  The weight
     segment ``w = (lam, 1 - lam)`` is cut into windows by sorted
     probes; per window the kinetic permutation delta localizes every
@@ -17,7 +16,7 @@ exact computation behind three interchangeable engines:
     swept in vectorized angle-sorted batches, and each tuple's minimal
     rank is read off its position trajectory.  ``O(n^2 log n)`` total
     with numpy inner loops, replacing n independent sweeps.
-``prune`` (d = 3)
+d = 3: ``prune``
     Bound-driven prune-and-refine.  Every tuple is seeded with an
     AppRI / dominance-margin lower bound and a shared-probe upper
     bound (vectorized score paths over :func:`triangle_probes`); a
@@ -28,14 +27,19 @@ exact computation behind three interchangeable engines:
     the surviving slivers.  Open tuples can fan out over worker
     processes via :mod:`repro.core.pipeline`.
 
-All engines implement the same library tie rule — ``s`` precedes ``t``
-iff its score is strictly smaller, or the scores tie and ``s`` has the
-smaller tid — and produce identical layers on well-separated inputs
-(the engine-agreement suite pins this on adversarial ties too).  The
-only divergence class left open is sub-ulp near-ties, where the
-engines may place an event on the other side of a comparison than the
-legacy float expressions; the same caveat already applies to legacy's
-own ``_REL_TOL`` snapping at d = 3.
+The per-tuple reference solvers (*legacy* in the comments below) — a
+rotating sweep per tuple at d = 2 and an arrangement-vertex
+enumeration per tuple at d = 3 — stay as the fallback of both
+shared-work solvers and as the oracle behind the public
+:func:`minimal_rank`.  All of them implement the same library
+tie rule — ``s`` precedes ``t`` iff its score is strictly smaller, or
+the scores tie and ``s`` has the smaller tid — and produce identical
+layers on well-separated inputs (the solver-agreement suite pins this
+on adversarial ties too).  The only divergence class left open is
+sub-ulp near-ties, where the shared-work solvers may place an event on
+the other side of a comparison than the per-tuple float expressions;
+the same caveat already applies to the per-tuple solver's own
+``_REL_TOL`` snapping at d = 3.
 
 For d > 3 no exact solver is provided (the paper's ``O(n^d log n)``
 construction is impractical there and all of its experiments use
@@ -43,7 +47,7 @@ d = 3); :func:`minimal_rank_sampled` gives a sampled *upper bound*
 instead, optionally bracketed by a dominance lower bound
 (``with_bounds=True``).
 
-Build accounting lives in the ``exact.*`` obs namespace: engine
+Build accounting lives in the ``exact.*`` obs namespace: solver
 timers, probe / window / event counters, tuples pruned vs refined and
 the bound-convergence histogram ``exact.gap_hist.*`` — surfaced by
 ``repro stats`` and :meth:`ExactRobustIndex.build_info`.
@@ -85,12 +89,13 @@ _REL_TOL = 1e-9
 #: artifacts, not counts any real query attains.
 _EVENT_TOL = 1e-9
 
-#: Engines accepted by :func:`exact_build`.
-_ENGINES = ("auto", "legacy", "kinetic", "prune")
+#: The solver :func:`exact_build` runs per dimensionality, under the
+#: names ``ExactBuild.engine`` and snapshot metadata record.
+_ENGINE_BY_DIM = {1: "legacy", 2: "kinetic", 3: "prune"}
 
 # --- kinetic (d = 2) tuning -------------------------------------------------
 #: Below this n the shared sweep cannot beat the per-tuple loop;
-#: tests monkeypatch it to 0 to force the kinetic path on tiny inputs.
+#: tests monkeypatch it to 0 to force the shared sweep on tiny inputs.
 _KINETIC_MIN_N = 64
 #: Target tuples per probe window (n // this, clipped to [4, 96]).
 _WINDOW_TUPLES = 104
@@ -131,15 +136,16 @@ class ExactBuild:
     """An exact layering plus its construction accounting.
 
     ``metrics`` is a :meth:`repro.obs.Metrics.as_dict` snapshot of the
-    ``exact.*`` namespace: engine timers, probe / window / event
+    ``exact.*`` namespace: solver timers, probe / window / event
     counters, tuples pruned against tuples refined, and the
-    bound-convergence histogram ``exact.gap_hist.*``.  ``engine`` is
-    the engine that actually ran (``auto`` resolved).
+    bound-convergence histogram ``exact.gap_hist.*``.  ``engine`` names
+    the solver the dimensionality picked: ``legacy`` (the d = 1
+    sort), ``kinetic`` (d = 2) or ``prune`` (d = 3).
     """
 
     layers: np.ndarray
     metrics: dict = field(default_factory=dict)
-    engine: str = "auto"
+    engine: str = "legacy"
     workers: int = 1
 
 
@@ -163,20 +169,15 @@ class RankBounds:
         return self.upper - self.lower
 
 
-def exact_build(
-    points: np.ndarray, engine: str = "auto", workers: int = 1
-) -> ExactBuild:
+def exact_build(points: np.ndarray, workers: int = 1) -> ExactBuild:
     """Build exact robust layers and return them with build metrics.
 
     Parameters
     ----------
     points:
-        ``(n, d)`` data matrix with ``d <= 3``; NaN/inf rejected.
-    engine:
-        ``auto`` (kinetic at d = 2, prune at d = 3, plain sort at
-        d = 1), ``legacy`` (per-tuple reference solvers), ``kinetic``
-        (d = 2 only) or ``prune`` (d = 3 only).  All engines return
-        identical layers.
+        ``(n, d)`` data matrix with ``d <= 3``; NaN/inf rejected.  The
+        dimensionality picks the solver (module docstring): a sort at
+        d = 1, the kinetic sweep at d = 2, prune-and-refine at d = 3.
     workers:
         Worker processes for the d = 3 refine stage fan-out
         (:mod:`repro.core.pipeline`); 1 keeps everything in-process.
@@ -184,14 +185,20 @@ def exact_build(
     """
     pts = _as_points(points)
     n, d = pts.shape
-    eng = _resolve_engine(d, engine)
+    if d > 3:
+        raise ValueError(
+            "exact robust layers are implemented for d <= 3 "
+            "(the paper's experiments all use d = 3); "
+            "use minimal_rank_sampled for an upper bound in higher dimensions"
+        )
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError("workers must be an integer >= 1")
+    engine = _ENGINE_BY_DIM[max(d, 1)]
     metrics = obs.Metrics()
     with obs.collect(metrics), metrics.timeit("exact.total"):
         obs.inc("exact.builds")
         obs.inc("exact.tuples", n)
-        obs.inc(f"exact.engine.{eng}")
+        obs.inc(f"exact.engine.{engine}")
         if n == 0:
             layers = np.zeros(0, dtype=np.intp)
         elif d == 1:
@@ -199,28 +206,27 @@ def exact_build(
                 order = np.lexsort((np.arange(n), pts[:, 0]))
                 layers = np.empty(n, dtype=np.intp)
                 layers[order] = np.arange(1, n + 1)
-        elif eng == "legacy":
-            layers = _legacy_layers(pts)
-        elif eng == "kinetic":
+        elif d == 2:
             with obs.timed("exact.kinetic_2d"):
                 layers = _kinetic_layers_2d(pts)
         else:
             with obs.timed("exact.prune_3d"):
                 layers = _prune_layers_3d(pts, workers=workers)
     return ExactBuild(
-        layers=layers, metrics=metrics.as_dict(), engine=eng, workers=int(workers)
+        layers=layers,
+        metrics=metrics.as_dict(),
+        engine=engine,
+        workers=int(workers),
     )
 
 
-def exact_robust_layers(
-    points: np.ndarray, engine: str = "auto", workers: int = 1
-) -> np.ndarray:
+def exact_robust_layers(points: np.ndarray, workers: int = 1) -> np.ndarray:
     """The exact robust layer (= minimal rank) of every tuple.
 
     Thin wrapper over :func:`exact_build` returning just the layer
-    array; supported for d <= 3, any engine.
+    array; supported for d <= 3.
     """
-    return exact_build(points, engine=engine, workers=workers).layers
+    return exact_build(points, workers=workers).layers
 
 
 def minimal_rank(points: np.ndarray, tid: int) -> int:
@@ -286,25 +292,6 @@ def minimal_rank_sampled(
     return RankBounds(upper=upper, lower=1 + always)
 
 
-def _resolve_engine(d: int, engine: str) -> str:
-    """Validate the engine choice against the dimensionality."""
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}; got {engine!r}")
-    if d > 3:
-        raise ValueError(
-            "exact robust layers are implemented for d <= 3 "
-            "(the paper's experiments all use d = 3); "
-            "use minimal_rank_sampled for an upper bound in higher dimensions"
-        )
-    if engine == "kinetic" and d != 2:
-        raise ValueError("engine='kinetic' is the d=2 solver; got d=%d" % d)
-    if engine == "prune" and d != 3:
-        raise ValueError("engine='prune' is the d=3 solver; got d=%d" % d)
-    if engine == "auto":
-        return {1: "legacy", 2: "kinetic", 3: "prune"}[max(d, 1)]
-    return engine
-
-
 def _as_points(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -318,20 +305,8 @@ def _as_points(points: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Legacy engine: per-tuple reference solvers.
+# Per-tuple reference solvers.
 # ---------------------------------------------------------------------------
-
-
-def _legacy_layers(pts: np.ndarray) -> np.ndarray:
-    """Per-tuple reference solvers (the original engine)."""
-    n, d = pts.shape
-    if d == 2:
-        with obs.timed("exact.sweep_2d"):
-            return np.array(
-                [_minimal_rank_2d(pts, t) for t in range(n)], dtype=np.intp
-            )
-    with obs.timed("exact.arrangement_3d"):
-        return np.array([_minimal_rank_3d(pts, t) for t in range(n)], dtype=np.intp)
 
 
 def _corner_counts_2d(d1, d2, tids, tid) -> tuple[int, int]:
@@ -439,10 +414,13 @@ def _minimal_rank_3d(pts: np.ndarray, tid: int) -> int:
     The weight simplex is parametrized by ``(a, b)`` with
     ``w = (a, b, 1 - a - b)``.  Tuple ``s`` precedes ``t`` where
     ``g_s(a, b) = c_s + alpha_s a + beta_s b < 0``.  The rank is
-    constant on every cell of the line arrangement ``{g_s = 0}``
-    clipped to the triangle, so it suffices to evaluate it at every
-    arrangement vertex (tie-aware) and at one nudged point inside each
-    angular sector around each vertex.
+    constant on every cell and on every edge of the line arrangement
+    ``{g_s = 0}`` clipped to the (closed) triangle, so it suffices to
+    evaluate it at every arrangement vertex (tie-aware), at one nudged
+    point inside each angular sector around each vertex, and at one
+    nudged point along each edge leaving it.  Edges matter: there the
+    lines of the edge tie, and a tie with a larger tid ranks ``t``
+    ahead, so an edge can beat both its endpoints and both its cells.
     """
     n = pts.shape[0]
     if n == 1:
@@ -484,7 +462,7 @@ def _triangle_candidates(c, alpha, beta, tol) -> np.ndarray:
 
     Includes: nudged triangle corners, all pairwise line intersections
     inside the (slightly padded) triangle, line/triangle-edge
-    intersections, and sector points around each vertex.
+    intersections, and sector and edge points around each vertex.
     """
     eps = 1e-7
     corners = np.array(
@@ -538,11 +516,15 @@ def _triangle_candidates(c, alpha, beta, tol) -> np.ndarray:
 
 
 def _sector_points(vertices, c, alpha, beta, tol) -> np.ndarray:
-    """One point nudged into each angular sector around each vertex.
+    """Points nudged into every cell and edge incident to each vertex.
 
     The sectors are delimited by the lines incident to the vertex;
     their bisector directions, followed for a small step, land inside
-    every cell whose closure contains the vertex.
+    every cell whose closure contains the vertex.  The line directions
+    themselves, followed for the same step, land inside every edge
+    leaving the vertex — where the lines of that edge tie and, by the
+    tid rule, can rank ``t`` strictly better than at either endpoint
+    or in either neighbouring cell.
     """
     out = []
     step = 1e-6
@@ -558,7 +540,7 @@ def _sector_points(vertices, c, alpha, beta, tol) -> np.ndarray:
         # half-directions, then bisected.
         full = np.sort(np.concatenate([angles, angles + np.pi]))
         bisectors = (full + np.diff(np.concatenate([full, [full[0] + 2 * np.pi]])) / 2)
-        for theta in bisectors:
+        for theta in np.concatenate([full, bisectors]):
             out.append([va + step * np.cos(theta), vb + step * np.sin(theta)])
     if not out:
         return np.zeros((0, 2))
@@ -566,7 +548,7 @@ def _sector_points(vertices, c, alpha, beta, tol) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kinetic engine: one global rotating sweep for d = 2.
+# Kinetic solver: one global rotating sweep for d = 2.
 # ---------------------------------------------------------------------------
 
 
@@ -600,7 +582,9 @@ def _kinetic_layers_2d(pts: np.ndarray) -> np.ndarray:
     """
     n = pts.shape[0]
     if n < _KINETIC_MIN_N:
-        return _legacy_layers(pts)
+        return np.array(
+            [_minimal_rank_2d(pts, t) for t in range(n)], dtype=np.intp
+        )
     x = np.ascontiguousarray(pts[:, 0])
     y = np.ascontiguousarray(pts[:, 1])
     tids = np.arange(n)
@@ -725,7 +709,7 @@ def _kinetic_layers_2d(pts: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Prune engine: bound-driven prune-and-refine for d = 3.
+# Prune solver: bound-driven prune-and-refine for d = 3.
 # ---------------------------------------------------------------------------
 
 
@@ -941,11 +925,9 @@ def _refine_open_tuple(pts: np.ndarray, tid: int, ub0: int, lb0: int = 0) -> int
         # Tighten the running best with the raw region corners, but
         # count every tie pessimistically (``g <= tol`` regardless of
         # tid).  That value bounds the count of every cell adjacent to
-        # the corner from above, and the legacy sweep samples all of
-        # those cells — so it can never drop below the legacy minimum,
-        # even at simplex-boundary corners where a line coincident
-        # with an edge ties by tid (a dip legacy never evaluates away
-        # from its own vertices).
+        # the corner from above, and the legacy enumeration samples
+        # all of those cells — so it can never drop below the legacy
+        # minimum.
         corner_counts = base + np.count_nonzero(g_corners <= tol, axis=0)
         best = min(best, int(corner_counts.min()))
         if sub.size == 0:
@@ -977,9 +959,8 @@ def _enumerate_region(tri, c_a, alpha_a, beta_a, smaller, tol):
 
     Reruns the legacy candidate construction on the sub-triangle:
     pairwise intersections of the active lines and the (normalized)
-    region edge lines, restricted to legacy-candidate vertices (at
-    least one active line, or two global-edge segments), deduplicated,
-    with sector points around each vertex.  Candidates are kept inside
+    region edge lines, deduplicated, with cell and edge points around
+    each vertex (:func:`_sector_points`).  Candidates are kept inside
     the global triangle (only real queries count) and the
     slack-inflated region (where the caller's always/never
     classification is valid).  Shrunk corners and the centroid tighten
@@ -1013,41 +994,17 @@ def _enumerate_region(tri, c_a, alpha_a, beta_a, smaller, tol):
     a2, b2, c2 = all_alpha[j_idx], all_beta[j_idx], all_c[j_idx]
     det = a1 * b2 - a2 * b1
     ok = np.abs(det) > tol
-    # Region edges that lie along a *global* simplex edge reproduce
-    # legacy's line x edge and corner vertices; the other (interior)
-    # sub-edges are artifacts of the subdivision.  A vertex they
-    # manufacture *on the simplex boundary* — a sub-corner, or the
-    # crossing of an interior sub-edge with a line coincident with a
-    # global edge — sits in the middle of an edge segment legacy never
-    # samples, where coincident-line ties by tid dip the count below
-    # the legacy minimum, so those vertices are dropped.  Interior
-    # vertices of any pair are safe: their count is at least the
-    # smallest adjacent cell's, and legacy samples every cell.
-    on_global = np.empty(3, dtype=bool)
-    for e in range(3):
-        pa, qa = p[e], q[e]
-        on_global[e] = (
-            (abs(pa[0]) <= 1e-12 and abs(qa[0]) <= 1e-12)
-            or (abs(pa[1]) <= 1e-12 and abs(qa[1]) <= 1e-12)
-            or (
-                abs(pa[0] + pa[1] - 1.0) <= 1e-12
-                and abs(qa[0] + qa[1] - 1.0) <= 1e-12
-            )
-        )
-    nonglobal_edge = np.zeros(m, dtype=bool)
-    nonglobal_edge[k:] = ~on_global
-    suspect = nonglobal_edge[i_idx] | nonglobal_edge[j_idx]
+    # Every vertex is a real query (the candidates are clipped to the
+    # global triangle below), so sub-edge crossings and sub-corners on
+    # the simplex boundary are kept: their tie-aware counts are attained
+    # ranks, and the edge nudges around them cover the boundary segments
+    # where a line coincident with a global edge ties by tid.
     with np.errstate(divide="ignore", invalid="ignore"):
         va = (-c1 * b2 + c2 * b1) / det
         vb = (-a1 * c2 + a2 * c1) / det
-        near_boundary = (
-            (va <= 1e-9) | (vb <= 1e-9) | (va + vb >= 1.0 - 1e-9)
-        )
         inside = ok & np.isfinite(va) & np.isfinite(vb)
-        inside &= ~(suspect & near_boundary)
         for ec, ea, eb in zip(e_c, e_alpha, e_beta):
             inside &= ec + ea * va + eb * vb >= -_NUDGE_REACH
-
     vertices = np.stack([va[inside], vb[inside]], axis=1)
     if vertices.shape[0]:
         rounded = np.round(vertices / (10 * tol + 1e-15))

@@ -1,12 +1,11 @@
 """Fused level-region counting for the AppRI build.
 
-The serial schedule (:func:`repro.core.appri.wedge_counts`) runs one
-full dominance pass per gamma level per side — ``2B`` transformed-space
-passes per pair system — and each pass re-sorts every transformed
-column from scratch.  This module collapses all of a system's passes
-into one fused kernel built on the packed-bitset machinery of
-:mod:`repro.dstruct.kernels`, exploiting two kinds of sharing the
-per-level schedule cannot see:
+The paper's schedule runs one full dominance pass per gamma level per
+side — ``2B`` transformed-space passes per pair system — and each pass
+re-sorts every transformed column from scratch.  This module collapses
+all of a system's passes into one fused kernel built on the
+packed-bitset machinery of :mod:`repro.dstruct.kernels`, exploiting
+two kinds of sharing the per-level schedule cannot see:
 
 * **Across sides.**  :func:`repro.core.partitioning.level_transform`
   gives side a and side b the *same* bilinear columns
@@ -16,22 +15,24 @@ per-level schedule cannot see:
   halving the dominant cost.
 * **Across levels.**  The lead columns (shared-below attributes and
   the negated above-attributes) do not depend on gamma, so their
-  combined bitsets are built once per system and reused for every
+  combined bitsets are built once per call and reused for every
   level, including the two full-subspace passes.
 
-Every comparison is made on the *exact float values* the serial
+Every comparison is made on the *exact float values* the per-level
 transforms produce (the same ``gamma * pts[:, i] + pts[:, j]`` /
 ``-pts[:, j]`` expressions), so the level sizes are bit-identical to
-the per-level :func:`repro.dstruct.dominance.count_dominators` passes
-on any input, ties included — the property suite in
-``tests/core/test_kernels.py`` checks this against every legacy
-engine.  Peak memory is bounded by processing the dominator bitsets in
-bit-space chunks (:func:`repro.dstruct.kernels.bit_chunks`).
+one dominance pass per transformed space on any input, ties included
+— ``tests/core/test_kernels.py`` checks this against the per-level
+reference schedule in ``tests/core/appri_reference.py`` under every
+named dominance engine.  Peak memory is bounded by processing the
+dominator bitsets in bit-space chunks
+(:func:`repro.dstruct.kernels.bit_chunks`).
 
-:func:`pair_level_data` is the entry point; the serial builder calls
-it per system and the parallel pipeline dispatches per-level subsets
-of it as tasks (``levels=``) so chunked builds reuse the same code and
-stay identical by construction.
+:func:`pair_level_data` is the entry point; the build pipeline
+(:mod:`repro.core.pipeline`) runs it once per system, or on
+per-level subsets (``levels=``) when it fans out over a process pool,
+so every schedule reuses the same code and stays identical by
+construction.
 """
 
 from __future__ import annotations
@@ -51,16 +52,9 @@ from .partitioning import SubspacePair
 
 __all__ = [
     "pair_level_data",
-    "SUBSPACE_LEVEL",
     "suffix_smaller_counts",
     "crossing_partners",
 ]
-
-#: Sentinel level index for the two full-subspace passes of a system:
-#: ``levels`` containing ``n_partitions`` requests the ``|a|``/``|b|``
-#: whole-subspace counts (columns ``B`` of ``a_levels`` and ``0`` of
-#: ``b_levels``) alongside — or instead of — the interior gamma levels.
-SUBSPACE_LEVEL = -1  # documented alias resolved to B at call time
 
 
 def _acc(ranked, n, lo, hi, gather):
@@ -98,28 +92,28 @@ def pair_level_data(
         the interior gamma level ``gamma_p`` (filling columns
         ``a_levels[:, p]`` and ``b_levels[:, p]``) and ``p == B`` is
         the pair of full-subspace passes (filling ``a_levels[:, B]``
-        and ``b_levels[:, 0]``).  ``None`` runs them all — what the
-        serial schedule computes per system.  The parallel pipeline
-        passes subsets; unioned over a cover of ``1..B`` the results
-        are identical to one full call.
+        and ``b_levels[:, 0]``).  ``None`` runs them all.  The pool
+        schedule passes subsets; summed over a cover of ``1..B`` the
+        results are identical to one full call.
     budget_bytes:
         Bit-space chunking budget (see
         :data:`repro.dstruct.kernels.MATRIX_BYTES_BUDGET`).
 
     Returns
     -------
-    ``(a_levels, b_levels)`` — two ``(n, B + 1)`` int64 arrays laid
-    out exactly like :func:`repro.core.appri.wedge_counts` builds
-    them; unrequested columns (and the always-empty ``b_levels[:, B]``
-    / ``a_levels[:, 0]``) are zero.
+    ``(a_levels, b_levels)`` — two ``(n, B + 1)`` int64 arrays with
+    ``a_levels[:, p] = |a_p|`` and ``b_levels[:, p] = |b_p|``;
+    unrequested columns (and the always-empty ``b_levels[:, B]`` /
+    ``a_levels[:, 0]``) are zero.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     b = int(n_partitions)
     a_levels = np.zeros((n, b + 1), dtype=np.int64)
     b_levels = np.zeros((n, b + 1), dtype=np.int64)
-    wanted = sorted({b if p == SUBSPACE_LEVEL else int(p) for p in levels}
-                    if levels is not None else range(1, b + 1))
+    wanted = sorted(
+        {int(p) for p in levels} if levels is not None else range(1, b + 1)
+    )
     if n == 0 or not wanted:
         return a_levels, b_levels
     if wanted[0] < 1 or wanted[-1] > b:

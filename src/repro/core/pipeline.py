@@ -1,37 +1,33 @@
-"""Parallel chunked AppRI construction pipeline.
+"""The AppRI counting pipeline: one schedule of kernel tasks.
 
-The serial builder (:func:`repro.core.appri.appri_layers` with
-``workers=1``) walks the pair systems one at a time, computing each
-system's level-region sizes with the fused bitset kernel
-(:func:`repro.core.kernels.pair_level_data`).  This module is the
-``workers > 1`` fast path: it decomposes the same computation into
-independent **chunks of gamma levels** and dispatches them over a
-process pool:
+Every AppRI build (:func:`repro.core.appri.appri_build`) gets its
+counts from :func:`build_level_data`, which splits them into
+independent tasks:
 
 1.  One task computes the global dominance factor.
 2.  For every pair system, the levels ``1..B`` (interior gamma levels
     plus the paired full-subspace passes at index ``B``) are covered
     by contiguous ranges; each ``("lev", s, p_lo, p_hi)`` task runs
-    :func:`~repro.core.kernels.pair_level_data` restricted to its
-    range and returns the two partially-filled ``(n, B + 1)`` level
-    arrays.  Level columns are disjoint across tasks, so the
-    coordinator combines results with plain array addition.
+    the fused kernel :func:`~repro.core.kernels.pair_level_data`
+    restricted to its range and returns the two partially-filled
+    ``(n, B + 1)`` level arrays.  Level columns are disjoint across
+    tasks, so the coordinator combines results with plain array
+    addition.
 
-Because every task runs the *same* kernel the serial path runs — just
-on a subset of levels — chunked counts are **identical** to serial
-counts on any input, for any ``workers`` or ``chunk_size`` (the
-parallel-equals-serial metamorphic test in ``tests/properties`` locks
-this in).  There is no floating-point re-derivation to reconcile: the
-kernel compares the exact transformed values the serial schedule
-compares.
+The pool engages only when it can pay for itself: ``workers > 1``, at
+least ``POOL_MIN_N`` tuples *and* more than one usable core.  Then
+each system's levels are cut into ~4 chunks per worker so stragglers
+rebalance across the (systems x chunks) task grid; each worker holds
+the data once (pool initializer) and returns per-range count arrays
+plus a metrics snapshot the coordinator merges.  Otherwise the tasks
+run inline with **one task per system covering levels 1..B**, so each
+system's gamma-independent lead bitsets are ranked once.
 
-Tasks are pure functions of ``(points, B, systems)`` plus a task
-descriptor, dispatched over a ``ProcessPoolExecutor``; each worker
-holds the data once (pool initializer) and returns per-range count
-arrays plus a metrics snapshot the coordinator merges.  The pool
-engages only when it can pay for itself: at least ``POOL_MIN_N``
-tuples *and* more than one usable core (on a single core the same
-tasks run inline — identical results, no process overhead).
+Because every task runs the same kernel on a subset of levels, the
+counts are **identical** for every schedule on any input (the
+level-cover property in ``tests/properties`` locks this in).  There
+is no floating-point re-derivation to reconcile: the kernel compares
+the exact transformed values of the paper's per-level passes.
 """
 
 from __future__ import annotations
@@ -72,21 +68,20 @@ def _usable_cpus() -> int:
 # ---------------------------------------------------------------------------
 
 
-def plan_chunks(n_levels: int, workers: int, chunk_size: int | None = None):
+def plan_chunks(n_levels: int, workers: int):
     """Contiguous ``[lo, hi)`` ranges covering levels ``1..n_levels``.
 
-    ``chunk_size`` is the number of gamma levels per task; the default
-    aims at ~4 chunks per worker within one system so stragglers
-    rebalance across the (systems x chunks) task grid.
+    One range for a single worker (each extra range re-ranks the
+    system's lead columns); otherwise ~4 ranges per worker within one
+    system so stragglers rebalance across the (systems x chunks) task
+    grid.
     """
     if n_levels <= 0:
         return []
-    if chunk_size is None:
-        chunk_size = -(-n_levels // (4 * max(workers, 1)))
-    chunk_size = max(1, min(int(chunk_size), n_levels))
+    size = -(-n_levels // (4 * workers)) if workers > 1 else n_levels
     return [
-        (lo, min(lo + chunk_size, n_levels + 1))
-        for lo in range(1, n_levels + 1, chunk_size)
+        (lo, min(lo + size, n_levels + 1))
+        for lo in range(1, n_levels + 1, size)
     ]
 
 
@@ -94,16 +89,16 @@ def plan_chunks(n_levels: int, workers: int, chunk_size: int | None = None):
 # Task execution (worker side)
 # ---------------------------------------------------------------------------
 
-#: Per-process state installed by the pool initializer (or, for the
-#: inline path, by the coordinating process itself).
+#: Per-process state installed by the pool initializers.
 _WORKER: dict = {}
 
 
 def _init_worker(points, n_partitions, include_partial):
-    _WORKER["pts"] = np.asarray(points, dtype=float)
-    _WORKER["b"] = int(n_partitions)
-    _WORKER["systems"] = pair_systems(
-        _WORKER["pts"].shape[1], include_partial=include_partial
+    pts = np.asarray(points, dtype=float)
+    _WORKER.update(
+        pts=pts,
+        b=int(n_partitions),
+        systems=pair_systems(pts.shape[1], include_partial=include_partial),
     )
 
 
@@ -130,11 +125,15 @@ def _run_refine_block(block):
     return out, local.as_dict()
 
 
-def _run_task(task):
-    """Execute one task; returns (task, payload, metrics dict)."""
-    pts = _WORKER["pts"]
-    b = _WORKER["b"]
-    systems = _WORKER["systems"]
+def _run_task(task, state=None):
+    """Execute one task; returns (task, payload, metrics dict).
+
+    ``state`` defaults to the pool worker's; the inline schedule
+    passes its own, so concurrent builds in threads never share it.
+    """
+    if state is None:
+        state = _WORKER
+    pts, b, systems = state["pts"], state["b"], state["systems"]
     local = obs.Metrics()
     with obs.collect(local, propagate=False):
         kind = task[0]
@@ -163,37 +162,37 @@ def build_level_data(
     n_partitions: int,
     include_partial: bool,
     workers: int,
-    chunk_size: int | None = None,
     metrics: "obs.Metrics | None" = None,
 ):
-    """All counting the AppRI bound needs, computed in parallel chunks.
+    """All counting the AppRI bound needs, as one schedule of tasks.
 
     Returns ``(dominators, level_data, systems)`` where ``level_data``
     is a list over pair systems of ``(a_levels, b_levels)`` arrays of
-    shape ``(n, B + 1)`` laid out exactly like the serial
-    :func:`repro.core.appri.wedge_counts` internals: interior columns
-    from the gamma levels, column B of ``a`` / column 0 of ``b`` from
-    the full-subspace passes, the remaining boundary columns zero.
+    shape ``(n, B + 1)`` laid out like
+    :func:`~repro.core.kernels.pair_level_data` returns them: interior
+    columns from the gamma levels, column B of ``a`` / column 0 of
+    ``b`` from the full-subspace passes, the remaining boundary
+    columns zero.
 
-    Counts are integer-identical to the serial path regardless of
-    ``workers`` or ``chunk_size``; only the schedule changes.
+    Counts are integer-identical for any ``workers``; only the
+    schedule changes (see the module docstring).
     """
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
     b = int(n_partitions)
     systems = pair_systems(d, include_partial=include_partial)
-    chunks = plan_chunks(b, workers, chunk_size)
+    use_pool = (
+        workers > 1
+        and n >= POOL_MIN_N
+        and len(systems) > 0
+        and _usable_cpus() > 1
+    )
+    chunks = plan_chunks(b, workers if use_pool else 1)
 
     tasks: list[tuple] = [("dom",)]
     for s in range(len(systems)):
         tasks += [("lev", s, lo, hi) for lo, hi in chunks]
 
-    use_pool = (
-        workers > 1
-        and n >= POOL_MIN_N
-        and len(tasks) > 1
-        and _usable_cpus() > 1
-    )
     if metrics is not None:
         metrics.inc("build.chunks", len(chunks))
         metrics.inc("build.pool_used", int(use_pool))
@@ -211,28 +210,23 @@ def build_level_data(
                 )
             )
     else:
-        _init_worker(pts, b, include_partial)
-        results = [_run_task(task) for task in tasks]
+        state = {"pts": pts, "b": b, "systems": systems}
+        results = [_run_task(task, state) for task in tasks]
 
     dominators = np.zeros(n, dtype=np.int64)
-    level_data = [
-        (
-            np.zeros((n, b + 1), dtype=np.int64),
-            np.zeros((n, b + 1), dtype=np.int64),
-        )
-        for _ in systems
-    ]
+    level_data: list = [None] * len(systems)
     for task, payload, task_metrics in results:
         if metrics is not None:
             metrics.merge(task_metrics)
         if task[0] == "dom":
             dominators[:] = payload
+        elif level_data[task[1]] is None:
+            level_data[task[1]] = payload
         else:
-            s = task[1]
-            a_part, b_part = payload
             # Tasks cover disjoint level columns, so addition combines.
-            level_data[s][0][:] += a_part
-            level_data[s][1][:] += b_part
+            a_levels, b_levels = level_data[task[1]]
+            a_levels += payload[0]
+            b_levels += payload[1]
     return dominators, level_data, systems
 
 

@@ -43,8 +43,7 @@ class SignedRobustLayers:
     True
     """
 
-    def __init__(self, points: np.ndarray, n_partitions: int = 10,
-                 counting: str = "auto"):
+    def __init__(self, points: np.ndarray, n_partitions: int = 10):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be a 2-D array")
@@ -55,15 +54,17 @@ class SignedRobustLayers:
             signs = tuple(-1 if mask & (1 << j) else 1 for j in range(d))
             flipped = pts * np.asarray(signs, dtype=float)
             self._layerings[signs] = appri_layers(
-                flipped, n_partitions=n_partitions, counting=counting
+                flipped, n_partitions=n_partitions
             )
 
     @property
     def dimensions(self) -> int:
+        """Attribute count of the indexed relation."""
         return self._points.shape[1]
 
     @property
     def sign_patterns(self) -> list[tuple[int, ...]]:
+        """The ``2^d`` weight-sign orthants, one layering each."""
         return list(self._layerings)
 
     def layers_for(self, query: LinearQuery) -> np.ndarray:

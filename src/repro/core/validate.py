@@ -58,7 +58,6 @@ def audit_layering(
     seed: int | None = 0,
     check_exact: bool | None = None,
     mass_ks: tuple[int, ...] = (10, 50, 100),
-    engine: str = "auto",
 ) -> AuditReport:
     """Probe a layering for soundness.
 
@@ -71,13 +70,9 @@ def audit_layering(
         several k values.
     check_exact:
         Also verify ``layers <= exact_robust_layers`` tuple by tuple.
-        Defaults to on where the exact engines are cheap: d = 2 up to
+        Defaults to on where the exact solvers are cheap: d = 2 up to
         n <= 2000 (kinetic sweep) and d = 3 up to n <= 400
         (prune-and-refine).
-    engine:
-        Exact engine used for the ``check_exact`` comparison; see
-        :func:`repro.core.exact.exact_build`.  All engines agree
-        bit-for-bit, so this only changes audit speed.
     """
     pts = np.asarray(points, dtype=float)
     layers = np.asarray(layers)
@@ -105,7 +100,7 @@ def audit_layering(
     if check_exact and n:
         from .exact import exact_robust_layers
 
-        exact = exact_robust_layers(pts, engine=engine)
+        exact = exact_robust_layers(pts)
         exceeds = int(np.count_nonzero(layers > exact))
 
     mass = {

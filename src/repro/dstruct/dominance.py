@@ -9,30 +9,35 @@ which keeps the robust-layer bound a valid lower bound (tuples are only
 ever placed in *shallower* layers, never deeper — soundness of the
 layered index is preserved).
 
-Five interchangeable engines are provided:
+:func:`count_dominators` is the one entry point the library builds on:
+a searchsorted short-cut for d = 1 and the vectorized offline kernels
+of :mod:`repro.dstruct.kernels` (offline merge counting for d = 2,
+packed dominance bitsets for d >= 3) otherwise — exact under ties and
+duplicate columns, and the fastest engine by an order of magnitude at
+the paper's data sizes.  Which path served a pass and the kernel time
+are observable via the ``counting.*`` counters/timers (see
+:mod:`repro.obs`).
 
-``naive``
+The paper's engines stay available as named functions, used as
+references by the tests and compared by the counting ablation
+benchmark:
+
+``count_dominators_naive``
     O(n^2 d) reference loop; ground truth for tests.
-``blocked``
+``count_dominators_blocked``
     Vectorized NumPy O(n^2 d) with a sorted-prefix pruning that halves
     the comparisons.  Works for any input, ties included.
-``sweep``
+``count_dominators_sweep``
     The paper's Algorithm 1 for d=2: sort by the first attribute, keep
     an order-statistic structure over the second.  O(n log n).
-``divide_conquer``
+``count_dominators_divide_conquer``
     The paper's Algorithm 2 for d>=3: recursive partition/merge with a
     two-dimensional sort-merge base case.  O(n (log n)^{d-1}).  The
     partition step splits at attribute *values* (three-way), so tied
     and duplicate-column data are handled exactly — the paper's
     duplicate-free assumption is not required.
-``kernel``
-    The vectorized offline engines of :mod:`repro.dstruct.kernels`:
-    offline merge counting for d=2, packed dominance bitsets for
-    d>=3.  Exact under ties, and the fastest engine by an order of
-    magnitude at the paper's data sizes; ``auto`` selects it for every
-    multi-dimensional input (1-D inputs use a searchsorted
-    short-cut).  Engine selection and kernel time are observable via
-    the ``counting.*`` counters/timers (see :mod:`repro.obs`).
+``count_dominators_kernel``
+    The vectorized kernels behind :func:`count_dominators`.
 """
 
 from __future__ import annotations
@@ -53,9 +58,6 @@ __all__ = [
     "columns_duplicate_free",
 ]
 
-#: Engines accepted by :func:`count_dominators`.
-_METHODS = ("auto", "naive", "blocked", "sweep", "divide_conquer", "kernel")
-
 
 def _as_points(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
@@ -72,52 +74,36 @@ def columns_duplicate_free(points: np.ndarray) -> bool:
     )
 
 
-def count_dominators(points: np.ndarray, method: str = "auto") -> np.ndarray:
+def count_dominators(points: np.ndarray) -> np.ndarray:
     """``DF(t)`` for every row ``t``: the number of strict dominators.
+
+    One path per dimensionality: a searchsorted short-cut for 1-D
+    inputs, the vectorized kernel (:func:`count_dominators_kernel`)
+    otherwise.  Ties and duplicate columns are handled exactly, so
+    there is no data-shape fallback.
 
     Parameters
     ----------
     points:
         ``(n, d)`` array of tuples.
-    method:
-        One of ``auto | naive | blocked | sweep | divide_conquer |
-        kernel``.  ``auto`` picks the vectorized kernel for every
-        multi-dimensional input — ties and duplicate columns are
-        handled exactly, so there is no data-shape fallback — and a
-        searchsorted short-cut for 1-D inputs.
 
     Returns
     -------
     ``(n,)`` array of non-negative counts.
     """
     pts = _as_points(points)
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
     n, d = pts.shape
     if n == 0:
         return np.zeros(0, dtype=np.intp)
-    if method == "auto":
-        if d == 1:
-            method = "one_dim"
-            obs.inc("counting.fallback.one_dim")
-        else:
-            method = "kernel"
+    engine = "one_dim" if d == 1 else "kernel"
     obs.inc("df.passes")
     obs.inc("df.tuples", n)
-    obs.inc(f"counting.engine.{method}")
-    with obs.timed(f"df.{method}"):
-        if method == "one_dim":
+    obs.inc(f"counting.engine.{engine}")
+    with obs.timed(f"df.{engine}"):
+        if d == 1:
             return _count_one_dim(pts)
-        if method == "naive":
-            return count_dominators_naive(pts)
-        if method == "blocked":
-            return count_dominators_blocked(pts)
-        if method == "sweep":
-            return count_dominators_sweep(pts)
-        if method == "kernel":
-            with obs.timed("counting.kernel"):
-                return count_dominators_kernel(pts)
-        return count_dominators_divide_conquer(pts)
+        with obs.timed("counting.kernel"):
+            return count_dominators_kernel(pts)
 
 
 def count_dominators_kernel(points: np.ndarray) -> np.ndarray:

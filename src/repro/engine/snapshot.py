@@ -377,8 +377,10 @@ def snapshot_info(path) -> dict:
     points = buffers.get("points", {}).get("shape", (0, 0))
     offsets = buffers.get("offsets", {}).get("shape")
     if offsets is None:
-        # Maintainer snapshots carry raw layer labels, not offsets.
-        n_layers = int(header["meta"].get("n_layers", 0))
+        # Maintainer snapshots carry raw layer labels, not offsets; the
+        # deepest live layer is in the meta (None for files older than
+        # that key).
+        n_layers = header["meta"].get("n_layers")
     else:
         n_layers = max(0, offsets[0] - 1)
     return {

@@ -118,8 +118,7 @@ class RobustMultiView(RankedIndex):
 
     name = "AppRI-mv"
 
-    def __init__(self, points: np.ndarray, n_partitions: int = 10,
-                 counting: str = "auto"):
+    def __init__(self, points: np.ndarray, n_partitions: int = 10):
         super().__init__(points)
         d = self.dimensions
         row_sum = self._points.sum(axis=1, keepdims=True)
@@ -128,13 +127,12 @@ class RobustMultiView(RankedIndex):
             transformed = self._points.copy()
             transformed[:, m] = row_sum[:, 0]
             self._views.append(
-                RobustIndex(
-                    transformed, n_partitions=n_partitions, counting=counting
-                )
+                RobustIndex(transformed, n_partitions=n_partitions)
             )
 
     @property
     def n_views(self) -> int:
+        """Number of rewritten views (one per attribute)."""
         return len(self._views)
 
     def route(self, query: LinearQuery) -> tuple[int, LinearQuery]:
@@ -149,6 +147,7 @@ class RobustMultiView(RankedIndex):
         return m, LinearQuery(rewritten)
 
     def query(self, query: LinearQuery, k: int) -> QueryResult:
+        """Top-k from the first k layers of the query's routed view."""
         k = self._check_query(query, k)
         if k == 0:
             return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
@@ -166,4 +165,5 @@ class RobustMultiView(RankedIndex):
         return QueryResult(tids, int(candidates.size), layers_scanned)
 
     def build_info(self) -> dict:
+        """Method tag plus the view count."""
         return {"method": "appri-multiview", "n_views": self.n_views}

@@ -139,9 +139,9 @@ class RobustIndex(RankedIndex):
     n_partitions:
         The paper's B wedge-partition count (default 10, the paper's
         operating point after Figures 6-7).
-    counting, matching, workers, chunk_size:
+    systems, refine, workers:
         Forwarded to :func:`repro.core.appri.appri_build`;
-        ``workers > 1`` selects the chunked parallel pipeline
+        ``workers > 1`` lets large builds fan out over a process pool
         (identical layers, faster build).  Per-phase build metrics are
         kept on :attr:`build_metrics` and summarized by
         :meth:`build_info`.
@@ -165,24 +165,18 @@ class RobustIndex(RankedIndex):
         self,
         points: np.ndarray,
         n_partitions: int = 10,
-        counting: str = "auto",
-        matching: str = "greedy",
         systems: str = "complementary",
         refine: str | None = None,
         workers: int = 1,
-        chunk_size: int | None = None,
     ):
         super().__init__(points)
         started = time.perf_counter()
         build = appri_build(
             self._points,
             n_partitions=n_partitions,
-            counting=counting,
-            matching=matching,
             systems=systems,
             refine=refine,
             workers=workers,
-            chunk_size=chunk_size,
         )
         self._build_metrics = build.metrics
         self._build_seconds = time.perf_counter() - started
@@ -243,6 +237,7 @@ class RobustIndex(RankedIndex):
         return QueryResult(tids, candidates.size, layers_scanned)
 
     def build_info(self) -> dict:
+        """Build parameters, layer count, build time and metrics."""
         return {
             "method": "appri",
             "n_partitions": self._n_partitions,
@@ -353,32 +348,26 @@ class ExactRobustIndex(RobustIndex):
     Parameters
     ----------
     points:
-        ``(n, d)`` data matrix with ``d <= 3``.
-    engine:
-        Exact engine selection, forwarded to
-        :func:`repro.core.exact.exact_build`: ``"auto"`` (default)
-        picks the shared-work engine for the dimensionality —
+        ``(n, d)`` data matrix with ``d <= 3``; the dimensionality
+        picks the solver of :func:`repro.core.exact.exact_build` —
         ``"kinetic"`` (one global rotating sweep, d = 2) or
-        ``"prune"`` (bound-driven prune-and-refine, d = 3) — while
-        ``"legacy"`` forces the per-tuple reference solver.  All
-        engines produce bit-identical layers.
+        ``"prune"`` (bound-driven prune-and-refine, d = 3) — and
+        :meth:`build_info` reports it as ``engine``.
     workers:
-        Worker processes for the d = 3 refinement fan-out (ignored by
-        the other engines).
+        Worker processes for the d = 3 refinement fan-out (ignored at
+        other dimensionalities).
 
     Exists for the exactness-gap ablation and for ground-truth tests;
-    with the shared-work engines, n in the tens of thousands (d = 2)
+    with the shared-work solvers, n in the tens of thousands (d = 2)
     or thousands (d = 3) is practical.
     """
 
     name = "ExactRI"
 
-    def __init__(
-        self, points: np.ndarray, engine: str = "auto", workers: int = 1
-    ):
+    def __init__(self, points: np.ndarray, workers: int = 1):
         RankedIndex.__init__(self, points)
         started = time.perf_counter()
-        build = exact_build(self._points, engine=engine, workers=workers)
+        build = exact_build(self._points, workers=workers)
         self._build_metrics = build.metrics
         self._build_seconds = time.perf_counter() - started
         self._engine = build.engine
@@ -389,13 +378,14 @@ class ExactRobustIndex(RobustIndex):
         self._adopt(LayeredSlab.from_layers(self._points, build.layers))
 
     def build_info(self) -> dict:
+        """:meth:`RobustIndex.build_info` plus the solver that ran."""
         info = super().build_info()
         info["method"] = "exact"
         info["engine"] = self._engine
         return info
 
     def export_state(self) -> tuple[dict, dict]:
-        """:meth:`RobustIndex.export_state` plus the resolved engine."""
+        """:meth:`RobustIndex.export_state` plus the solver that ran."""
         arrays, meta = super().export_state()
         meta["engine"] = self._engine
         return arrays, meta

@@ -25,17 +25,14 @@ Metric names are dotted paths; the prefixes in use:
     AppRI construction phases (dominators / levels / matching /
     aggregate / refine) plus task and worker accounting.
 ``df.*``
-    Dominance-factor counting engines (passes, tuples, per-engine
-    time).
+    Dominance-factor counting passes (passes, tuples, time per path).
 ``counting.*``
-    Engine selection and kernel accounting:
-    ``counting.engine.<name>`` counts which engine served each pass
-    (``kernel``, ``fused`` for whole-system kernel calls, or a legacy
-    engine), the ``counting.kernel`` timer accumulates time inside the
-    vectorized kernels, ``counting.fused_levels`` counts level passes
-    served by one fused call, and ``counting.fallback.<reason>``
-    records why a pass ran outside the kernels (``one_dim``,
-    ``explicit_engine``).
+    Kernel accounting: ``counting.engine.<name>`` counts which path
+    served each :func:`~repro.dstruct.dominance.count_dominators` pass
+    (``kernel``, or ``one_dim`` for 1-D inputs), the
+    ``counting.kernel`` timer accumulates time inside the vectorized
+    kernels, and ``counting.fused_levels`` counts level passes served
+    by one fused call.
 ``exact.*``
     The exact robust-layer solvers.
 ``query.*``

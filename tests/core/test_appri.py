@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.appri import (
-    appri_build,
-    appri_layers,
-    pair_eds2_bound,
-    wedge_counts,
-)
+from repro.core import pipeline
+from repro.core.appri import appri_build, appri_layers, wedge_counts
 from repro.core.exact import exact_robust_layers
 from repro.core.index import violating_tids
+from repro.core.matching import greedy_staircase_matching, lemma3_bound
 from repro.core.partitioning import pair_systems
-from repro.dstruct.dominance import count_dominators
+from repro.dstruct.dominance import (
+    count_dominators,
+    count_dominators_blocked,
+    count_dominators_naive,
+)
 from repro.queries.ranking import LinearQuery
 
 from ..conftest import points_strategy
+from .appri_reference import reference_layers
 
 
 class TestValidation:
@@ -30,8 +32,15 @@ class TestValidation:
             appri_layers(np.ones((3, 2)), n_partitions=0)
 
     def test_rejects_bad_matching(self):
-        with pytest.raises(ValueError, match="matching"):
+        # There is no matching option: wedges are always matched by the
+        # greedy staircase rule (equal to the Lemma-3 closed form).
+        with pytest.raises(TypeError, match="matching"):
             appri_layers(np.ones((3, 2)), matching="magic")
+
+    def test_rejects_counting_option(self):
+        # There is no counting option: counting runs the fused kernels.
+        with pytest.raises(TypeError, match="counting"):
+            appri_layers(np.ones((3, 2)), counting="naive")
 
     def test_rejects_bad_systems(self):
         with pytest.raises(ValueError, match="systems"):
@@ -61,7 +70,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("chunk_size", [0, -4, 2.5])
     def test_rejects_bad_chunk_size(self, chunk_size):
-        with pytest.raises(ValueError, match="chunk_size"):
+        # There is no chunk size option: the pipeline plans its chunks.
+        with pytest.raises(TypeError, match="chunk_size"):
             appri_layers(np.ones((3, 2)), workers=2, chunk_size=chunk_size)
 
     def test_rejects_non_integer_partitions(self):
@@ -209,14 +219,45 @@ class TestSoundness:
 
 class TestMatchingModes:
     def test_greedy_equals_lemma3_end_to_end(self, small_3d):
-        a = appri_layers(small_3d, n_partitions=7, matching="greedy")
-        b = appri_layers(small_3d, n_partitions=7, matching="lemma3")
-        assert a.tolist() == b.tolist()
+        for systems in ("complementary", "families"):
+            lemma3 = reference_layers(
+                small_3d, 7, systems, count=count_dominators,
+                match=lemma3_bound,
+            )
+            built = appri_layers(small_3d, n_partitions=7, systems=systems)
+            assert built.tolist() == lemma3.tolist()
 
     def test_counting_engines_agree(self, small_3d):
-        a = appri_layers(small_3d, n_partitions=4, counting="blocked")
-        b = appri_layers(small_3d, n_partitions=4, counting="naive")
-        assert a.tolist() == b.tolist()
+        built = appri_layers(small_3d, n_partitions=4)
+        for count in (count_dominators_blocked, count_dominators_naive):
+            reference = reference_layers(small_3d, 4, count=count)
+            assert built.tolist() == reference.tolist(), count.__name__
+
+
+class TestMatchesReference:
+    """The one build path equals the per-level schedule, any schedule."""
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_forced_pool_matches_per_level_reference(
+        self, monkeypatch, workers, tied
+    ):
+        monkeypatch.setattr(pipeline, "POOL_MIN_N", 0)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+        rng = np.random.default_rng(30 + workers)
+        if tied:
+            pts = rng.integers(0, 3, size=(45, 3)).astype(float)
+        else:
+            pts = rng.random((45, 3))
+        for systems in ("complementary", "families"):
+            build = appri_build(
+                pts, n_partitions=6, systems=systems, workers=workers
+            )
+            assert build.metrics["counters"]["build.pool_used"] == int(
+                workers > 1
+            )
+            expected = reference_layers(pts, 6, systems)
+            assert build.layers.tolist() == expected.tolist()
 
 
 class TestWedgeCounts:
@@ -241,4 +282,4 @@ class TestWedgeCounts:
     def test_eds2_bound_zero_when_one_side_empty(self):
         i_wedges = np.array([[3, 2, 1]])
         iii_wedges = np.array([[0, 0, 0]])
-        assert pair_eds2_bound(i_wedges, iii_wedges).tolist() == [0]
+        assert greedy_staircase_matching(i_wedges, iii_wedges).tolist() == [0]

@@ -1,11 +1,12 @@
-"""Every exact engine must agree with the legacy solver bit-for-bit.
+"""Every exact build must agree with the per-tuple solver bit-for-bit.
 
-The shared-work engines (``kinetic`` at d = 2, ``prune`` at d = 3)
-exist purely for speed: the legacy per-tuple solvers define the
-answer, and these tests pin the new engines to it on the inputs that
-historically broke candidate enumeration — total ties, constant
-columns, collinear points, binary (coincident-line) data and the
-degenerate sizes n in {0, 1, 2}.
+The shared-work solvers (``kinetic`` at d = 2, ``prune`` at d = 3)
+exist purely for speed: the per-tuple solver behind the public
+:func:`repro.core.exact.minimal_rank` defines the answer, and these
+tests pin the builds to it on the inputs that historically broke
+candidate enumeration — total ties, constant columns, collinear
+points, binary (coincident-line) data and the degenerate sizes
+n in {0, 1, 2}.
 """
 
 import numpy as np
@@ -14,27 +15,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import exact, pipeline
-from repro.core.exact import exact_build, exact_robust_layers
+from repro.core.exact import exact_build, exact_robust_layers, minimal_rank
 
 
 @pytest.fixture(autouse=True)
 def _force_kinetic(monkeypatch):
-    # Below _KINETIC_MIN_N the kinetic engine quietly defers to legacy
-    # (the sweep cannot pay for itself); zero the floor so every d=2
-    # test actually exercises the sweep.
+    # Below _KINETIC_MIN_N the kinetic solver quietly defers to the
+    # per-tuple one (the sweep cannot pay for itself); zero the floor
+    # so every d=2 test actually exercises the sweep.
     monkeypatch.setattr(exact, "_KINETIC_MIN_N", 0)
-
-
-def engines_for(d: int) -> tuple[str, ...]:
-    return ("kinetic",) if d == 2 else ("prune",)
 
 
 def assert_engines_agree(pts: np.ndarray, workers: int = 1):
     pts = np.asarray(pts, dtype=float)
-    ref = exact_robust_layers(pts, engine="legacy")
-    for eng in engines_for(pts.shape[1]):
-        got = exact_robust_layers(pts, engine=eng, workers=workers)
-        assert got.tolist() == ref.tolist(), eng
+    ref = np.array(
+        [minimal_rank(pts, t) for t in range(pts.shape[0])], dtype=np.intp
+    )
+    got = exact_robust_layers(pts, workers=workers)
+    assert got.tolist() == ref.tolist()
     return ref
 
 
@@ -117,14 +115,14 @@ class TestWorkerFanOut:
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
         pts = rng.random((48, 3))
         ref = assert_engines_agree(pts, workers=2)
-        build = exact_build(pts, engine="prune", workers=2)
+        build = exact_build(pts, workers=2)
         assert build.layers.tolist() == ref.tolist()
         assert build.metrics["counters"].get("exact.pool_used", 0) == 1
 
     def test_workers_do_not_change_layers(self, rng):
         pts = rng.random((40, 3))
-        serial = exact_build(pts, engine="prune", workers=1).layers
-        fanned = exact_build(pts, engine="prune", workers=2).layers
+        serial = exact_build(pts, workers=1).layers
+        fanned = exact_build(pts, workers=2).layers
         assert serial.tolist() == fanned.tolist()
 
 
@@ -135,13 +133,13 @@ class TestEngineSelection:
         assert exact_build(rng.random((8, 1))).engine == "legacy"
 
     def test_engine_dimension_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError, match="kinetic"):
-            exact_build(rng.random((5, 3)), engine="kinetic")
-        with pytest.raises(ValueError, match="prune"):
-            exact_build(rng.random((5, 2)), engine="prune")
+        # The dimension picks the solver; none exists beyond d = 3.
+        with pytest.raises(ValueError, match="d <= 3"):
+            exact_build(rng.random((5, 4)))
 
     def test_unknown_engine_rejected(self, rng):
-        with pytest.raises(ValueError, match="engine must be one of"):
+        # There is no engine option: the dimension picks the solver.
+        with pytest.raises(TypeError, match="engine"):
             exact_build(rng.random((5, 2)), engine="sweepline")
 
     def test_bad_workers_rejected(self, rng):
@@ -149,7 +147,7 @@ class TestEngineSelection:
             exact_build(rng.random((5, 2)), workers=0)
 
     def test_build_metrics_namespace(self, rng):
-        build = exact_build(rng.random((20, 3)), engine="prune")
+        build = exact_build(rng.random((20, 3)))
         counters = build.metrics["counters"]
         assert counters["exact.builds"] == 1
         assert counters["exact.tuples"] == 20

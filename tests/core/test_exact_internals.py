@@ -104,3 +104,40 @@ class TestMonotonicityOfRanks:
         extended = np.vstack([pts, rng.random((6, 3))])
         grown = exact_robust_layers(extended)[:12]
         assert np.all(grown >= base)
+
+
+def _grid_rank_minimum(pts: np.ndarray, max_total: int) -> np.ndarray:
+    """Smallest tie-aware rank of every tuple over integer weight grids.
+
+    Weights are the nonnegative integer triples summing to 1..max_total,
+    so on integer data every score comparison is exact; each value is
+    a rank some monotone query attains, hence an upper bound on the
+    minimal rank.
+    """
+    n = pts.shape[0]
+    data = pts.astype(np.int64)
+    tids = np.arange(n)
+    best = np.full(n, n, dtype=np.int64)
+    for total in range(1, max_total + 1):
+        for a in range(total + 1):
+            for b in range(total + 1 - a):
+                s = data @ np.array([a, b, total - a - b])
+                before = (s[:, None] < s[None, :]) | (
+                    (s[:, None] == s[None, :]) & (tids[:, None] < tids[None, :])
+                )
+                np.minimum(best, 1 + before.sum(axis=0), out=best)
+    return best
+
+
+class TestAttainedRanks:
+    @pytest.mark.parametrize("seed", [278, 8322])
+    def test_never_above_a_rank_some_query_attains(self, seed):
+        # Tiny integer value sets put ties on whole arrangement edges,
+        # including edges on the simplex boundary: there a tie with a
+        # larger tid ranks the tuple strictly better than at the edge's
+        # endpoints or in either neighbouring cell.
+        pts = np.random.default_rng(seed).integers(0, 3, (28, 3)).astype(float)
+        attained = _grid_rank_minimum(pts, 12)
+        per_tuple = np.array([minimal_rank(pts, t) for t in range(28)])
+        assert np.all(per_tuple <= attained)
+        assert exact_robust_layers(pts).tolist() == per_tuple.tolist()

@@ -1,10 +1,11 @@
 """Tests for the fused system-level counting kernel.
 
-The contract under test is the tentpole's bit-identical requirement:
+The contract under test is bit-identity:
 :func:`repro.core.kernels.pair_level_data` must reproduce, exactly,
-the level sizes the serial schedule obtains from one
-:func:`repro.dstruct.dominance.count_dominators` pass per transformed
-space — for every engine, on tied and untied data.
+the level sizes the paper's per-level schedule
+(``tests/core/appri_reference.py``) obtains from one dominance pass
+per transformed space — under every named engine, on tied and untied
+data.
 """
 
 from __future__ import annotations
@@ -15,34 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.core.kernels import pair_level_data
-from repro.core.partitioning import (
-    level_transform,
-    pair_systems,
-    subspace_transform,
+from repro.core.partitioning import pair_systems
+from repro.dstruct.dominance import (
+    count_dominators_blocked,
+    count_dominators_divide_conquer,
+    count_dominators_naive,
 )
-from repro.dstruct.dominance import count_dominators
-from repro.geometry.weights import gamma_levels
 
-
-def serial_level_arrays(pts, pair, b, method="naive"):
-    """The serial schedule's per-level passes, as (n, B+1) arrays."""
-    n = pts.shape[0]
-    a_levels = np.zeros((n, b + 1), dtype=np.int64)
-    b_levels = np.zeros((n, b + 1), dtype=np.int64)
-    for p, gamma in enumerate(gamma_levels(b), start=1):
-        a_levels[:, p] = count_dominators(
-            level_transform(pts, pair, float(gamma), "a"), method=method
-        )
-        b_levels[:, p] = count_dominators(
-            level_transform(pts, pair, float(gamma), "b"), method=method
-        )
-    a_levels[:, b] = count_dominators(
-        subspace_transform(pts, pair, "a"), method=method
-    )
-    b_levels[:, 0] = count_dominators(
-        subspace_transform(pts, pair, "b"), method=method
-    )
-    return a_levels, b_levels
+from .appri_reference import serial_level_arrays
 
 
 class TestPairLevelData:
@@ -135,7 +116,11 @@ class TestPairLevelData:
         systems = pair_systems(d, include_partial=False)
         pair = systems[int(rng.integers(0, len(systems)))]
         got_a, got_b = pair_level_data(pts, pair, b)
-        for method in ("naive", "blocked", "divide_conquer"):
-            expect_a, expect_b = serial_level_arrays(pts, pair, b, method)
-            assert np.array_equal(got_a, expect_a), method
-            assert np.array_equal(got_b, expect_b), method
+        for count in (
+            count_dominators_naive,
+            count_dominators_blocked,
+            count_dominators_divide_conquer,
+        ):
+            expect_a, expect_b = serial_level_arrays(pts, pair, b, count)
+            assert np.array_equal(got_a, expect_a), count.__name__
+            assert np.array_equal(got_b, expect_b), count.__name__

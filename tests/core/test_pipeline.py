@@ -1,4 +1,4 @@
-"""Unit tests for the chunked parallel build pipeline."""
+"""Unit tests for the AppRI counting pipeline and its schedules."""
 
 from __future__ import annotations
 
@@ -9,8 +9,10 @@ from repro.core import pipeline
 from repro.core.appri import appri_build, wedge_counts
 from repro.core.kernels import pair_level_data
 from repro.core.partitioning import pair_systems
-from repro.dstruct.dominance import count_dominators
+from repro.dstruct.dominance import count_dominators, count_dominators_blocked
 from repro.obs import Metrics
+
+from .appri_reference import reference_layers
 
 
 class TestPlanChunks:
@@ -26,12 +28,15 @@ class TestPlanChunks:
     def test_no_levels(self):
         assert pipeline.plan_chunks(0, 4) == []
 
-    def test_explicit_chunk_size(self):
-        chunks = pipeline.plan_chunks(10, 2, chunk_size=3)
-        assert chunks == [(1, 4), (4, 7), (7, 10), (10, 11)]
+    def test_one_worker_gets_one_range(self):
+        # Inline, one task per system ranks its lead columns once.
+        assert pipeline.plan_chunks(10, 1) == [(1, 11)]
 
-    def test_chunk_size_clamped_to_levels(self):
-        assert pipeline.plan_chunks(4, 2, chunk_size=100) == [(1, 5)]
+    def test_about_four_ranges_per_worker(self):
+        assert pipeline.plan_chunks(10, 2) == [
+            (1, 3), (3, 5), (5, 7), (7, 9), (9, 11)
+        ]
+        assert pipeline.plan_chunks(4, 8) == [(1, 2), (2, 3), (3, 4), (4, 5)]
 
 
 class TestLevelRangeTasks:
@@ -47,7 +52,7 @@ class TestLevelRangeTasks:
             full_a, full_b = pair_level_data(pts, pair, b)
             got_a = np.zeros_like(full_a)
             got_b = np.zeros_like(full_b)
-            for lo, hi in pipeline.plan_chunks(b, 2, chunk_size=3):
+            for lo, hi in pipeline.plan_chunks(b, 2):
                 part_a, part_b = pair_level_data(
                     pts, pair, b, levels=range(lo, hi)
                 )
@@ -72,7 +77,7 @@ class TestBuildLevelData:
         pts = rng.random((80, 3))
         b = 6
         dominators, level_data, systems = pipeline.build_level_data(
-            pts, b, include_partial=True, workers=2, chunk_size=2
+            pts, b, include_partial=True, workers=2
         )
         assert np.array_equal(dominators, count_dominators(pts))
         assert len(level_data) == len(pair_systems(3, include_partial=True))
@@ -83,18 +88,28 @@ class TestBuildLevelData:
             assert np.array_equal(got_i, serial_i)
             assert np.array_equal(got_iii, serial_iii)
 
-    def test_metrics_record_tasks_and_chunks(self):
+    def test_metrics_record_tasks_and_chunks(self, monkeypatch):
         pts = np.random.default_rng(3).random((40, 2))
         metrics = Metrics()
+        # Below POOL_MIN_N the tasks run inline: one per system.
         pipeline.build_level_data(
-            pts, 4, include_partial=False, workers=2, chunk_size=2,
-            metrics=metrics,
+            pts, 4, include_partial=False, workers=2, metrics=metrics,
         )
-        assert metrics.counters["build.chunks"] == 2
-        # 1 dom task + 2 level-range tasks for the single 2-D system.
-        assert metrics.counters["build.tasks"] == 1 + 2
+        assert metrics.counters["build.chunks"] == 1
+        # 1 dom task + 1 level-range task for the single 2-D system.
+        assert metrics.counters["build.tasks"] == 1 + 1
         assert "build.phase.levels" in metrics.timers
         assert "counting.kernel" in metrics.timers
+
+        monkeypatch.setattr(pipeline, "POOL_MIN_N", 0)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+        pooled = Metrics()
+        pipeline.build_level_data(
+            pts, 4, include_partial=False, workers=2, metrics=pooled,
+        )
+        # With the pool, each system's 4 levels split into 4 ranges.
+        assert pooled.counters["build.chunks"] == 4
+        assert pooled.counters["build.tasks"] == 1 + 4
 
     def test_pool_engages_when_forced(self, monkeypatch):
         monkeypatch.setattr(pipeline, "POOL_MIN_N", 0)
@@ -102,8 +117,7 @@ class TestBuildLevelData:
         pts = np.random.default_rng(9).random((50, 3))
         metrics = Metrics()
         dominators, level_data, _ = pipeline.build_level_data(
-            pts, 5, include_partial=False, workers=2, chunk_size=2,
-            metrics=metrics,
+            pts, 5, include_partial=False, workers=2, metrics=metrics,
         )
         assert metrics.counters["build.pool_used"] == 1
         serial_dom, serial_level, _ = pipeline.build_level_data(
@@ -129,7 +143,7 @@ class TestBoundaryExactness:
     def test_tie_heavy_lattice_identical_to_serial(self):
         # Integer lattices put every gamma threshold exactly on a
         # constraint boundary — the worst case for any float shortcut;
-        # the fused kernel compares the serial path's exact values.
+        # every schedule runs the kernel on the same exact values.
         rng = np.random.default_rng(21)
         pts = rng.integers(0, 3, size=(70, 3)).astype(float)
         serial = appri_build(pts, n_partitions=9).layers
@@ -138,12 +152,12 @@ class TestBoundaryExactness:
 
     def test_boundary_lattice_matches_legacy_engine(self):
         # Duplicated coordinates put pairs exactly on wedge boundaries;
-        # the fused kernel must agree with the per-level legacy passes.
+        # the fused kernel must agree with the per-level passes.
         pts = np.array(
             [[float(i % 4), float((i * 3) % 4)] for i in range(24)]
         )
         fused = appri_build(pts, n_partitions=8).layers
-        legacy = appri_build(pts, n_partitions=8, counting="blocked").layers
+        legacy = reference_layers(pts, 8, count=count_dominators_blocked)
         assert np.array_equal(fused, legacy)
         chunked = appri_build(pts, n_partitions=8, workers=2).layers
         assert np.array_equal(fused, chunked)

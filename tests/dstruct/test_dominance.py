@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.dstruct.dominance import (
-    _METHODS,
     columns_duplicate_free,
     count_dominators,
     count_dominators_blocked,
@@ -18,8 +17,16 @@ from repro.dstruct.dominance import (
 
 from ..conftest import points_strategy
 
-#: Every concrete engine (auto resolves to one of these).
-ALL_METHODS = [m for m in _METHODS if m != "auto"]
+#: Every engine, by name: the library entry point and the paper's
+#: named engines (``sweep`` is d = 2 only).
+ENGINES = {
+    "count_dominators": count_dominators,
+    "naive": count_dominators_naive,
+    "blocked": count_dominators_blocked,
+    "kernel": count_dominators_kernel,
+    "sweep": count_dominators_sweep,
+    "divide_conquer": count_dominators_divide_conquer,
+}
 
 
 def tied_points_strategy(max_rows=40, min_dims=1, max_dims=5):
@@ -73,7 +80,8 @@ class TestReferenceSemantics:
             count_dominators(np.array([1.0, 2.0]))
 
     def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown method"):
+        # One path per dimensionality; engines are picked by name.
+        with pytest.raises(TypeError, match="method"):
             count_dominators(np.ones((2, 2)), method="magic")
 
 
@@ -98,8 +106,8 @@ class TestEngineAgreement:
     def test_all_engines_on_larger_input(self):
         pts = np.random.default_rng(3).random((500, 3))
         expected = count_dominators_naive(pts)
-        for method in ("blocked", "divide_conquer"):
-            assert count_dominators(pts, method=method).tolist() == expected.tolist()
+        for method in ("count_dominators", "blocked", "divide_conquer"):
+            assert ENGINES[method](pts).tolist() == expected.tolist()
 
     def test_auto_dispatch_2d(self):
         pts = np.random.default_rng(4).random((100, 2))
@@ -164,7 +172,7 @@ class TestAdversarialAgreement:
 
     def engines_for(self, pts):
         d = pts.shape[1]
-        methods = ["auto", "naive", "blocked", "kernel"]
+        methods = ["count_dominators", "naive", "blocked", "kernel"]
         if d == 2:
             methods.append("sweep")
         if d >= 2:
@@ -174,7 +182,7 @@ class TestAdversarialAgreement:
     def assert_all_agree(self, pts):
         expected = count_dominators_naive(pts).tolist()
         for method in self.engines_for(pts):
-            got = count_dominators(pts, method=method).tolist()
+            got = ENGINES[method](pts).tolist()
             assert got == expected, f"method={method}"
 
     def test_all_duplicate_rows(self):
@@ -191,16 +199,17 @@ class TestAdversarialAgreement:
     def test_one_dimension_with_ties(self):
         pts = np.array([[1.0], [0.0], [1.0], [2.0], [0.0]])
         expected = count_dominators_naive(pts).tolist()
-        for method in ("auto", "naive", "blocked", "kernel"):
-            assert count_dominators(pts, method=method).tolist() == expected
+        for method in ("count_dominators", "naive", "blocked", "kernel"):
+            assert ENGINES[method](pts).tolist() == expected
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_tiny_inputs(self, n, d):
         pts = np.arange(n * d, dtype=float).reshape(n, d)
         if n == 0:
-            for method in ALL_METHODS:
-                assert count_dominators(pts, method=method).size == 0
+            for method, engine in ENGINES.items():
+                if method != "sweep" or d == 2:
+                    assert engine(pts).size == 0, method
         else:
             self.assert_all_agree(pts)
 

@@ -1,10 +1,12 @@
 """Snapshot round-trips, corruption rejection, and catalog scoping."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
+from repro.core.appri import appri_layers
 from repro.core.dynamic import DynamicRobustLayers
 from repro.engine.catalog import Catalog
 from repro.engine.relation import Relation
@@ -25,6 +27,29 @@ from repro.indexes.onion import OnionIndex, ShellIndex
 from repro.indexes.robust import ExactRobustIndex, RobustIndex
 from repro.queries.ranking import LinearQuery
 from repro.queries.workload import simplex_workload
+
+
+def _save_with_edited_meta(monkeypatch, obj, path, edit):
+    """Save ``obj`` with its exported meta passed through ``edit``.
+
+    Reproduces files written by earlier releases: same buffers, meta
+    keys as those releases wrote them.
+    """
+    kind = next(
+        k for k, cls in registered_kinds().items() if cls is type(obj)
+    )
+    spec = snapshot_module._SPECS[kind]
+
+    def export(target):
+        arrays, meta = spec.export(target)
+        return arrays, edit(dict(meta))
+
+    with monkeypatch.context() as patch:
+        patch.setitem(
+            snapshot_module._SPECS, kind,
+            dataclasses.replace(spec, export=export),
+        )
+        save_snapshot(obj, path)
 
 
 def _queryable_builders(rng):
@@ -122,6 +147,44 @@ class TestRoundTrip:
         assert loaded.tight is False
         assert loaded.rebuild() is True
         assert loaded.staleness == 0
+
+    def test_removed_build_options_are_dropped_on_restore(
+        self, tmp_path, rng, monkeypatch
+    ):
+        # Earlier releases recorded counting / matching / chunk_size in
+        # appri_kwargs; none changed the layers and appri_layers no
+        # longer accepts them, so a rebuild after restore must not pass
+        # them on.
+        data = rng.random((50, 3))
+        index = DynamicRobustIndex(data, n_partitions=5, systems="families")
+        index.insert(rng.random(3))
+
+        def old_writer(meta):
+            meta["appri_kwargs"] = {
+                **meta["appri_kwargs"],
+                "counting": "blocked",
+                "matching": "lemma3",
+                "chunk_size": 3,
+            }
+            return meta
+
+        path = tmp_path / "old.snap"
+        _save_with_edited_meta(monkeypatch, index, path, old_writer)
+        assert set(read_snapshot_header(path)["meta"]["appri_kwargs"]) == {
+            "systems", "counting", "matching", "chunk_size"
+        }
+        loaded = load_snapshot(path)
+        assert loaded._maintainer._appri_kwargs == {"systems": "families"}
+        assert loaded.rebuild() is True
+        fresh = appri_layers(
+            loaded.points, n_partitions=5, systems="families"
+        )
+        assert np.array_equal(loaded.layers, fresh)
+
+        arrays, meta = index._maintainer.export_state()
+        maintainer = DynamicRobustLayers.from_state(arrays, old_writer(meta))
+        maintainer.rebuild()
+        assert np.array_equal(maintainer.layers(), fresh)
 
     def test_robust_parameters_survive(self, tmp_path, rng):
         index = RobustIndex(rng.random((40, 3)), n_partitions=7, workers=2)
@@ -286,6 +349,27 @@ class TestAtomicityAndInfo:
         assert set(info["buffers"]) == {
             "points", "layers", "order", "offsets", "slab"
         }
+
+    @pytest.mark.parametrize("cls", [DynamicRobustIndex, DynamicRobustLayers])
+    def test_snapshot_info_reports_dynamic_layers(
+        self, tmp_path, rng, monkeypatch, cls
+    ):
+        index = cls(rng.random((50, 3)), n_partitions=5)
+        index.insert(rng.random(3))
+        index.delete(0)
+        layers = index.layers() if cls is DynamicRobustLayers else index.layers
+        path = tmp_path / "d.snap"
+        save_snapshot(index, path)
+        assert snapshot_info(path)["n_layers"] == int(layers.max()) > 1
+
+        # Files written before the key existed: unknown, not zero.
+        def old_writer(meta):
+            del meta["n_layers"]
+            return meta
+
+        old = tmp_path / "old.snap"
+        _save_with_edited_meta(monkeypatch, index, old, old_writer)
+        assert snapshot_info(old)["n_layers"] is None
 
     def test_magic_is_stable(self):
         assert MAGIC == b"RPSNAP01"

@@ -80,9 +80,7 @@ class TestQueries:
 
     def test_parallel_build_matches_serial(self, small_3d):
         serial = RobustIndex(small_3d, n_partitions=6)
-        parallel = RobustIndex(
-            small_3d, n_partitions=6, workers=3, chunk_size=20
-        )
+        parallel = RobustIndex(small_3d, n_partitions=6, workers=3)
         assert np.array_equal(serial.layers, parallel.layers)
         assert parallel.build_info()["workers"] == 3
         assert parallel.build_metrics["counters"]["build.workers"] == 3

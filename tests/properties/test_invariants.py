@@ -1,7 +1,9 @@
 """Property-based harness for the paper's core AppRI invariants.
 
 Seeded random instances with d in {2, 3} and n <= 64, exercised for
-both system configurations and both matchings:
+both system configurations and both matching rules (the builder's
+greedy staircase, and the paper's Lemma-3 closed form applied to each
+system's wedges of the per-level reference schedule):
 
 1. soundness: ``appri_layers(t) <= exact_robust_layers(t)`` per tuple
    (Theorem 2 — the wedge bound never overshoots the minimal rank);
@@ -22,15 +24,32 @@ from hypothesis import strategies as st
 
 from repro.core.appri import appri_layers
 from repro.core.exact import exact_robust_layers
+from repro.core.matching import lemma3_bound
+from repro.dstruct.dominance import count_dominators
 from repro.queries.ranking import LinearQuery
 
 from ..conftest import points_strategy, weights_strategy
+from ..core.appri_reference import reference_layers
 
 CONFIGS = [
     (systems, matching)
     for systems in ("complementary", "families")
     for matching in ("greedy", "lemma3")
 ]
+
+
+def layers_for(pts, b, systems, matching):
+    """The built layers, or the paper's Lemma-3 matching per system.
+
+    ``lemma3`` applies :func:`repro.core.matching.lemma3_bound` to each
+    system's wedges of the per-level schedule (the builder itself
+    always matches greedily; the two rules are provably equal).
+    """
+    if matching == "greedy":
+        return appri_layers(pts, n_partitions=b, systems=systems)
+    return reference_layers(
+        pts, b, systems, count=count_dominators, match=lemma3_bound
+    )
 
 
 def small_points(max_rows: int = 64):
@@ -45,9 +64,7 @@ class TestSoundness:
     @given(pts=small_points(), b=st.integers(1, 12))
     @settings(max_examples=15, deadline=None)
     def test_appri_never_exceeds_exact_layer(self, pts, b, systems, matching):
-        appri = appri_layers(
-            pts, n_partitions=b, systems=systems, matching=matching
-        )
+        appri = layers_for(pts, b, systems, matching)
         exact = exact_robust_layers(pts)
         assert np.all(appri <= exact)
 
@@ -56,9 +73,7 @@ class TestSoundness:
     def test_layers_form_prefix_closed_partition(
         self, pts, b, systems, matching
     ):
-        layers = appri_layers(
-            pts, n_partitions=b, systems=systems, matching=matching
-        )
+        layers = layers_for(pts, b, systems, matching)
         assert layers.shape == (pts.shape[0],)
         assert np.all(layers >= 1)
         # Prefix-closed: the first k layers hold at least k tuples for
@@ -79,9 +94,7 @@ class TestNoFalseNegatives:
     def test_top_k_answerable_from_first_k_layers(
         self, pts, b, seed, systems, matching
     ):
-        layers = appri_layers(
-            pts, n_partitions=b, systems=systems, matching=matching
-        )
+        layers = layers_for(pts, b, systems, matching)
         n, d = pts.shape
         rng = np.random.default_rng(seed)
         for k in {1, min(3, n), n}:

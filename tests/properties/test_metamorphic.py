@@ -18,7 +18,9 @@ What should — and should not — be invariant:
   reason to min-max normalize before indexing.
 * **Parallel vs serial**: ``workers > 1`` is a scheduling choice, not
   a semantic one — layers must be bit-identical, including when a real
-  process pool engages.
+  process pool engages.  The pool relies on one kernel invariant: the
+  level counts of any cover of ``1..B`` by disjoint ranges sum to the
+  full call.
 """
 
 from __future__ import annotations
@@ -31,8 +33,13 @@ from hypothesis import strategies as st
 from repro.core import pipeline
 from repro.core.appri import appri_layers
 from repro.core.exact import exact_robust_layers
+from repro.core.kernels import pair_level_data
+from repro.core.matching import greedy_staircase_matching, lemma3_bound
+from repro.core.partitioning import pair_systems
+from repro.dstruct.dominance import count_dominators
 
 from ..conftest import points_strategy
+from ..core.appri_reference import reference_layers
 
 
 def small_points(max_rows: int = 64):
@@ -111,23 +118,32 @@ class TestParallelEqualsSerial:
     @given(
         pts=points_strategy(min_rows=1, max_rows=64, min_dims=2, max_dims=4),
         b=st.integers(1, 12),
-        workers=st.integers(2, 5),
-        chunk_size=st.integers(1, 70),
+        data=st.data(),
     )
     @settings(max_examples=20, deadline=None)
-    def test_chunked_pipeline_is_bit_identical(
-        self, pts, b, workers, chunk_size
-    ):
-        for systems in ("complementary", "families"):
-            serial = appri_layers(pts, n_partitions=b, systems=systems)
-            chunked = appri_layers(
-                pts,
-                n_partitions=b,
-                systems=systems,
-                workers=workers,
-                chunk_size=chunk_size,
+    def test_chunked_pipeline_is_bit_identical(self, pts, b, data):
+        # Any cover of 1..B by disjoint level ranges, in any task
+        # order, sums to one full kernel call — what the pool's
+        # coordinator relies on when it adds task results.
+        for pair in pair_systems(pts.shape[1], include_partial=True):
+            cuts = data.draw(
+                st.lists(st.integers(2, b), unique=True, max_size=b)
+                if b > 1 else st.just([])
             )
-            assert np.array_equal(serial, chunked)
+            bounds = [1, *sorted(cuts), b + 1]
+            ranges = list(zip(bounds, bounds[1:]))
+            ranges = data.draw(st.permutations(ranges))
+            full_a, full_b = pair_level_data(pts, pair, b)
+            got_a = np.zeros_like(full_a)
+            got_b = np.zeros_like(full_b)
+            for lo, hi in ranges:
+                part_a, part_b = pair_level_data(
+                    pts, pair, b, levels=range(lo, hi)
+                )
+                got_a += part_a
+                got_b += part_b
+            assert np.array_equal(got_a, full_a)
+            assert np.array_equal(got_b, full_b)
 
     def test_identical_through_a_real_process_pool(self, monkeypatch):
         monkeypatch.setattr(pipeline, "POOL_MIN_N", 0)
@@ -135,14 +151,19 @@ class TestParallelEqualsSerial:
         rng = np.random.default_rng(17)
         for pts in (rng.random((90, 3)), rng.integers(0, 4, (60, 2)).astype(float)):
             serial = appri_layers(pts, n_partitions=8)
-            pooled = appri_layers(
-                pts, n_partitions=8, workers=2, chunk_size=30
-            )
+            pooled = appri_layers(pts, n_partitions=8, workers=2)
             assert np.array_equal(serial, pooled)
 
     @pytest.mark.parametrize("matching", ["greedy", "lemma3"])
-    def test_tie_heavy_data_identical(self, matching):
+    def test_tie_heavy_data_identical(self, monkeypatch, matching):
+        # The pooled build against the per-level schedule matched by
+        # either rule (greedy staircase or the Lemma-3 closed form).
+        monkeypatch.setattr(pipeline, "POOL_MIN_N", 0)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+        match = {"greedy": greedy_staircase_matching, "lemma3": lemma3_bound}
         pts = np.random.default_rng(3).integers(0, 3, (48, 3)).astype(float)
-        serial = appri_layers(pts, matching=matching)
-        chunked = appri_layers(pts, matching=matching, workers=3, chunk_size=7)
-        assert np.array_equal(serial, chunked)
+        expected = reference_layers(
+            pts, count=count_dominators, match=match[matching]
+        )
+        pooled = appri_layers(pts, workers=3)
+        assert np.array_equal(pooled, expected)

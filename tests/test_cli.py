@@ -154,6 +154,29 @@ class TestStatsCommand:
         assert "n=120" in out
         assert "workers=1" in out
 
+    def test_stats_exact_reports_shallower_tuples(self, capsys):
+        # The exactness gap is how many tuples AppRI places *shallower*
+        # than their exact layer (never deeper: that would be unsound).
+        from repro.core.appri import appri_layers
+        from repro.core.exact import exact_robust_layers
+        from repro.data import uniform
+
+        assert main([
+            "stats", "--n", "300", "--d", "2", "--exact",
+            "--queries", "5", "--cache-size", "0",
+        ]) == 0
+        out = capsys.readouterr().out
+        data = uniform(300, 2, seed=0)
+        appri = appri_layers(data, n_partitions=10)
+        exact = exact_robust_layers(data)
+        shallower = int(np.count_nonzero(appri < exact))
+        assert 0 < shallower < 300
+        assert (
+            f"exactness gap: {shallower} of 300 tuples sit shallower" in out
+        )
+        assert f"ratio {np.mean(appri / exact):.3f}" in out
+        assert "UNSOUND" not in out
+
     def test_build_accepts_workers(self, tmp_path, csv_file, capsys):
         out_path = tmp_path / "idx.snap"
         assert main([
@@ -206,6 +229,18 @@ class TestSnapshotCommand:
             "snapshot", "load", str(snap), "--no-mmap", "--no-verify",
         ]) == 0
         assert "copied" in capsys.readouterr().out
+
+    def test_info_reports_dynamic_layers(self, tmp_path, rng, capsys):
+        from repro.engine.snapshot import save_snapshot
+        from repro.indexes.dynamic import DynamicRobustIndex
+
+        index = DynamicRobustIndex(rng.random((50, 3)), n_partitions=5)
+        snap = tmp_path / "dyn.snap"
+        save_snapshot(index, snap)
+        assert main(["snapshot", "info", str(snap)]) == 0
+        out = capsys.readouterr().out
+        assert f"layers:     {int(index.layers.max())}\n" in out
+        assert int(index.layers.max()) > 1
 
     def test_snapshot_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
