@@ -1,21 +1,68 @@
 """Ablation: dynamic maintenance vs rebuild (extension).
 
 Quantifies how much layer tightness insert/delete streams give up, and
-the amortized cost of absorbing an update vs rebuilding.
+the amortized cost of absorbing an update vs rebuilding.  A second
+part drives ``DynamicRobustIndex`` upsert bursts (a delete plus an
+insert each, a rebuild after every burst), checks that every patched
+serving view equals a fresh ``LayeredSlab.from_layers`` pack, and
+splits the per-upsert time into the new tuple's bound and the rest
+(view patches and maintainer bookkeeping).
 """
 
 import time
 
 import numpy as np
 
+from repro.core import dynamic
 from repro.core.dynamic import DynamicRobustLayers
 from repro.data import minmax_normalize, uniform
 from repro.experiments.report import render_table
+from repro.indexes.dynamic import DynamicRobustIndex
+from repro.indexes.robust import LayeredSlab
 
 from conftest import publish
 
+_FIELDS = ("points", "layers", "order", "offsets", "slab")
 
-def test_dynamic_maintenance(benchmark):
+
+def _upsert_bursts(monkeypatch, n=2_000, bursts=6, burst=8):
+    """Per-upsert ms, total and bound share, over rebuild-separated
+    bursts on an n x 3, B = 10 index (the shape of perfbench's
+    ``mixed_rw``)."""
+    rng = np.random.default_rng(43)
+    index = DynamicRobustIndex(rng.random((n, 3)), n_partitions=10)
+    bound_s = [0.0]
+    real_bound = dynamic.layer_for_new_tuple
+
+    def timed_bound(*args):
+        started = time.perf_counter()
+        layer = real_bound(*args)
+        bound_s[0] += time.perf_counter() - started
+        return layer
+
+    monkeypatch.setattr(dynamic, "layer_for_new_tuple", timed_bound)
+    total_s = 0.0
+    for _ in range(bursts):
+        for _ in range(burst):
+            position, row = int(rng.integers(index.size)), rng.random(3)
+            started = time.perf_counter()
+            index.delete(position)
+            index.insert(row)
+            total_s += time.perf_counter() - started
+            maintainer = index._maintainer
+            fresh = LayeredSlab.from_layers(
+                maintainer.points, maintainer.layers()
+            )
+            for name in _FIELDS:
+                assert np.array_equal(
+                    getattr(index._view.slab, name), getattr(fresh, name)
+                ), name
+        assert index.rebuild()
+    upserts = bursts * burst
+    return total_s / upserts * 1e3, bound_s[0] / upserts * 1e3
+
+
+def test_dynamic_maintenance(benchmark, monkeypatch):
     n = 1_000
     data = minmax_normalize(uniform(n, 3, seed=41))
     rng = np.random.default_rng(42)
@@ -42,12 +89,17 @@ def test_dynamic_maintenance(benchmark):
 
     # Updates loosen layers (mass grows); rebuild restores tightness.
     assert rows[3][2] <= rows[2][2]
+    upsert_ms, bound_ms = _upsert_bursts(monkeypatch)
     publish(
         "ablation_dynamic",
         f"Dynamic maintenance (n={n}; 50 inserts then 50 deletes)\n"
         + render_table(["state", "size", "top-50 mass"], rows)
         + f"\nper-insert: {insert_seconds / 50 * 1000:.1f} ms;"
-          f"  rebuild: {rebuild_seconds:.2f} s",
+          f"  rebuild: {rebuild_seconds:.2f} s"
+        + "\n\nDynamicRobustIndex upserts (n=2000, d=3, B=10; 6 bursts"
+          " of 8, rebuild after each; every view == a fresh pack)\n"
+        + f"per-upsert: {upsert_ms:.2f} ms = bound {bound_ms:.2f} ms"
+          f" + patch/publish {upsert_ms - bound_ms:.2f} ms",
     )
 
     benchmark(idx.insert, rng.random(3))

@@ -23,6 +23,9 @@ given up and ``rebuild`` restores full tightness.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
 from ..geometry.weights import gamma_levels
@@ -43,12 +46,14 @@ def layer_for_new_tuple(
     level work spread across the pair systems:
 
     * every row gets its *strict subspace code* — the bitmask of the
-      dimensions it lies above ``t`` on, or -1 when it ties ``t`` on
-      some dimension (a tied row lies in no strict region);
+      dimensions it lies above ``t`` on, or ``2^d`` when it ties ``t``
+      on some dimension (a tied row lies in no strict region); rows are
+      bucketed by code with one stable radix sort;
     * ``|DS^1|`` is the count of code 0 and each full subspace's size
       (``a_B``, ``b_0``) the count of one code;
     * a pair's level regions ``a_p`` / ``b_p`` are tested only on its
-      two subspaces' rows, all ``B - 1`` gamma levels in one broadcast;
+      two subspaces' rows, all ``B - 1`` gamma levels and all its
+      ``(i, j)`` tests in one broadcast;
     * every pair's wedges are matched in one staircase-matching call.
 
     Each row lies in at most one pair's subspaces, so the level work is
@@ -56,7 +61,8 @@ def layer_for_new_tuple(
     per-level transformed-space formulation bit for bit: the level tests
     are the same float expressions ``gamma*u_i + u_j < gamma*t_i + t_j``,
     and because rounding is monotone no row outside a side's subspace
-    can pass them.
+    can pass them.  The per-``(d, B)`` constants (gamma grid, pair
+    systems, code bits) are computed once and cached.
     """
     pts = np.asarray(points, dtype=float)
     t = np.asarray(new_point, dtype=float)
@@ -66,38 +72,59 @@ def layer_for_new_tuple(
     if n == 0:
         return 1
 
-    above = pts > t
-    untied = (above | (pts < t)).all(axis=1)
-    codes = np.where(untied, above @ (1 << np.arange(d)), -1)
+    gammas, pairs, bits = _bound_constants(d, n_partitions)
+    # Finite IEEE differences keep the sign of the comparison (a NaN
+    # difference is neither above nor below, like the comparison).
+    diff = pts - t
+    above = diff > 0
+    codes = above @ bits
+    codes[(above | (diff < 0)) @ bits != bits.sum()] = 1 << d
     order = np.argsort(codes, kind="stable")
     # Rows of code c are order[start[c]:start[c + 1]].
-    start = np.searchsorted(codes[order], np.arange((1 << d) + 1))
-    bound = int(start[1] - start[0])  # |DS^1|
+    start = np.zeros((1 << d) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(codes, minlength=1 << d)[: 1 << d], out=start[1:])
+    bound = int(start[1])  # |DS^1|
 
-    gammas = gamma_levels(n_partitions)
-    pairs = pair_systems(d, include_partial=False)
     a_levels = np.zeros((len(pairs), n_partitions + 1), dtype=np.int64)
     b_levels = np.zeros((len(pairs), n_partitions + 1), dtype=np.int64)
-    for row, pair in enumerate(pairs):
-        a, b = pair.mask, pair.complement_mask
-        a_rows = order[start[a]:start[a + 1]]
-        b_rows = order[start[b]:start[b + 1]]
-        u = pts[np.concatenate([a_rows, b_rows])]
-        inside = np.ones((gammas.size, u.shape[0]), dtype=bool)
-        for i in pair.side_b_above:
-            for j in pair.side_a_above:
-                inside &= (
-                    gammas[:, None] * u[:, i] + u[:, j]
-                    < (gammas * t[i] + t[j])[:, None]
-                )
-        a_levels[row, 1:n_partitions] = inside[:, : a_rows.size].sum(axis=1)
-        b_levels[row, 1:n_partitions] = inside[:, a_rows.size:].sum(axis=1)
-        a_levels[row, n_partitions] = a_rows.size
-        b_levels[row, 0] = b_rows.size
-    i_wedges = np.clip(np.diff(a_levels, axis=1), 0, None)
-    iii_wedges = np.clip(np.diff(b_levels[:, ::-1], axis=1), 0, None)
+    for row, (a, b, i, j) in enumerate(pairs):
+        a_size = start[a + 1] - start[a]
+        rows = np.concatenate(
+            [order[start[a]:start[a + 1]], order[start[b]:start[b + 1]]]
+        )
+        # (test, gamma, row): every (i, j) level test of the pair at once.
+        lhs = gammas[:, None] * pts[rows, i[:, None]][:, None, :]
+        lhs += pts[rows, j[:, None]][:, None, :]
+        rhs = gammas * t[i][:, None] + t[j][:, None]
+        inside = (lhs < rhs[:, :, None]).all(axis=0)
+        a_levels[row, 1:n_partitions] = inside[:, :a_size].sum(axis=1)
+        b_levels[row, 1:n_partitions] = inside[:, a_size:].sum(axis=1)
+        a_levels[row, n_partitions] = a_size
+        b_levels[row, 0] = rows.size - a_size
+    i_wedges = np.maximum(np.diff(a_levels, axis=1), 0)
+    iii_wedges = np.maximum(np.diff(b_levels[:, ::-1], axis=1), 0)
     bound += int(greedy_staircase_matching(i_wedges, iii_wedges).sum())
     return bound + 1
+
+
+@functools.lru_cache(maxsize=64)
+def _bound_constants(d: int, n_partitions: int):
+    """What :func:`layer_for_new_tuple` needs besides the data, per
+    ``(d, B)``: the gamma grid, each pair system as ``(side a mask,
+    side b mask, i, j)`` with ``(i[m], j[m])`` its level tests (``i``
+    on side b's above-dimensions, ``j`` on side a's), and the
+    per-dimension code bits on the narrowest unsigned type that holds
+    code ``2^d`` (so the bucket sort is a radix sort)."""
+    gammas = gamma_levels(n_partitions)
+    pairs = []
+    for pair in pair_systems(d, include_partial=False):
+        tests = list(itertools.product(pair.side_b_above, pair.side_a_above))
+        i, j = (np.array(dims) for dims in zip(*tests))
+        pairs.append((pair.mask, pair.complement_mask, i, j))
+    bits = (1 << np.arange(d)).astype(np.min_scalar_type(1 << d))
+    for constant in (gammas, bits, *(x for p in pairs for x in p[2:])):
+        constant.flags.writeable = False
+    return gammas, tuple(pairs), bits
 
 
 class DynamicRobustLayers:
@@ -131,6 +158,11 @@ class DynamicRobustLayers:
         self._alive = np.ones(pts.shape[0], dtype=bool)
         self._deletions = 0
         self._insertions = 0
+
+    @property
+    def n_partitions(self) -> int:
+        """The AppRI wedge-partition count B every bound uses."""
+        return self._n_partitions
 
     @property
     def size(self) -> int:
@@ -218,6 +250,16 @@ class DynamicRobustLayers:
         layer = layer_for_new_tuple(
             self._points[self._alive], new_point, self._n_partitions
         )
+        return self.append(new_point, layer)
+
+    def append(self, new_point: np.ndarray, layer: int) -> int:
+        """Add a tuple whose layer the caller already bounded.
+
+        ``layer`` must be :func:`layer_for_new_tuple` of ``new_point``
+        against exactly the alive tuples (:attr:`points`); this is the
+        second half of :meth:`insert`, for a caller that holds those
+        tuples already.  Returns the new tuple's position.
+        """
         self._points = np.vstack([self._points, new_point[None, :]])
         # Store the raw layer pre-compensated so the deletion
         # adjustment in layers() cannot inflate it above the bound we
@@ -245,11 +287,13 @@ class DynamicRobustLayers:
     def rebuild(self) -> None:
         """Recompute tight layers from scratch for the alive tuples."""
         pts = self._points[self._alive]
-        self.install(
-            pts,
-            appri_layers(
-                pts, n_partitions=self._n_partitions, **self._appri_kwargs
-            ),
+        self.install(pts, self.tight_layers(pts))
+
+    def tight_layers(self, points: np.ndarray) -> np.ndarray:
+        """Full AppRI layers of ``points`` with this layering's build
+        settings — the one build every rebuild runs."""
+        return appri_layers(
+            points, n_partitions=self._n_partitions, **self._appri_kwargs
         )
 
     def install(self, points: np.ndarray, layers: np.ndarray) -> None:

@@ -34,9 +34,17 @@ def _validate_layers(layers: np.ndarray) -> np.ndarray:
 
 
 def layer_order(layers: np.ndarray) -> np.ndarray:
-    """Tids sorted by ``(layer, tid)`` — the sequential storage order."""
+    """Tids sorted by ``(layer, tid)`` — the sequential storage order.
+
+    A stable sort of the layers alone keeps ties in tid order; on the
+    narrowest unsigned key that holds the deepest layer, NumPy
+    radix-sorts the common (at most 65535 layers) case.
+    """
     layers = _validate_layers(layers)
-    return np.lexsort((np.arange(layers.size), layers))
+    if layers.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    keys = layers.astype(np.min_scalar_type(int(layers.max())))
+    return np.argsort(keys, kind="stable")
 
 
 def layer_offsets(layers: np.ndarray) -> np.ndarray:

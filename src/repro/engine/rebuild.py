@@ -7,10 +7,11 @@ retrieval cost drifts upward — the ``staleness`` counter measures how
 far.  :class:`RebuildManager` watches that counter and restores full
 tightness in a background worker, without ever blocking readers:
 
-1. **capture** — under the index's update lock (microseconds), copy
-   the alive points and the current update ``generation``;
-2. **build** — run the full AppRI build on the copy with *no* lock
-   held; concurrent queries keep being served by the old view and
+1. **capture** — under the index's update lock (microseconds), take
+   the serving view's read-only points and the current update
+   ``generation``;
+2. **build** — run the full AppRI build on those points with *no*
+   lock held; concurrent queries keep being served by the old view and
    concurrent updates keep landing;
 3. **commit** — under the lock again, install the tight layering and
    atomically swap the serving view *iff* the generation is unchanged.
@@ -35,7 +36,6 @@ from __future__ import annotations
 import threading
 
 from .. import obs
-from ..core.appri import appri_layers
 
 __all__ = ["RebuildManager"]
 
@@ -48,7 +48,7 @@ class RebuildManager:
     index:
         A :class:`~repro.indexes.dynamic.DynamicRobustIndex` (anything
         exposing ``staleness`` and the ``begin_rebuild`` /
-        ``commit_rebuild`` protocol).
+        ``tight_layers`` / ``commit_rebuild`` protocol).
     threshold:
         Trigger a rebuild once ``staleness >= threshold``.  The
         default re-tightens an order of magnitude more eagerly than
@@ -148,11 +148,7 @@ class RebuildManager:
         staleness = index.staleness
         with obs.collect(self.metrics, propagate=True):
             with obs.timed("rebuild.build"):
-                layers = appri_layers(
-                    points,
-                    n_partitions=index._maintainer._n_partitions,
-                    **index._maintainer._appri_kwargs,
-                )
+                layers = index.tight_layers(points)
             committed = index.commit_rebuild(points, layers, generation)
             obs.inc("rebuild.runs")
             if committed:

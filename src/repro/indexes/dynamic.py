@@ -5,13 +5,29 @@
 :class:`DynamicRobustIndex` closes the loop: it pairs the maintainer
 with an immutable *serving view* (a
 :class:`~repro.indexes.robust.LayeredSlab`, the storage
-:class:`~repro.indexes.robust.RobustIndex` queries) and republishes a
-fresh view after every mutation.
+:class:`~repro.indexes.robust.RobustIndex` queries) and keeps that view
+equal to ``LayeredSlab.from_layers(maintainer.points,
+maintainer.layers())`` after every update, without re-sorting it:
+
+* an **insert** gets tid ``n``, the largest, so it belongs at the end
+  of its layer's run: one row goes in at ``offsets[L]`` and
+  ``offsets[L:]`` grow by one;
+* a **delete** drops one row and shifts the larger tids down; every
+  layer drops by one (floored at 1), so runs keep their order and only
+  the merged layer-1 run is re-sorted by tid.
+
+Each patch is copy-on-write — it builds new arrays and leaves the old
+view's (read-only) arrays alone — so an update costs O(n) copies plus
+the new tuple's bound.  ``insert_many`` / ``delete_many`` /
+``upsert_many`` apply the same patches to a local slab and publish one
+view per batch, ending in the state the single calls would reach.  Only
+the constructor, a rebuild commit and a restore pack a view from
+scratch.
 
 The design rule is single-writer / lock-free readers:
 
-* every mutation (``insert`` / ``delete`` / rebuild commit) happens
-  under one lock and ends by *atomically replacing* the view reference;
+* every mutation (updates, batches, rebuild commit) happens under one
+  lock and ends by *atomically replacing* the view reference;
 * readers (:meth:`query`) grab the current view once and run entirely
   against that object — a concurrent swap cannot tear their answer,
   they simply finish on the version they started with.
@@ -25,13 +41,15 @@ re-tighten layers in a background thread without ever blocking reads.
 
 from __future__ import annotations
 
+import operator
 import threading
 from typing import NamedTuple
 
 import numpy as np
 
 from .. import obs
-from ..core.appri import appri_layers
+from ..core import dynamic as maintenance
+from ..core.appri import _validated_points
 from ..core.dynamic import DynamicRobustLayers
 from ..core.qkernel import topk_select
 from ..queries.ranking import LinearQuery
@@ -97,7 +115,7 @@ class DynamicRobustIndex(RankedIndex):
         self._maintainer = maintainer
         self._lock = threading.RLock()
         self._generation = generation
-        self._publish(tight)
+        self._repack(tight)
 
     # -- read side ---------------------------------------------------
 
@@ -165,7 +183,7 @@ class DynamicRobustIndex(RankedIndex):
         """Maintenance state: staleness, tightness, generation."""
         return {
             "method": "dynamic-appri",
-            "n_partitions": self._maintainer._n_partitions,
+            "n_partitions": self._maintainer.n_partitions,
             "staleness": self.staleness,
             "tight": self.tight,
             "generation": self._generation,
@@ -176,22 +194,95 @@ class DynamicRobustIndex(RankedIndex):
 
     def insert(self, point) -> int:
         """Add a tuple (sound, no rebuild); returns its tid."""
-        with self._lock:
-            position = self._maintainer.insert(point)
-            self._generation += 1
-            self._publish(tight=False)
-            return position
+        return int(self.insert_many(np.asarray(point, dtype=float)[None])[0])
 
     def delete(self, position: int) -> None:
         """Remove the alive tuple at ``position`` (sound, no rebuild)."""
-        with self._lock:
-            self._maintainer.delete(position)
-            self._generation += 1
-            self._publish(tight=False)
+        self.delete_many([position])
 
-    def _publish(self, tight: bool) -> None:
-        # Maintainer accessors hand back fresh arrays (fancy-indexed
-        # copies), so the new view shares nothing mutable.
+    def insert_many(self, points) -> np.ndarray:
+        """Add the rows of ``points`` in order and publish one view.
+
+        Returns their tids.  The result, the view and the maintainer
+        state equal those of one :meth:`insert` call per row; a NaN,
+        infinite or wrong-width row is rejected before anything
+        changes.
+        """
+        points = self._checked_points(points)
+        with self._lock:
+            slab = self._view.slab
+            for point in points:
+                slab = self._insert_into(slab, point)
+            self._commit(slab, updates=len(points))
+            n = slab.points.shape[0]
+            return np.arange(n - len(points), n)
+
+    def delete_many(self, positions) -> None:
+        """Apply ``delete(p)`` for each ``p`` in order; one view.
+
+        Each position refers to the alive order left by the deletions
+        before it, as with successive :meth:`delete` calls; an out of
+        range position is rejected before anything changes.
+        """
+        positions = [operator.index(p) for p in positions]
+        with self._lock:
+            slab = self._view.slab
+            self._check_positions(positions, slab.points.shape[0], shrink=1)
+            for position in positions:
+                slab = self._delete_from(slab, position)
+            self._commit(slab, updates=len(positions))
+
+    def upsert_many(self, positions, points) -> np.ndarray:
+        """Replace tuples: ``delete(positions[i])`` then
+        ``insert(points[i])`` for each i in order, one view in all.
+
+        Returns the inserted tids; the final state equals the single
+        calls', and invalid input is rejected before anything changes.
+        """
+        positions = [operator.index(p) for p in positions]
+        points = self._checked_points(points)
+        if len(positions) != len(points):
+            raise ValueError("upsert_many needs one point per position")
+        with self._lock:
+            slab = self._view.slab
+            self._check_positions(positions, slab.points.shape[0], shrink=0)
+            for position, point in zip(positions, points):
+                slab = self._insert_into(self._delete_from(slab, position), point)
+            self._commit(slab, updates=2 * len(points))
+            return np.full(len(points), slab.points.shape[0] - 1)
+
+    def _checked_points(self, points) -> np.ndarray:
+        points = _validated_points(points)
+        if points.shape[1] != self.dimensions:
+            raise ValueError("new_point must match the relation's width")
+        return points
+
+    @staticmethod
+    def _check_positions(positions, size: int, shrink: int) -> None:
+        # Position i is taken after i earlier updates shrank the
+        # relation by ``shrink`` each.
+        for i, position in enumerate(positions):
+            if not 0 <= position < size - i * shrink:
+                raise IndexError(f"position {position} out of range")
+
+    def _insert_into(self, slab: LayeredSlab, point) -> LayeredSlab:
+        layer = maintenance.layer_for_new_tuple(
+            slab.points, point, self._maintainer.n_partitions
+        )
+        self._maintainer.append(point, layer)
+        return _inserted(slab, point, layer)
+
+    def _delete_from(self, slab: LayeredSlab, position: int) -> LayeredSlab:
+        self._maintainer.delete(position)
+        return _deleted(slab, position)
+
+    def _commit(self, slab: LayeredSlab, updates: int) -> None:
+        if updates:
+            self._generation += updates
+            self._view = _View(slab, self._generation, False)
+
+    def _repack(self, tight: bool) -> None:
+        # The full sort-and-pack: construction, rebuild commit, restore.
         slab = LayeredSlab.from_layers(
             self._maintainer.points, self._maintainer.layers()
         )
@@ -199,12 +290,21 @@ class DynamicRobustIndex(RankedIndex):
 
     # -- rebuild protocol (used by RebuildManager) -------------------
 
+    def tight_layers(self, points: np.ndarray) -> np.ndarray:
+        """Full AppRI layers of ``points`` with this index's build
+        settings — the build every rebuild runs, inline or in the
+        background."""
+        return self._maintainer.tight_layers(points)
+
     def begin_rebuild(self) -> tuple[np.ndarray, int]:
         """Capture ``(alive points, generation)`` for an out-of-band
         tight rebuild; the expensive build then runs without any lock.
+
+        The points are the serving view's read-only matrix, so the
+        capture copies nothing.
         """
         with self._lock:
-            return self._maintainer.points, self._generation
+            return self._view.slab.points, self._generation
 
     def commit_rebuild(self, points, layers, generation: int) -> bool:
         """Install a tight layering computed from :meth:`begin_rebuild`.
@@ -218,19 +318,16 @@ class DynamicRobustIndex(RankedIndex):
             if generation != self._generation:
                 return False
             self._maintainer.install(points, layers)
-            self._publish(tight=True)
+            self._repack(tight=True)
             obs.inc("rebuild.swaps")
             return True
 
     def rebuild(self) -> bool:
         """Synchronously recompute tight layers and swap the view."""
         points, generation = self.begin_rebuild()
-        layers = appri_layers(
-            points,
-            n_partitions=self._maintainer._n_partitions,
-            **self._maintainer._appri_kwargs,
+        return self.commit_rebuild(
+            points, self.tight_layers(points), generation
         )
-        return self.commit_rebuild(points, layers, generation)
 
     # -- persistence (see repro.engine.snapshot) ---------------------
 
@@ -254,3 +351,53 @@ class DynamicRobustIndex(RankedIndex):
             tight=bool(meta.get("tight", True)),
         )
         return index
+
+
+def _inserted(slab: LayeredSlab, point: np.ndarray, layer: int) -> LayeredSlab:
+    """``slab`` plus tuple ``n`` (the next tid) on ``layer``.
+
+    Tid ``n`` is the largest, so its row goes at the end of its layer's
+    run, ``offsets[layer]``; layers past the deepest one are added
+    empty first.
+    """
+    n = slab.points.shape[0]
+    offsets = np.concatenate(
+        (slab.offsets, np.full(max(layer - slab.n_layers, 0), n))
+    )
+    at = int(offsets[layer])
+    offsets[layer:] += 1
+    return LayeredSlab(
+        np.concatenate((slab.points, point[None])),
+        np.append(slab.layers, layer),
+        np.insert(slab.order, at, n),
+        offsets,
+        np.insert(slab.slab, at, point, axis=0),
+    )
+
+
+def _deleted(slab: LayeredSlab, tid: int) -> LayeredSlab:
+    """``slab`` without tuple ``tid``, every layer lowered by one.
+
+    That is :meth:`DynamicRobustLayers.delete`'s compensation: larger
+    tids shift down by one and layers drop by one, floored at 1.  Layers
+    1 and 2 merge, so only the new layer-1 run needs re-sorting by tid;
+    every deeper run keeps its order.
+    """
+    layer = int(slab.layers[tid])
+    begin, end = slab.offsets[layer - 1], slab.offsets[layer]
+    at = int(begin + np.searchsorted(slab.order[begin:end], tid))
+    points = np.delete(slab.points, tid, axis=0)
+    layers = np.maximum(np.delete(slab.layers, tid) - 1, 1)
+    order = np.delete(slab.order, at)
+    order -= order > tid
+    offsets = slab.offsets - (slab.offsets > at)
+    # Old layer c + 1 becomes layer c, old layers 1 and 2 become layer 1.
+    offsets = np.concatenate(([0], offsets[min(slab.n_layers, 2):]))
+    # Drop emptied top layers: the deepest layer is the first whose
+    # offset reaches the tuple count.
+    offsets = offsets[: np.searchsorted(offsets, offsets[-1]) + 1]
+    rows = np.delete(slab.slab, at, axis=0)
+    merged = offsets[min(offsets.size - 1, 1)]
+    order[:merged].sort(kind="stable")
+    rows[:merged] = points[order[:merged]]
+    return LayeredSlab(points, layers, order, offsets, rows)

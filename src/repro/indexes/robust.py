@@ -54,7 +54,9 @@ class LayeredSlab:
     The five fields are exactly the buffers of a layered snapshot
     (:mod:`repro.engine.snapshot`): :meth:`arrays` names them and
     :meth:`from_arrays` adopts them as they are — no re-sort, no
-    re-pack — so read-only memory maps stay zero-copy.
+    re-pack — so read-only memory maps stay zero-copy.  Every field is
+    read-only (a writable input is held through a read-only view), so
+    no holder of a slab can write into what other readers see.
 
     Examples
     --------
@@ -71,6 +73,14 @@ class LayeredSlab:
     order: np.ndarray
     offsets: np.ndarray
     slab: np.ndarray
+
+    def __post_init__(self):
+        for name in self.__slots__:
+            field = getattr(self, name)
+            if field.flags.writeable:
+                field = field.view()
+                field.flags.writeable = False
+                object.__setattr__(self, name, field)
 
     @classmethod
     def from_layers(cls, points, layers) -> "LayeredSlab":

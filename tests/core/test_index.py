@@ -34,6 +34,18 @@ class TestOrderAndOffsets:
         layers = np.array([3, 1, 2])
         assert tuples_in_top_layers(layers, 2).tolist() == [1, 2]
 
+    @pytest.mark.parametrize("top", [3, 200, 40_000, 70_000])
+    def test_layer_order_equals_lexsort_under_heavy_ties(self, top):
+        # Few distinct layers (many ties) up to layer counts past the
+        # 16-bit keys, where the sort key widens.
+        rng = np.random.default_rng(top)
+        layers = rng.integers(1, top + 1, size=5_000)
+        layers[rng.integers(layers.size, size=2_500)] = top
+        expected = np.lexsort((np.arange(layers.size), layers))
+        order = layer_order(layers)
+        assert order.dtype == expected.dtype
+        assert np.array_equal(order, expected)
+
     def test_empty_layers(self):
         assert layer_order(np.array([], dtype=int)).size == 0
         assert layer_offsets(np.array([], dtype=int)).tolist() == [0]

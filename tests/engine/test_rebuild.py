@@ -85,16 +85,14 @@ class TestGenerationRace:
 
     def test_manager_counts_discards(self, index, rng, monkeypatch):
         manager = RebuildManager(index, threshold=1)
-        real_appri = appri_layers
+        real_build = index.tight_layers
 
-        def racing_build(points, **kwargs):
-            layers = real_appri(points, **kwargs)
+        def racing_build(points):
+            layers = real_build(points)
             index.insert(rng.random(3))  # update lands during the build
             return layers
 
-        monkeypatch.setattr(
-            "repro.engine.rebuild.appri_layers", racing_build
-        )
+        monkeypatch.setattr(index, "tight_layers", racing_build)
         index.insert(rng.random(3))
         assert manager.rebuild_now() is False
         assert manager.metrics.counters["rebuild.discarded"] == 1
@@ -133,11 +131,11 @@ class TestBackgroundWorker:
                                                monkeypatch):
         calls = []
 
-        def exploding(points, **kwargs):
+        def exploding(points):
             calls.append(1)
             raise RuntimeError("boom")
 
-        monkeypatch.setattr("repro.engine.rebuild.appri_layers", exploding)
+        monkeypatch.setattr(index, "tight_layers", exploding)
         index.insert(rng.random(3))
         with RebuildManager(index, threshold=1, poll_interval=0.01) as m:
             assert _wait_until(lambda: len(calls) >= 2)

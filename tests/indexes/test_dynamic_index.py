@@ -1,10 +1,15 @@
 """DynamicRobustIndex: exactness through update streams, view swaps."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.validate import audit_layering
+from repro.engine.snapshot import load_snapshot, save_snapshot
 from repro.indexes.dynamic import DynamicRobustIndex
+from repro.indexes.robust import LayeredSlab
 from repro.queries.ranking import LinearQuery
 from repro.queries.workload import simplex_workload
 
@@ -111,3 +116,213 @@ class TestValidation:
         result = index.query(query, index.size + 50)
         assert len(result.tids) == index.size
         assert list(result.tids) == list(query.top_k(index.points, index.size))
+
+
+_FIELDS = ("points", "layers", "order", "offsets", "slab")
+
+
+def _assert_view_is_fresh_pack(index):
+    """The patched view equals a from-scratch sort of the maintainer."""
+    maintainer = index._maintainer
+    fresh = LayeredSlab.from_layers(maintainer.points, maintainer.layers())
+    view = index._view.slab
+    for name in _FIELDS:
+        got, want = getattr(view, name), getattr(fresh, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def _state(index):
+    arrays, meta = index.export_state()
+    return {name: np.array(a) for name, a in arrays.items()}, meta
+
+
+def _assert_same_state(left, right):
+    (left_arrays, left_meta), (right_arrays, right_meta) = left, right
+    assert left_meta == right_meta
+    assert left_arrays.keys() == right_arrays.keys()
+    for name in left_arrays:
+        assert np.array_equal(left_arrays[name], right_arrays[name]), name
+
+
+class TestPatchedView:
+    def test_every_update_matches_a_fresh_pack(self, rng):
+        # Ties on a coarse grid put many tuples on shared layers.
+        index = DynamicRobustIndex(np.round(rng.random((60, 3)), 1), 4)
+        for step in range(150):
+            if index.size and rng.random() < 0.5:
+                index.delete(int(rng.integers(index.size)))
+            else:
+                index.insert(np.round(rng.random(3), 1))
+            _assert_view_is_fresh_pack(index)
+            if step % 50 == 49:
+                index.rebuild()
+                _assert_view_is_fresh_pack(index)
+
+    def test_delete_to_empty_then_reinsert(self, rng):
+        index = DynamicRobustIndex(rng.random((5, 2)), n_partitions=3)
+        while index.size:
+            index.delete(index.size - 1)
+            _assert_view_is_fresh_pack(index)
+        assert index._view.slab.n_layers == 0
+        index.insert_many(rng.random((4, 2)))
+        _assert_view_is_fresh_pack(index)
+        _assert_exact(index, k=3)
+
+    def test_restored_index_keeps_patching(self, index, rng, tmp_path):
+        index.insert(rng.random(3))
+        index.delete(7)
+        save_snapshot(index, tmp_path / "dyn.snap")
+        restored = load_snapshot(tmp_path / "dyn.snap")  # memory-mapped
+        rows = rng.random((2, 3))
+        for target in (index, restored):
+            target.upsert_many([3, 11], rows)
+        _assert_view_is_fresh_pack(restored)
+        _assert_same_state(_state(index), _state(restored))
+
+
+class TestBatchedWrites:
+    def _twins(self, rng):
+        data = rng.random((70, 3))
+        return (
+            DynamicRobustIndex(data, n_partitions=5),
+            DynamicRobustIndex(data, n_partitions=5),
+        )
+
+    def test_insert_many_equals_single_inserts(self, rng):
+        batched, single = self._twins(rng)
+        rows = rng.random((6, 3))
+        tids = batched.insert_many(rows)
+        assert tids.tolist() == [single.insert(row) for row in rows]
+        _assert_view_is_fresh_pack(batched)
+        _assert_same_state(_state(batched), _state(single))
+        assert batched.generation == single.generation == 6
+
+    def test_delete_many_equals_single_deletes(self, rng):
+        batched, single = self._twins(rng)
+        positions = [69, 0, 30, 30, 5]
+        batched.delete_many(positions)
+        for position in positions:
+            single.delete(position)
+        _assert_view_is_fresh_pack(batched)
+        _assert_same_state(_state(batched), _state(single))
+
+    def test_upsert_many_equals_single_calls(self, rng):
+        batched, single = self._twins(rng)
+        positions = rng.integers(70, size=8)
+        rows = rng.random((8, 3))
+        tids = batched.upsert_many(positions, rows)
+        expected = []
+        for position, row in zip(positions, rows):
+            single.delete(int(position))
+            expected.append(single.insert(row))
+        assert tids.tolist() == expected
+        _assert_view_is_fresh_pack(batched)
+        _assert_same_state(_state(batched), _state(single))
+        assert batched.staleness == 16
+        _assert_exact(batched)
+
+    def test_a_batch_publishes_one_view(self, index, rng):
+        before = index._view
+        index.upsert_many([1, 2, 3], rng.random((3, 3)))
+        assert index._view.generation == before.generation + 6
+        # The view grabbed before the batch is untouched.
+        assert before.slab.points.shape == (80, 3)
+
+    def test_empty_batches_change_nothing(self, index):
+        view = index._view
+        assert index.insert_many(np.empty((0, 3))).size == 0
+        index.delete_many([])
+        assert index.upsert_many([], np.empty((0, 3))).size == 0
+        assert index._view is view and index.staleness == 0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ix: ix.insert_many([[0.1, 0.2, 0.3], [0.1, np.nan, 0.3]]),
+            lambda ix: ix.insert_many([[0.1, 0.2]]),
+            lambda ix: ix.delete_many([3, 79]),  # 79 is gone after one delete
+            lambda ix: ix.upsert_many([1, 80], [[0.1] * 3, [0.2] * 3]),
+            lambda ix: ix.upsert_many([1], [[0.1] * 3, [0.2] * 3]),
+        ],
+    )
+    def test_invalid_batches_are_rejected_whole(self, index, call):
+        before = _state(index)
+        view = index._view
+        with pytest.raises((ValueError, IndexError)):
+            call(index)
+        assert index._view is view
+        _assert_same_state(_state(index), before)
+
+
+class TestReadOnlyView:
+    @pytest.mark.parametrize("name", _FIELDS)
+    def test_writing_into_the_view_raises(self, index, name):
+        array = getattr(index._view.slab, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[-1]
+
+    def test_public_arrays_are_read_only(self, index, rng):
+        index.insert(rng.random(3))
+        with pytest.raises(ValueError, match="read-only"):
+            index.points[0, 0] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            index.layers[0] = 1
+
+    def test_rebuild_captures_the_view_without_copying(self, index, rng):
+        index.insert(rng.random(3))
+        points, generation = index.begin_rebuild()
+        assert points is index._view.slab.points
+        assert generation == index.generation
+        layers = index.tight_layers(points)
+        assert index.commit_rebuild(points, layers, generation)
+        _assert_view_is_fresh_pack(index)
+        assert index.tight and index.staleness == 0
+
+
+class TestReadersDuringWrites:
+    def test_held_slabs_stay_whole_while_writers_patch(self, rng):
+        """More readers than cores grab slabs while a writer streams
+        single and batched updates: a held slab never changes, and its
+        prefix answer equals brute force over its own points."""
+        index = DynamicRobustIndex(rng.random((120, 3)), n_partitions=5)
+        query = LinearQuery([1.0, 2.0, 3.0])
+        errors = []
+        stop = threading.Event()
+
+        def read():
+            while not stop.is_set():
+                slab = index._view.slab
+                copies = [getattr(slab, name).copy() for name in _FIELDS]
+                rows, tids, _ = slab.prefix(5)
+                order = np.lexsort((tids, rows @ query.weights))[:5]
+                if not np.array_equal(
+                    tids[order], query.top_k(slab.points, 5)
+                ) or not all(
+                    np.array_equal(getattr(slab, name), copy)
+                    for name, copy in zip(_FIELDS, copies)
+                ):
+                    errors.append(slab)
+                    return
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            writes = np.random.default_rng(9)
+            for _ in range(40):
+                index.upsert_many(
+                    writes.integers(index.size, size=3), writes.random((3, 3))
+                )
+                index.delete(int(writes.integers(index.size)))
+                index.insert(writes.random(3))
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(10.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert errors == []
+        _assert_view_is_fresh_pack(index)

@@ -22,6 +22,8 @@ from repro.core.dynamic import DynamicRobustLayers
 from repro.core.index import violating_tids
 from repro.dstruct.avl import OrderStatisticAVL
 from repro.engine.sql import SqlError, parse
+from repro.indexes.dynamic import DynamicRobustIndex
+from repro.indexes.robust import LayeredSlab
 from repro.queries.ranking import LinearQuery
 
 
@@ -62,6 +64,115 @@ class DynamicIndexMachine(RuleBasedStateMachine):
         assert violating_tids(points, layers, LinearQuery(w), k).size == 0
 
 
+_SLAB_FIELDS = ("points", "layers", "order", "offsets", "slab")
+
+
+class DynamicServingMachine(RuleBasedStateMachine):
+    """The dynamic index's patched serving view against a list model.
+
+    After every step the view equals a from-scratch pack of the
+    maintainer, the view grabbed before the step is unchanged, and
+    answers equal the brute-force top-k of the model's points.
+    """
+
+    @initialize(seed=st.integers(0, 2**31), n=st.integers(0, 10))
+    def setup(self, seed, n):
+        self.rng = np.random.default_rng(seed)
+        self.model = self._rows(n)
+        self.index = DynamicRobustIndex(self.model, n_partitions=3)
+
+    def _rows(self, m):
+        # A coarse grid makes ties (shared coordinates, equal scores).
+        return np.round(self.rng.random((m, 3)), 1)
+
+    def _step(self, update):
+        before = self.index._view.slab
+        copies = {name: getattr(before, name).copy() for name in _SLAB_FIELDS}
+        update()
+        for name in _SLAB_FIELDS:
+            assert np.array_equal(getattr(before, name), copies[name]), name
+
+    def _positions(self, data, m, shrink):
+        size = self.model.shape[0]
+        return [
+            data.draw(st.integers(0, size - 1 - i * shrink), label="position")
+            for i in range(m)
+        ]
+
+    def _delete_from_model(self, position):
+        self.model = np.delete(self.model, position, axis=0)
+
+    @rule()
+    def insert(self):
+        row = self._rows(1)
+        self._step(lambda: self.index.insert(row[0]))
+        self.model = np.concatenate([self.model, row])
+
+    @precondition(lambda self: self.model.shape[0] > 0)
+    @rule(data=st.data())
+    def delete(self, data):
+        (position,) = self._positions(data, 1, shrink=1)
+        self._step(lambda: self.index.delete(position))
+        self._delete_from_model(position)
+
+    @rule(m=st.integers(0, 4))
+    def insert_many(self, m):
+        rows = self._rows(m)
+        self._step(lambda: self.index.insert_many(rows))
+        self.model = np.concatenate([self.model, rows])
+
+    @rule(data=st.data())
+    def delete_many(self, data):
+        m = data.draw(st.integers(0, min(4, self.model.shape[0])), label="m")
+        positions = self._positions(data, m, shrink=1)
+        self._step(lambda: self.index.delete_many(positions))
+        for position in positions:
+            self._delete_from_model(position)
+
+    @precondition(lambda self: self.model.shape[0] > 0)
+    @rule(data=st.data(), m=st.integers(1, 4))
+    def upsert_many(self, data, m):
+        positions = self._positions(data, m, shrink=0)
+        rows = self._rows(m)
+        self._step(lambda: self.index.upsert_many(positions, rows))
+        for position, row in zip(positions, rows):
+            self._delete_from_model(position)
+            self.model = np.concatenate([self.model, row[None]])
+
+    @rule()
+    def rebuild(self):
+        self._step(self.index.rebuild)
+
+    @rule(m=st.integers(1, 3))
+    def delete_all_then_reinsert(self, m):
+        rows = self._rows(m)
+
+        def update():
+            self.index.delete_many([0] * self.model.shape[0])
+            self.index.insert_many(rows)
+
+        self._step(update)
+        self.model = rows
+
+    @invariant()
+    def view_is_a_fresh_pack(self):
+        maintainer = self.index._maintainer
+        fresh = LayeredSlab.from_layers(maintainer.points, maintainer.layers())
+        view = self.index._view.slab
+        for name in _SLAB_FIELDS:
+            assert getattr(view, name).dtype == getattr(fresh, name).dtype
+            assert np.array_equal(getattr(view, name), getattr(fresh, name))
+        assert np.array_equal(self.index.points, self.model)
+
+    @invariant()
+    def answers_equal_brute_force(self):
+        n = self.model.shape[0]
+        query = LinearQuery(self.rng.dirichlet(np.ones(3)))
+        for k in {1, max(n // 2, 1), n + 1}:
+            got = self.index.query(query, k).tids
+            assert np.array_equal(got, query.top_k(self.model, k))
+
+
 class AvlMachine(RuleBasedStateMachine):
     """The order-statistic tree against a plain list model."""
 
@@ -93,6 +204,10 @@ class AvlMachine(RuleBasedStateMachine):
 TestDynamicIndexMachine = DynamicIndexMachine.TestCase
 TestDynamicIndexMachine.settings = settings(
     max_examples=15, stateful_step_count=12, deadline=None
+)
+TestDynamicServingMachine = DynamicServingMachine.TestCase
+TestDynamicServingMachine.settings = settings(
+    max_examples=40, stateful_step_count=20, deadline=None
 )
 TestAvlMachine = AvlMachine.TestCase
 TestAvlMachine.settings = settings(
