@@ -46,9 +46,10 @@ builder matches each system's wedges with
 :func:`~repro.core.matching.greedy_staircase_matching` (equal to the
 paper's Lemma-3 closed form, :func:`~repro.core.matching.lemma3_bound`).
 ``workers`` only picks the schedule: inline, one task per system, or
-gamma-level chunks over a process pool — the same kernel either way,
-so the layers are identical.  :func:`appri_build` exposes per-phase build metrics;
-:func:`appri_layers` returns just the layer array.
+per-system tuple-id ranges over a process pool — the same kernel
+either way, so the layers are identical.  :func:`appri_build` exposes
+per-phase build metrics; :func:`appri_layers` returns just the layer
+array.
 """
 
 from __future__ import annotations
@@ -144,8 +145,9 @@ def appri_layers(
         ``None`` or ``"peel"`` (take the max with shell-peeling depth).
     workers:
         Upper bound on worker processes.  ``1`` runs everything
-        inline; ``> 1`` fans gamma-level chunks out over a process
-        pool once the input is large enough to pay for it
+        inline; ``> 1`` fans per-system tuple-id ranges out over a
+        process pool of at most ``workers`` (and at most the usable
+        CPUs) once the input is large enough to pay for it
         (:mod:`repro.core.pipeline`).  Identical output either way.
 
     Returns

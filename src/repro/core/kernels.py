@@ -26,13 +26,17 @@ one dominance pass per transformed space on any input, ties included
 reference schedule in ``tests/core/appri_reference.py`` under every
 named dominance engine.  Peak memory is bounded by processing the
 dominator bitsets in bit-space chunks
-(:func:`repro.dstruct.kernels.bit_chunks`).
+(:func:`repro.dstruct.kernels.bit_chunks`), and each call allocates
+its accumulators once (:func:`repro.dstruct.kernels.chunk_buffers`)
+instead of once per column.
 
 :func:`pair_level_data` is the entry point; the build pipeline
-(:mod:`repro.core.pipeline`) runs it once per system, or on
-per-level subsets (``levels=``) when it fans out over a process pool,
-so every schedule reuses the same code and stays identical by
-construction.
+(:mod:`repro.core.pipeline`) runs it once per system over all tuple
+ids, or once per system and tuple-id range (``lo``, ``hi``) when it
+fans out over a process pool.  A range restricts the bit space —
+which tuples count as dominators — exactly like one of the
+memory-bounding bit chunks, so every schedule builds the same words,
+reuses the same code and stays identical by construction.
 """
 
 from __future__ import annotations
@@ -42,9 +46,10 @@ import numpy as np
 from .. import obs
 from ..dstruct.kernels import (
     MATRIX_BYTES_BUDGET,
+    and_prefix_rows,
     bit_chunks,
+    chunk_buffers,
     popcount_rows,
-    prefix_bit_matrix,
     sort_and_rank,
 )
 from ..geometry.weights import gamma_levels
@@ -57,24 +62,12 @@ __all__ = [
 ]
 
 
-def _acc(ranked, n, lo, hi, gather):
-    """AND of the chunk-restricted dominator bitsets of ``ranked`` columns."""
-    acc = None
-    for order, g in ranked:
-        matrix = prefix_bit_matrix(order, n, lo, hi)
-        if acc is None:
-            acc = matrix[g]
-        else:
-            np.take(matrix, g, axis=0, out=gather)
-            acc &= gather
-    return acc
-
-
 def pair_level_data(
     points: np.ndarray,
     pair: SubspacePair,
     n_partitions: int,
-    levels=None,
+    lo: int = 0,
+    hi: int | None = None,
     budget_bytes: int = MATRIX_BYTES_BUDGET,
 ):
     """All level-region sizes of one pair system, in one fused kernel.
@@ -87,14 +80,12 @@ def pair_level_data(
         The system whose nested regions are counted.
     n_partitions:
         The paper's B.
-    levels:
-        Which passes to run: integers in ``1..B`` where ``p < B`` is
-        the interior gamma level ``gamma_p`` (filling columns
-        ``a_levels[:, p]`` and ``b_levels[:, p]``) and ``p == B`` is
-        the pair of full-subspace passes (filling ``a_levels[:, B]``
-        and ``b_levels[:, 0]``).  ``None`` runs them all.  The pool
-        schedule passes subsets; summed over a cover of ``1..B`` the
-        results are identical to one full call.
+    lo, hi:
+        The tuple ids ``[lo, hi)`` that may count as dominators
+        (default: all ``n``).  Every tuple still gets a row, counting
+        only its dominators in the range, so the results of disjoint
+        ranges covering ``[0, n)`` sum to the full call — the pool
+        schedule relies on this.
     budget_bytes:
         Bit-space chunking budget (see
         :data:`repro.dstruct.kernels.MATRIX_BYTES_BUDGET`).
@@ -102,22 +93,23 @@ def pair_level_data(
     Returns
     -------
     ``(a_levels, b_levels)`` — two ``(n, B + 1)`` int64 arrays with
-    ``a_levels[:, p] = |a_p|`` and ``b_levels[:, p] = |b_p|``;
-    unrequested columns (and the always-empty ``b_levels[:, B]`` /
-    ``a_levels[:, 0]``) are zero.
+    ``a_levels[:, p] = |a_p|`` and ``b_levels[:, p] = |b_p|``: columns
+    ``1..B-1`` from the interior gamma levels, ``a_levels[:, B]`` and
+    ``b_levels[:, 0]`` from the pair of full-subspace passes, the
+    always-empty ``b_levels[:, B]`` / ``a_levels[:, 0]`` zero.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     b = int(n_partitions)
+    hi = n if hi is None else hi
+    if not 0 <= lo <= hi <= n:
+        raise ValueError(
+            f"id range must satisfy 0 <= lo <= hi <= {n}; got [{lo}, {hi})"
+        )
     a_levels = np.zeros((n, b + 1), dtype=np.int64)
     b_levels = np.zeros((n, b + 1), dtype=np.int64)
-    wanted = sorted(
-        {int(p) for p in levels} if levels is not None else range(1, b + 1)
-    )
-    if n == 0 or not wanted:
+    if lo == hi:
         return a_levels, b_levels
-    if wanted[0] < 1 or wanted[-1] > b:
-        raise ValueError(f"levels must lie in 1..{b}; got {wanted}")
 
     gammas = gamma_levels(b)
     j1 = list(pair.side_a_above)
@@ -129,43 +121,40 @@ def pair_level_data(
         # across every bit-space chunk and every level.
         lead_a = [sort_and_rank(c) for c in shared + [-pts[:, j] for j in j1]]
         lead_b = [sort_and_rank(c) for c in shared + [-pts[:, i] for i in j2]]
-        run_subspace = wanted[-1] == b
-        interior = [p for p in wanted if p < b]
-        if run_subspace:
-            # The remaining columns of the two subspace transforms: the
-            # side's full region adds "strictly below on the *other*
-            # side's above-dimensions" to its lead constraints.
-            sub_a = [sort_and_rank(pts[:, i]) for i in j2]
-            sub_b = [sort_and_rank(pts[:, j]) for j in j1]
+        # The remaining columns of the two subspace transforms: the
+        # side's full region adds "strictly below on the *other*
+        # side's above-dimensions" to its lead constraints.
+        sub_a = [sort_and_rank(pts[:, i]) for i in j2]
+        sub_b = [sort_and_rank(pts[:, j]) for j in j1]
         ranked_bilinear = [
             [
                 sort_and_rank(float(gammas[p - 1]) * pts[:, i] + pts[:, j])
                 for i in j2
                 for j in j1
             ]
-            for p in interior
+            for p in range(1, b)
         ]
-        obs.inc("counting.fused_levels", len(interior) + 2 * run_subspace)
+        obs.inc("counting.fused_levels", b + 1)
 
-        for lo, hi in bit_chunks(n, budget_bytes):
-            words = (hi - lo + 63) >> 6
-            gather = np.empty((n, words), dtype=np.uint64)
-            combine = np.empty((n, words), dtype=np.uint64)
-            acc_a = _acc(lead_a, n, lo, hi, gather)
-            acc_b = _acc(lead_b, n, lo, hi, gather)
-            if run_subspace:
-                np.bitwise_and(acc_a, _acc(sub_a, n, lo, hi, gather),
-                               out=combine)
-                a_levels[:, b] += popcount_rows(combine)
-                np.bitwise_and(acc_b, _acc(sub_b, n, lo, hi, gather),
-                               out=combine)
-                b_levels[:, 0] += popcount_rows(combine)
-            for p, ranked in zip(interior, ranked_bilinear):
-                bil = _acc(ranked, n, lo, hi, gather)
-                np.bitwise_and(bil, acc_a, out=combine)
-                a_levels[:, p] += popcount_rows(combine)
-                np.bitwise_and(bil, acc_b, out=combine)
-                b_levels[:, p] += popcount_rows(combine)
+        # Word-major ``(words, n)`` accumulators: column ``t`` is tuple
+        # ``t``'s bitset, so popcounts run over the transposes.
+        chunks = bit_chunks(n, budget_bytes, lo, hi)
+        for c_lo, c_hi, buffers in chunk_buffers(n, chunks, 4):
+            gather, acc_a, acc_b, acc = buffers
+            and_prefix_rows(lead_a, c_lo, c_hi, acc_a, gather)
+            and_prefix_rows(lead_b, c_lo, c_hi, acc_b, gather)
+            sub = and_prefix_rows(sub_a, c_lo, c_hi, acc, gather)
+            sub &= acc_a
+            a_levels[:, b] += popcount_rows(sub.T)
+            sub = and_prefix_rows(sub_b, c_lo, c_hi, acc, gather)
+            sub &= acc_b
+            b_levels[:, 0] += popcount_rows(sub.T)
+            for p, ranked in enumerate(ranked_bilinear, start=1):
+                bil = and_prefix_rows(ranked, c_lo, c_hi, acc, gather)
+                np.bitwise_and(bil, acc_a, out=gather)
+                a_levels[:, p] += popcount_rows(gather.T)
+                bil &= acc_b
+                b_levels[:, p] += popcount_rows(bil.T)
     return a_levels, b_levels
 
 

@@ -5,35 +5,37 @@ counts from :func:`build_level_data`, which splits them into
 independent tasks:
 
 1.  One task computes the global dominance factor.
-2.  For every pair system, the levels ``1..B`` (interior gamma levels
-    plus the paired full-subspace passes at index ``B``) are covered
-    by contiguous ranges; each ``("lev", s, p_lo, p_hi)`` task runs
-    the fused kernel :func:`~repro.core.kernels.pair_level_data`
-    restricted to its range and returns the two partially-filled
-    ``(n, B + 1)`` level arrays.  Level columns are disjoint across
-    tasks, so the coordinator combines results with plain array
-    addition.
+2.  For every pair system, the tuple ids ``[0, n)`` are cut into
+    word-aligned ranges; each ``("lev", s, lo, hi)`` task runs the
+    fused kernel :func:`~repro.core.kernels.pair_level_data` over all
+    levels ``1..B`` with only the ids in ``[lo, hi)`` counted as
+    dominators, and returns the two ``(n, B + 1)`` level arrays of
+    that range.  The ranges split the kernel's bit space exactly the
+    way its memory-bounding bit chunks do, so the coordinator adds
+    the results up.
 
 The pool engages only when it can pay for itself: ``workers > 1``, at
 least ``POOL_MIN_N`` tuples *and* more than one usable core.  Then
-each system's levels are cut into ~4 chunks per worker so stragglers
-rebalance across the (systems x chunks) task grid; each worker holds
-the data once (pool initializer) and returns per-range count arrays
-plus a metrics snapshot the coordinator merges.  Otherwise the tasks
-run inline with **one task per system covering levels 1..B**, so each
-system's gamma-independent lead bitsets are ranked once.
+each system gets ``min(workers, usable CPUs)`` ranges and the pool
+starts that many processes; each worker holds the data once (pool
+initializer) and returns per-range count arrays plus a metrics
+snapshot, which the coordinator folds into the system's arrays as
+they arrive.  Otherwise the tasks run inline with one range
+``[0, n)`` per system.  Either way every prefix bit matrix is built
+exactly once per build (the ``counting.prefix_words`` counter), so a
+pooled build does the inline build's kernel work, split.
 
-Because every task runs the same kernel on a subset of levels, the
-counts are **identical** for every schedule on any input (the
-level-cover property in ``tests/properties`` locks this in).  There
-is no floating-point re-derivation to reconcile: the kernel compares
-the exact transformed values of the paper's per-level passes.
+Because every task runs the same kernel on a subset of the bit space,
+the counts are **identical** for every schedule on any input (the
+id-range property in ``tests/properties`` locks this in).  There is
+no floating-point re-derivation to reconcile: the kernel compares the
+exact transformed values of the paper's per-level passes.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import numpy as np
 
@@ -44,15 +46,15 @@ from .partitioning import pair_systems
 
 __all__ = [
     "build_level_data",
-    "plan_chunks",
     "run_exact_refine",
     "POOL_MIN_N",
 ]
 
 #: Below this many tuples, tasks run inline in the coordinating process
 #: (identical output; avoids process start-up costing more than the
-#: build).  Tests monkeypatch this to force the pool on small inputs.
-POOL_MIN_N = 2048
+#: build: on two cores a d=3 or d=4 build breaks even at about 3-4k
+#: tuples).  Tests monkeypatch this to force the pool on small inputs.
+POOL_MIN_N = 4096
 
 
 def _usable_cpus() -> int:
@@ -64,25 +66,20 @@ def _usable_cpus() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Chunk planning
+# Range planning
 # ---------------------------------------------------------------------------
 
 
-def plan_chunks(n_levels: int, workers: int):
-    """Contiguous ``[lo, hi)`` ranges covering levels ``1..n_levels``.
+def _id_ranges(n: int, parts: int):
+    """At most ``parts`` word-aligned ``[lo, hi)`` ranges covering ``[0, n)``.
 
-    One range for a single worker (each extra range re-ranks the
-    system's lead columns); otherwise ~4 ranges per worker within one
-    system so stragglers rebalance across the (systems x chunks) task
-    grid.
+    Every range but the last starts and ends on a 64-id word boundary,
+    so the ranges pack into exactly the words of the full bit space.
     """
-    if n_levels <= 0:
-        return []
-    size = -(-n_levels // (4 * workers)) if workers > 1 else n_levels
-    return [
-        (lo, min(lo + size, n_levels + 1))
-        for lo in range(1, n_levels + 1, size)
-    ]
+    words = (n + 63) >> 6
+    parts = max(1, min(parts, words))
+    cuts = [min((words * i // parts) << 6, n) for i in range(parts + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +138,9 @@ def _run_task(task, state=None):
             with obs.timed("build.phase.dominators"):
                 payload = count_dominators(pts).astype(np.int64)
         elif kind == "lev":
-            _, s, p_lo, p_hi = task
+            _, s, lo, hi = task
             with obs.timed("build.phase.levels"):
-                payload = pair_level_data(
-                    pts, systems[s], b, levels=range(p_lo, p_hi)
-                )
+                payload = pair_level_data(pts, systems[s], b, lo, hi)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown task kind {kind!r}")
         obs.inc("build.tasks")
@@ -181,41 +176,24 @@ def build_level_data(
     n, d = pts.shape
     b = int(n_partitions)
     systems = pair_systems(d, include_partial=include_partial)
-    use_pool = (
-        workers > 1
-        and n >= POOL_MIN_N
-        and len(systems) > 0
-        and _usable_cpus() > 1
-    )
-    chunks = plan_chunks(b, workers if use_pool else 1)
+    parts = min(workers, _usable_cpus())
+    use_pool = parts > 1 and n >= POOL_MIN_N and len(systems) > 0
+    ranges = _id_ranges(n, parts if use_pool else 1)
 
-    tasks: list[tuple] = [("dom",)]
-    for s in range(len(systems)):
-        tasks += [("lev", s, lo, hi) for lo, hi in chunks]
+    # The cheap dominance task goes last so it fills a gap at the end.
+    tasks: list[tuple] = [
+        ("lev", s, lo, hi) for s in range(len(systems)) for lo, hi in ranges
+    ]
+    tasks.append(("dom",))
 
     if metrics is not None:
-        metrics.inc("build.chunks", len(chunks))
+        metrics.inc("build.chunks", len(ranges))
         metrics.inc("build.pool_used", int(use_pool))
-    if use_pool:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(tasks)),
-            initializer=_init_worker,
-            initargs=(pts, b, include_partial),
-        ) as pool:
-            results = list(
-                pool.map(
-                    _run_task,
-                    tasks,
-                    chunksize=max(1, len(tasks) // (4 * workers)),
-                )
-            )
-    else:
-        state = {"pts": pts, "b": b, "systems": systems}
-        results = [_run_task(task, state) for task in tasks]
 
     dominators = np.zeros(n, dtype=np.int64)
     level_data: list = [None] * len(systems)
-    for task, payload, task_metrics in results:
+
+    def fold(task, payload, task_metrics):
         if metrics is not None:
             metrics.merge(task_metrics)
         if task[0] == "dom":
@@ -223,10 +201,24 @@ def build_level_data(
         elif level_data[task[1]] is None:
             level_data[task[1]] = payload
         else:
-            # Tasks cover disjoint level columns, so addition combines.
+            # Ranges split the dominators disjointly: addition combines.
             a_levels, b_levels = level_data[task[1]]
             a_levels += payload[0]
             b_levels += payload[1]
+
+    if use_pool:
+        with ProcessPoolExecutor(
+            max_workers=min(parts, len(tasks)),
+            initializer=_init_worker,
+            initargs=(pts, b, include_partial),
+        ) as pool:
+            futures = [pool.submit(_run_task, task) for task in tasks]
+            for future in as_completed(futures):
+                fold(*future.result())
+    else:
+        state = {"pts": pts, "b": b, "systems": systems}
+        for task in tasks:
+            fold(*_run_task(task, state))
     return dominators, level_data, systems
 
 

@@ -19,10 +19,11 @@ touch every element with whole-array NumPy primitives instead:
 
 :func:`count_dominators_bitset`
     Arbitrary dimensionality via packed dominance bitsets: for every
-    attribute, a cumulative-sum *prefix bit matrix* (an array-based
-    binary-indexed structure over the sorted order) materializes "who
-    is strictly below whom" 64 rows per machine word; a row-wise AND
-    across attributes and one popcount yield every tuple's count.
+    attribute, a *prefix bit matrix* over the sorted order (built
+    word by word as step functions, one ``np.repeat`` per matrix)
+    materializes "who is strictly below whom" 64 elements per machine
+    word; an AND across attributes of each tuple's gathered bitsets
+    and one popcount yield every tuple's count.
     ``O(d n^2 / 64)`` word operations — at the data sizes the paper
     studies this outruns both the tree sweeps and the O(n^2) blocked
     comparisons by an order of magnitude, and it is exact under ties.
@@ -31,17 +32,30 @@ All kernels compare the *original float values* (sorting never
 rounds), so their counts are bit-identical to the reference
 ``count_dominators_naive`` on any input, including heavy ties.  The
 property suite in ``tests/dstruct/test_kernels.py`` locks that in.
+
+The bitset helpers (:func:`sort_and_rank`, :func:`prefix_bit_matrix`,
+:func:`and_prefix_rows`, :func:`chunk_buffers`, :func:`bit_chunks`,
+:func:`popcount_rows`) are shared with the fused AppRI kernel in
+:mod:`repro.core.kernels`.  They work word-major: a ``(words, n)``
+array whose column ``t`` is tuple ``t``'s bitset, so gathers and
+ANDs stream contiguous memory.  Buffers are local to each call, so
+builds may run in concurrent threads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .. import obs
+
 __all__ = [
     "count_smaller_before",
     "count_dominators_merge2d",
     "count_dominators_bitset",
     "prefix_bit_matrix",
+    "and_prefix_rows",
+    "chunk_buffers",
+    "sort_and_rank",
     "bit_chunks",
     "popcount_rows",
     "MATRIX_BYTES_BUDGET",
@@ -147,19 +161,44 @@ def count_dominators_merge2d(points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def bit_chunks(n: int, budget_bytes: int = MATRIX_BYTES_BUDGET):
-    """Split the ``n``-wide bit space into ``[lo, hi)`` column ranges.
+def bit_chunks(
+    n: int,
+    budget_bytes: int = MATRIX_BYTES_BUDGET,
+    lo: int = 0,
+    hi: int | None = None,
+):
+    """Split the bit space ``[lo, hi)`` of ``n``-row matrices into ranges.
 
-    Each range packs into a prefix matrix of at most ``budget_bytes``
-    (floored at one 64-bit word per row), so kernels stay within a
-    fixed memory envelope at any ``n``.
+    The space defaults to all ``n`` element ids.  Each range packs into
+    a prefix matrix of at most ``budget_bytes`` (floored at one 64-bit
+    word per row), so kernels stay within a fixed memory envelope at
+    any ``n``.  Ranges start at ``lo`` plus whole words, so a
+    word-aligned ``lo`` keeps every range word-aligned.
     """
-    if n <= 0:
+    hi = n if hi is None else hi
+    if hi <= lo:
         return []
-    words_total = (n + 63) >> 6
     words_per_chunk = max(1, int(budget_bytes) // (8 * n))
     bits = words_per_chunk << 6
-    return [(lo, min(lo + bits, n)) for lo in range(0, words_total << 6, bits)]
+    return [(start, min(start + bits, hi)) for start in range(lo, hi, bits)]
+
+
+def chunk_buffers(n: int, chunks, count: int):
+    """Yield ``(lo, hi, buffers)`` per chunk, reusing one set of memory.
+
+    ``buffers`` are ``count`` uninitialized, C-contiguous
+    ``(words, n)`` arrays for the chunk (word-major, the layout the
+    kernels work in; see :func:`prefix_bit_matrix`).  Each is a prefix
+    of one flat array sized for the widest chunk, so a kernel
+    allocates (and faults in) its accumulators and gather scratch once
+    per call, not once per column.
+    """
+    size = n * max(((hi - lo + 63) >> 6 for lo, hi in chunks), default=0)
+    flat = [np.empty(size, dtype=np.uint64) for _ in range(count)]
+    for lo, hi in chunks:
+        shape = ((hi - lo + 63) >> 6, n)
+        size = shape[0] * shape[1]
+        yield lo, hi, [buf[:size].reshape(shape) for buf in flat]
 
 
 def prefix_bit_matrix(
@@ -169,22 +208,59 @@ def prefix_bit_matrix(
 
     Row ``r`` holds — as bits, at in-chunk positions ``lo..hi-1`` of
     the original element ids — the set ``{order[0], ..., order[r-1]}``:
-    the ``r`` smallest elements of the sorted column.  Rows are nested,
-    so the matrix is one exclusive cumulative sum of one-hot rows
-    (every bit is added exactly once, hence summing equals OR-ing);
-    indexing row ``g[t]`` (the number of values strictly below
-    ``t``'s) yields ``t``'s strict-dominators bitset for this column.
+    the ``r`` smallest elements of the sorted column.  Indexing row
+    ``g[t]`` (the number of values strictly below ``t``'s) yields
+    ``t``'s strict-dominators bitset for this column.
+
+    The ``(n, words)`` result is the transpose of a C-contiguous
+    ``(words, n)`` array: down the rows, a word only changes where one
+    of its 64 elements enters the prefix, so each word's column is a
+    step function with at most 65 steps.  One ``np.repeat`` of those
+    step values writes it in a single pass over the output, where a
+    cumulative sum of one-hot rows takes several.  Each call adds
+    ``n * words`` to the ``counting.prefix_words`` counter.
     """
     words = (hi - lo + 63) >> 6
-    hot = np.zeros((n, words), dtype=np.uint64)
-    inside = (order >= lo) & (order < hi)
-    rows = np.nonzero(inside)[0]
-    trimmed = rows[rows + 1 < n] + 1
-    bits = (order[trimmed - 1] - lo).astype(np.uint64)
-    hot[trimmed, (bits >> np.uint64(6)).astype(np.intp)] = _ONE << (
-        bits & np.uint64(63)
-    )
-    return np.cumsum(hot, axis=0)
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    # Sorted positions of each word's elements; padding sorts last.
+    slots = np.full(words << 6, n, dtype=np.intp)
+    slots[: hi - lo] = position[lo:hi]
+    slots = slots.reshape(words, 64)
+    bit = np.argsort(slots, axis=1)
+    entry = np.take_along_axis(slots, bit, axis=1)
+    # Step k of a word holds its k first-entering bits (each bit is
+    # added once, so a running sum is a running OR) and covers the
+    # rows from its k-th element's entry to the next one's; padding
+    # and the largest element enter past the last row.
+    steps = np.zeros((words, 65), dtype=np.uint64)
+    np.cumsum(_ONE << bit.astype(np.uint64), axis=1, out=steps[:, 1:])
+    edges = np.empty((words, 66), dtype=np.intp)
+    edges[:, 0] = 0
+    np.minimum(entry + 1, n, out=edges[:, 1:65])
+    edges[:, 65] = n
+    lengths = np.diff(edges, axis=1)
+    obs.inc("counting.prefix_words", n * words)
+    return np.repeat(steps.ravel(), lengths.ravel()).reshape(words, n).T
+
+
+def and_prefix_rows(ranked, lo, hi, out, gather):
+    """AND of the chunk-restricted dominator bitsets of ``ranked`` columns.
+
+    ``ranked`` holds :func:`sort_and_rank` pairs.  Works word-major:
+    ``out`` and the scratch ``gather`` are ``(words, n)`` buffers of
+    the chunk, and column ``t`` of ``out`` receives tuple ``t``'s
+    bitset.  Returns ``out``.
+    """
+    n = out.shape[1]
+    for i, (order, g) in enumerate(ranked):
+        matrix = prefix_bit_matrix(order, n, lo, hi).T
+        # Every row index is valid, so ``clip`` changes nothing; it
+        # lets ``take`` write straight into ``out`` without a buffer.
+        np.take(matrix, g, axis=1, out=gather if i else out, mode="clip")
+        if i:
+            out &= gather
+    return out
 
 
 def popcount_rows(packed: np.ndarray) -> np.ndarray:
@@ -197,11 +273,18 @@ def sort_and_rank(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``g[t]`` is the number of values strictly below ``column[t]`` —
     the prefix-matrix row holding ``t``'s dominator bitset for this
-    attribute.  Both arrays are chunk-independent, so callers compute
-    them once and reuse them across bit-space chunks.
+    attribute.  In sorted order that count is the position where
+    ``t``'s run of equal values starts, so one ``O(n)`` running
+    maximum over the run starts replaces a second binary search.
+    Both arrays are chunk-independent, so callers compute them once
+    and reuse them across bit-space chunks.
     """
     order = np.argsort(column, kind="stable")
-    g = np.searchsorted(column[order], column, side="left")
+    ordered = column[order]
+    starts = np.arange(ordered.size)
+    starts[1:][ordered[1:] == ordered[:-1]] = 0
+    g = np.empty_like(starts)
+    g[order] = np.maximum.accumulate(starts)
     return order, g
 
 
@@ -224,17 +307,7 @@ def count_dominators_bitset(
     if n == 0 or d == 0:
         return counts
     ranked = [sort_and_rank(pts[:, j]) for j in range(d)]
-    gather = None
-    for lo, hi in bit_chunks(n, budget_bytes):
-        acc = None
-        for order, g in ranked:
-            matrix = prefix_bit_matrix(order, n, lo, hi)
-            if acc is None:
-                acc = matrix[g]
-                if gather is None or gather.shape != acc.shape:
-                    gather = np.empty_like(acc)
-            else:
-                np.take(matrix, g, axis=0, out=gather)
-                acc &= gather
-        counts += popcount_rows(acc)
+    chunks = bit_chunks(n, budget_bytes)
+    for lo, hi, (acc, gather) in chunk_buffers(n, chunks, 2):
+        counts += popcount_rows(and_prefix_rows(ranked, lo, hi, acc, gather).T)
     return counts

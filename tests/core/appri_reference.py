@@ -26,7 +26,21 @@ from repro.core.partitioning import (
 from repro.dstruct.dominance import count_dominators_naive
 from repro.geometry.weights import gamma_levels
 
-__all__ = ["serial_level_arrays", "reference_layers"]
+__all__ = ["level_pass", "serial_level_arrays", "reference_layers"]
+
+
+def level_pass(pts, pair, b, p, side, count=count_dominators_naive):
+    """One dominance pass of the per-level schedule: one level column.
+
+    For ``p < b`` this is side ``side``'s pass at the interior gamma
+    level ``gamma_p``; ``p == b`` is the side's full-subspace pass,
+    which fills ``a_levels[:, b]`` (side a) or ``b_levels[:, 0]``
+    (side b).
+    """
+    if p == b:
+        return count(subspace_transform(pts, pair, side))
+    gamma = float(gamma_levels(b)[p - 1])
+    return count(level_transform(pts, pair, gamma, side))
 
 
 def serial_level_arrays(pts, pair, b, count=count_dominators_naive):
@@ -38,11 +52,11 @@ def serial_level_arrays(pts, pair, b, count=count_dominators_naive):
     n = pts.shape[0]
     a_levels = np.zeros((n, b + 1), dtype=np.int64)
     b_levels = np.zeros((n, b + 1), dtype=np.int64)
-    for p, gamma in enumerate(gamma_levels(b), start=1):
-        a_levels[:, p] = count(level_transform(pts, pair, float(gamma), "a"))
-        b_levels[:, p] = count(level_transform(pts, pair, float(gamma), "b"))
-    a_levels[:, b] = count(subspace_transform(pts, pair, "a"))
-    b_levels[:, 0] = count(subspace_transform(pts, pair, "b"))
+    for p in range(1, b):
+        a_levels[:, p] = level_pass(pts, pair, b, p, "a", count)
+        b_levels[:, p] = level_pass(pts, pair, b, p, "b", count)
+    a_levels[:, b] = level_pass(pts, pair, b, b, "a", count)
+    b_levels[:, 0] = level_pass(pts, pair, b, b, "b", count)
     # b_levels[:, b] stays 0 (b_B is empty by definition).
     return a_levels, b_levels
 

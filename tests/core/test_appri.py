@@ -245,17 +245,18 @@ class TestMatchesReference:
         monkeypatch.setattr(pipeline, "POOL_MIN_N", 0)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
         rng = np.random.default_rng(30 + workers)
+        # 150 ids are three words: each worker gets its own id range.
         if tied:
-            pts = rng.integers(0, 3, size=(45, 3)).astype(float)
+            pts = rng.integers(0, 3, size=(150, 3)).astype(float)
         else:
-            pts = rng.random((45, 3))
+            pts = rng.random((150, 3))
         for systems in ("complementary", "families"):
             build = appri_build(
                 pts, n_partitions=6, systems=systems, workers=workers
             )
-            assert build.metrics["counters"]["build.pool_used"] == int(
-                workers > 1
-            )
+            counters = build.metrics["counters"]
+            assert counters["build.pool_used"] == int(workers > 1)
+            assert counters["build.chunks"] == workers
             expected = reference_layers(pts, 6, systems)
             assert build.layers.tolist() == expected.tolist()
 

@@ -134,7 +134,10 @@ class TestThreeDimensions:
         exact = exact_robust_layers(pts)
         ub = sampled_upper_bounds(pts, n_samples=600, grid_resolution=20)
         assert np.all(exact <= ub)
-        assert (exact == ub).mean() >= 0.8
+        # Sampling only bounds the layers from above; the per-tuple
+        # solver pins them exactly.
+        expected = [minimal_rank(pts, t) for t in range(pts.shape[0])]
+        assert np.array_equal(exact, expected)
 
     def test_corner_queries_covered(self):
         # The minimum over the *closed* simplex includes corner

@@ -23,7 +23,7 @@ from repro.dstruct.dominance import (
     count_dominators_naive,
 )
 
-from .appri_reference import serial_level_arrays
+from .appri_reference import level_pass, serial_level_arrays
 
 
 class TestPairLevelData:
@@ -62,35 +62,58 @@ class TestPairLevelData:
         assert np.array_equal(full_b, tiny_b)
 
     def test_level_subsets_tile_full_result(self):
+        # Each level column of one full call is that level's own pass
+        # of the per-level schedule.
         rng = np.random.default_rng(3)
         pts = rng.random((30, 3))
-        pair = pair_systems(3, include_partial=False)[0]
         b = 6
-        full_a, full_b = pair_level_data(pts, pair, b)
-        acc_a = np.zeros_like(full_a)
-        acc_b = np.zeros_like(full_b)
-        for p in range(1, b + 1):
-            part_a, part_b = pair_level_data(pts, pair, b, levels=[p])
-            acc_a += part_a
-            acc_b += part_b
-        assert np.array_equal(acc_a, full_a)
-        assert np.array_equal(acc_b, full_b)
+        for pair in pair_systems(3, include_partial=True):
+            full_a, full_b = pair_level_data(pts, pair, b)
+            for p in range(1, b):
+                assert np.array_equal(
+                    full_a[:, p], level_pass(pts, pair, b, p, "a")
+                )
+                assert np.array_equal(
+                    full_b[:, p], level_pass(pts, pair, b, p, "b")
+                )
+            # Column B of side a / column 0 of side b: the subspaces.
+            sub_a = level_pass(pts, pair, b, b, "a")
+            sub_b = level_pass(pts, pair, b, b, "b")
+            assert np.array_equal(full_a[:, b], sub_a)
+            assert np.array_equal(full_b[:, 0], sub_b)
+            assert not full_a[:, 0].any() and not full_b[:, b].any()
 
     def test_empty_input_and_empty_levels(self):
         pair = pair_systems(2, include_partial=False)[0]
         a_levels, b_levels = pair_level_data(np.zeros((0, 2)), pair, 4)
         assert a_levels.shape == (0, 5)
+        # An empty id range counts no dominators at any level.
         pts = np.random.default_rng(0).random((5, 2))
-        a_levels, b_levels = pair_level_data(pts, pair, 4, levels=[])
+        a_levels, b_levels = pair_level_data(pts, pair, 4, 3, 3)
+        assert a_levels.shape == (5, 5)
         assert not a_levels.any() and not b_levels.any()
 
-    def test_rejects_out_of_range_levels(self):
+    def test_rejects_bad_id_range(self):
         pair = pair_systems(2, include_partial=False)[0]
         pts = np.ones((3, 2))
-        with pytest.raises(ValueError, match="levels"):
-            pair_level_data(pts, pair, 4, levels=[5])
-        with pytest.raises(ValueError, match="levels"):
-            pair_level_data(pts, pair, 4, levels=[0])
+        for lo, hi in [(-1, 3), (0, 4), (2, 1), (4, 4)]:
+            with pytest.raises(ValueError, match="id range"):
+                pair_level_data(pts, pair, 4, lo, hi)
+
+    def test_words_counted_once_per_column(self):
+        # Ranges split the bit space: their prefix words add up to the
+        # full call's when every range but the last is word-aligned.
+        pts = np.random.default_rng(4).random((200, 3))
+        pair = pair_systems(3, include_partial=False)[0]
+        words = {}
+        for name, ranges in (("full", [(0, 200)]),
+                             ("split", [(0, 64), (64, 192), (192, 200)])):
+            metrics = obs.Metrics()
+            with obs.collect(metrics):
+                for lo, hi in ranges:
+                    pair_level_data(pts, pair, 5, lo, hi)
+            words[name] = metrics.counters["counting.prefix_words"]
+        assert words["split"] == words["full"]
 
     def test_records_kernel_timer(self):
         pts = np.random.default_rng(1).random((20, 2))

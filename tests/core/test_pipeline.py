@@ -16,46 +16,47 @@ from .appri_reference import reference_layers
 
 
 class TestPlanChunks:
-    def test_covers_levels_exactly(self):
-        for n_levels in (1, 5, 10, 37):
-            for workers in (1, 2, 8):
-                chunks = pipeline.plan_chunks(n_levels, workers)
-                assert chunks[0][0] == 1
-                assert chunks[-1][1] == n_levels + 1
-                for (_, prev_hi), (lo, _) in zip(chunks, chunks[1:]):
-                    assert prev_hi == lo
+    def test_covers_ids_exactly(self):
+        for n in (1, 63, 64, 65, 1000, 2049):
+            for parts in (1, 2, 3, 8):
+                ranges = pipeline._id_ranges(n, parts)
+                assert 1 <= len(ranges) <= parts
+                assert ranges[0][0] == 0
+                assert ranges[-1][1] == n
+                for (_, prev_hi), (lo, hi) in zip(ranges, ranges[1:]):
+                    assert prev_hi == lo < hi
+                    # Word-aligned: the ranges pack into the full
+                    # bit space's words, none shared.
+                    assert lo % 64 == 0
 
-    def test_no_levels(self):
-        assert pipeline.plan_chunks(0, 4) == []
+    def test_no_ids(self):
+        assert pipeline._id_ranges(0, 4) == [(0, 0)]
 
     def test_one_worker_gets_one_range(self):
-        # Inline, one task per system ranks its lead columns once.
-        assert pipeline.plan_chunks(10, 1) == [(1, 11)]
+        # Inline, one task per system ranks its columns once.
+        assert pipeline._id_ranges(1000, 1) == [(0, 1000)]
 
-    def test_about_four_ranges_per_worker(self):
-        assert pipeline.plan_chunks(10, 2) == [
-            (1, 3), (3, 5), (5, 7), (7, 9), (9, 11)
-        ]
-        assert pipeline.plan_chunks(4, 8) == [(1, 2), (2, 3), (3, 4), (4, 5)]
+    def test_one_word_aligned_range_per_worker(self):
+        assert pipeline._id_ranges(10_000, 2) == [(0, 4992), (4992, 10_000)]
+        # Never more ranges than words.
+        assert pipeline._id_ranges(100, 8) == [(0, 64), (64, 100)]
 
 
 class TestLevelRangeTasks:
     @pytest.mark.parametrize("tied", [False, True])
-    def test_level_ranges_tile_the_full_kernel(self, tied):
+    def test_id_ranges_tile_the_full_kernel(self, tied):
         rng = np.random.default_rng(5)
         if tied:
-            pts = rng.integers(0, 4, size=(60, 3)).astype(float)
+            pts = rng.integers(0, 4, size=(150, 3)).astype(float)
         else:
-            pts = rng.random((60, 3))
+            pts = rng.random((150, 3))
         b = 7
         for pair in pair_systems(3, include_partial=False):
             full_a, full_b = pair_level_data(pts, pair, b)
             got_a = np.zeros_like(full_a)
             got_b = np.zeros_like(full_b)
-            for lo, hi in pipeline.plan_chunks(b, 2):
-                part_a, part_b = pair_level_data(
-                    pts, pair, b, levels=range(lo, hi)
-                )
+            for lo, hi in pipeline._id_ranges(150, 3):
+                part_a, part_b = pair_level_data(pts, pair, b, lo, hi)
                 got_a += part_a
                 got_b += part_b
             assert np.array_equal(got_a, full_a)
@@ -64,11 +65,12 @@ class TestLevelRangeTasks:
     def test_b_equals_one_single_chunk(self):
         pts = np.random.default_rng(0).random((10, 2))
         pair = pair_systems(2, include_partial=False)[0]
-        assert pipeline.plan_chunks(1, 4) == [(1, 2)]
-        a_levels, b_levels = pair_level_data(pts, pair, 1, levels=[1])
+        assert pipeline._id_ranges(10, 4) == [(0, 10)]
+        a_levels, b_levels = pair_level_data(pts, pair, 1, 0, 10)
         # Only the subspace passes exist at B = 1.
         assert a_levels.shape == (10, 2)
         assert a_levels[:, 1].any() or b_levels[:, 0].any()
+        assert not a_levels[:, 0].any() and not b_levels[:, 1].any()
 
 
 class TestBuildLevelData:
@@ -89,14 +91,14 @@ class TestBuildLevelData:
             assert np.array_equal(got_iii, serial_iii)
 
     def test_metrics_record_tasks_and_chunks(self, monkeypatch):
-        pts = np.random.default_rng(3).random((40, 2))
+        pts = np.random.default_rng(3).random((200, 2))
         metrics = Metrics()
-        # Below POOL_MIN_N the tasks run inline: one per system.
+        # Below POOL_MIN_N the tasks run inline: one range per system.
         pipeline.build_level_data(
             pts, 4, include_partial=False, workers=2, metrics=metrics,
         )
         assert metrics.counters["build.chunks"] == 1
-        # 1 dom task + 1 level-range task for the single 2-D system.
+        # 1 dom task + 1 id-range task for the single 2-D system.
         assert metrics.counters["build.tasks"] == 1 + 1
         assert "build.phase.levels" in metrics.timers
         assert "counting.kernel" in metrics.timers
@@ -107,9 +109,52 @@ class TestBuildLevelData:
         pipeline.build_level_data(
             pts, 4, include_partial=False, workers=2, metrics=pooled,
         )
-        # With the pool, each system's 4 levels split into 4 ranges.
-        assert pooled.counters["build.chunks"] == 4
-        assert pooled.counters["build.tasks"] == 1 + 4
+        # With the pool, the system's 200 ids split into 2 ranges.
+        assert pooled.counters["build.chunks"] == 2
+        assert pooled.counters["build.tasks"] == 1 + 2
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_builds_each_prefix_word_once(self, monkeypatch, workers):
+        # The pooled schedule splits the inline kernel work instead of
+        # repeating any of it: the same prefix-matrix words in total.
+        pts = np.random.default_rng(8).random((300, 3))
+        inline = appri_build(pts, n_partitions=5).metrics["counters"]
+        monkeypatch.setattr(pipeline, "POOL_MIN_N", 0)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+        pooled = appri_build(pts, n_partitions=5, workers=workers)
+        counters = pooled.metrics["counters"]
+        assert counters["build.pool_used"] == 1
+        assert counters["build.chunks"] == workers
+        assert (
+            counters["counting.prefix_words"]
+            == inline["counting.prefix_words"]
+        )
+
+    def test_pool_size_capped_by_usable_cpus(self, monkeypatch):
+        started = []
+
+        class RecordingPool(pipeline.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(pipeline, "POOL_MIN_N", 0)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        pts = np.random.default_rng(6).random((300, 3))
+        metrics = Metrics()
+        dominators, level_data, _ = pipeline.build_level_data(
+            pts, 5, include_partial=False, workers=8, metrics=metrics
+        )
+        assert started == [2]
+        assert metrics.counters["build.chunks"] == 2
+        serial_dom, serial_level, _ = pipeline.build_level_data(
+            pts, 5, include_partial=False, workers=1
+        )
+        assert np.array_equal(dominators, serial_dom)
+        for (pa, pb), (sa, sb) in zip(level_data, serial_level):
+            assert np.array_equal(pa, sa)
+            assert np.array_equal(pb, sb)
 
     def test_pool_engages_when_forced(self, monkeypatch):
         monkeypatch.setattr(pipeline, "POOL_MIN_N", 0)

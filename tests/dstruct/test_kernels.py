@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dstruct.dominance import count_dominators_naive
 from repro.dstruct.kernels import (
+    and_prefix_rows,
     bit_chunks,
+    chunk_buffers,
     count_dominators_bitset,
     count_dominators_merge2d,
     count_smaller_before,
     popcount_rows,
     prefix_bit_matrix,
+    sort_and_rank,
 )
 
 from ..conftest import points_strategy
@@ -132,3 +135,65 @@ class TestPackedHelpers:
                 i for i in range(20) if matrix[r, i >> 6] >> (i & 63) & 1
             }
             assert members == set(order[:r].tolist())
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_matrix_matches_definition_on_any_range(self, seed):
+        # Unaligned ranges, ties and sizes around word boundaries.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))
+        lo, hi = sorted(int(x) for x in rng.integers(0, n + 1, size=2))
+        col = rng.integers(0, 4, size=n).astype(float)
+        order = np.argsort(col, kind="stable")
+        matrix = prefix_bit_matrix(order, n, lo, hi)
+        assert matrix.shape == (n, (hi - lo + 63) >> 6)
+        for r in range(n):
+            expect = np.zeros(matrix.shape[1], dtype=np.uint64)
+            for i in order[:r]:
+                if lo <= i < hi:
+                    bit = np.uint64((i - lo) & 63)
+                    expect[(i - lo) >> 6] |= np.uint64(1) << bit
+            assert np.array_equal(matrix[r], expect), r
+
+    def test_reused_buffers_match_fresh_calls(self):
+        # One set of chunk buffers serves consecutive different column
+        # families and bit ranges; every result equals a call on fresh
+        # buffers and the AND of the definition's prefix rows.
+        rng = np.random.default_rng(11)
+        n = 150
+        families = [
+            [sort_and_rank(rng.integers(0, 3, size=n).astype(float))
+             for _ in range(k)]
+            for k in (1, 3, 2)
+        ]
+        ranges = [(0, 150), (64, 150), (3, 70), (128, 129)]
+        for lo, hi, (out, gather) in chunk_buffers(n, ranges, 2):
+            for ranked in families:
+                got = and_prefix_rows(ranked, lo, hi, out, gather).copy()
+                _, _, fresh = next(chunk_buffers(n, [(lo, hi)], 2))
+                assert np.array_equal(
+                    got, and_prefix_rows(ranked, lo, hi, *fresh)
+                )
+                by_rows = np.bitwise_and.reduce(
+                    [prefix_bit_matrix(order, n, lo, hi)[g]
+                     for order, g in ranked]
+                )
+                assert np.array_equal(got.T, by_rows)
+
+
+class TestSortAndRank:
+    @given(
+        st.lists(
+            st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 2.0, np.inf]),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_argsort_and_binary_search(self, values):
+        col = np.array(values, dtype=float)
+        order, g = sort_and_rank(col)
+        expect_order = np.argsort(col, kind="stable")
+        assert np.array_equal(order, expect_order)
+        assert np.array_equal(
+            g, np.searchsorted(col[expect_order], col, side="left")
+        )
