@@ -133,7 +133,7 @@ def bench_config(
     def seed_query(query):
         # Pre-slab per-query path: fancy gather from the original
         # matrix + full-lexsort ranking + per-query layer max.
-        candidates = index.candidates_for_k(k)
+        candidates = index.layered.prefix(k)[1]
         scores = query.scores(index.points[candidates])
         order = np.lexsort((candidates, scores))
         layers = index.layers[candidates].max() if candidates.size else 0

@@ -219,8 +219,8 @@ class TopKExecutor:
         built from the ``ORDER BY`` dicts, one vectorized validity
         check, one batched result-cache probe and store, and one
         ``query_batch`` call for the misses, handed the weight matrix
-        itself (for a robust index that is one GEMM through
-        :meth:`~repro.indexes.robust.RobustIndex.query_matrix`).
+        itself (for a layered index, one GEMM through
+        :meth:`~repro.indexes.robust.LayeredSlab.query_batch`).
         Everything else — ``EXPLAIN``, ``layer <=``
         predicates, planner scans, and group rows with negative, zero,
         non-finite or non-indexed weights — goes through

@@ -16,7 +16,7 @@ import numpy as np
 from ..core.qkernel import topk_select
 from ..queries.ranking import LinearQuery
 
-__all__ = ["QueryResult", "RankedIndex", "rank_candidates"]
+__all__ = ["QueryResult", "RankedIndex", "check_query", "rank_candidates"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,22 +63,12 @@ class RankedIndex(ABC):
     @property
     def size(self) -> int:
         """Number of indexed tuples."""
-        return self._points.shape[0]
+        return self.points.shape[0]
 
     @property
     def dimensions(self) -> int:
         """Number of ranked attributes."""
-        return self._points.shape[1]
-
-    def _check_query(self, query: LinearQuery, k: int) -> int:
-        if query.dimensions != self.dimensions:
-            raise ValueError(
-                f"query has {query.dimensions} weights; "
-                f"index covers {self.dimensions} attributes"
-            )
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        return min(k, self.size)
+        return self.points.shape[1]
 
     @abstractmethod
     def query(self, query: LinearQuery, k: int) -> QueryResult:
@@ -90,8 +80,8 @@ class RankedIndex(ABC):
         ``queries`` is an iterable of :class:`LinearQuery` or a
         ``(q, d)`` weight matrix holding one monotone query per row.
         The default loops over :meth:`query`; indexes whose candidate
-        set is query-independent (the robust index) override this with
-        one vectorized scoring pass.
+        set is query-independent (the robust and dynamic indexes)
+        override this with one vectorized scoring pass.
         """
         if isinstance(queries, np.ndarray):
             queries = [LinearQuery(w) for w in queries]
@@ -100,6 +90,23 @@ class RankedIndex(ABC):
     def build_info(self) -> dict:
         """Implementation-specific build statistics (layer counts...)."""
         return {}
+
+
+def check_query(query: LinearQuery, k: int, shape: tuple[int, int]) -> int:
+    """``min(k, n)`` for a top-k ``query`` over an ``(n, d)`` relation.
+
+    Raises ``ValueError`` when ``query`` does not score d attributes or
+    ``k`` is negative.
+    """
+    n, d = shape
+    if query.dimensions != d:
+        raise ValueError(
+            f"query has {query.dimensions} weights; "
+            f"index covers {d} attributes"
+        )
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    return min(k, n)
 
 
 def rank_candidates(

@@ -28,9 +28,10 @@ The design rule is single-writer / lock-free readers:
 
 * every mutation (updates, batches, rebuild commit) happens under one
   lock and ends by *atomically replacing* the view reference;
-* readers (:meth:`query`) grab the current view once and run entirely
-  against that object — a concurrent swap cannot tear their answer,
-  they simply finish on the version they started with.
+* readers (:meth:`query`, :meth:`query_batch`) grab the current view
+  once and run entirely against that object — a concurrent swap cannot
+  tear their answer, they simply finish on the version they started
+  with.
 
 Because both the old (stale-but-sound) and new (tight) layerings are
 sound, a query served during a rebuild returns the *same exact top-k
@@ -51,7 +52,9 @@ from .. import obs
 from ..core import dynamic as maintenance
 from ..core.appri import _validated_points
 from ..core.dynamic import DynamicRobustLayers
-from ..core.qkernel import topk_select
+# Not called here; perfbench/tracing.py wraps this module's
+# ``topk_select`` by name.
+from ..core.qkernel import topk_select  # noqa: F401
 from ..queries.ranking import LinearQuery
 from .base import QueryResult, RankedIndex
 from .robust import LayeredSlab
@@ -125,16 +128,6 @@ class DynamicRobustIndex(RankedIndex):
         return self._view.slab.points
 
     @property
-    def size(self) -> int:
-        """Number of alive tuples in the serving view."""
-        return self._view.slab.points.shape[0]
-
-    @property
-    def dimensions(self) -> int:
-        """Attribute count of the indexed relation."""
-        return self._view.slab.points.shape[1]
-
-    @property
     def layers(self) -> np.ndarray:
         """Current sound 1-based layers (per alive tuple)."""
         return self._view.slab.layers
@@ -160,24 +153,14 @@ class DynamicRobustIndex(RankedIndex):
 
     def query(self, query: LinearQuery, k: int) -> QueryResult:
         """Exact top-k against the current view, without locking."""
-        slab = self._view.slab  # one atomic grab; swaps cannot tear us
-        if query.dimensions != slab.points.shape[1]:
-            raise ValueError(
-                f"query has {query.dimensions} weights; "
-                f"index covers {slab.points.shape[1]} attributes"
-            )
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        k = min(k, slab.points.shape[0])
-        if k == 0:
-            return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
-        with obs.timed("index.query"):
-            rows, candidates, layers_scanned = slab.prefix(k)
-            tids = topk_select(rows @ query.weights, candidates, k)
-        obs.inc("index.queries")
-        obs.inc("index.candidates", candidates.size)
-        obs.inc("index.layers_scanned", layers_scanned)
-        return QueryResult(tids, candidates.size, layers_scanned)
+        # One atomic grab of the view: a concurrent swap cannot tear us.
+        return self._view.slab.query(query, k)
+
+    def query_batch(self, queries, k: int) -> list[QueryResult]:
+        """Exact top-k of many queries against one view, without
+        locking: one GEMM over the shared prefix
+        (:meth:`LayeredSlab.query_batch`)."""
+        return self._view.slab.query_batch(queries, k)
 
     def build_info(self) -> dict:
         """Maintenance state: staleness, tightness, generation."""

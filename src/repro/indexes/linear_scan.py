@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..queries.ranking import LinearQuery
-from .base import QueryResult, RankedIndex
+from .base import QueryResult, RankedIndex, check_query
 
 __all__ = ["LinearScanIndex"]
 
@@ -21,7 +21,7 @@ class LinearScanIndex(RankedIndex):
     name = "Scan"
 
     def query(self, query: LinearQuery, k: int) -> QueryResult:
-        k = self._check_query(query, k)
+        k = check_query(query, k, self._points.shape)
         tids = query.top_k(self._points, k)
         return QueryResult(tids, self.size, 0)
 

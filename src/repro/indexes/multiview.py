@@ -20,7 +20,7 @@ import numpy as np
 
 from ..geometry.weights import normalize_weights, simplex_corners
 from ..queries.ranking import LinearQuery
-from .base import QueryResult, RankedIndex, rank_candidates
+from .base import QueryResult, RankedIndex, check_query, rank_candidates
 from .prefer import PreferIndex
 from .robust import RobustIndex
 
@@ -148,7 +148,7 @@ class RobustMultiView(RankedIndex):
 
     def query(self, query: LinearQuery, k: int) -> QueryResult:
         """Top-k from the first k layers of the query's routed view."""
-        k = self._check_query(query, k)
+        k = check_query(query, k, self._points.shape)
         if k == 0:
             return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
         m, rewritten = self.route(query)
@@ -157,11 +157,8 @@ class RobustMultiView(RankedIndex):
         # first k layers contain the original query's top k; re-rank
         # those candidates with the *original* weights so float
         # round-off in the rewrite cannot perturb tie-breaking.
-        candidates = view.candidates_for_k(k)
+        _, candidates, layers_scanned = view.layered.prefix(k)
         tids = rank_candidates(self._points, candidates, query, k)
-        layers_scanned = (
-            int(view.layers[candidates].max()) if candidates.size else 0
-        )
         return QueryResult(tids, int(candidates.size), layers_scanned)
 
     def build_info(self) -> dict:

@@ -22,7 +22,7 @@ import numpy as np
 from ..geometry.convex import hull_vertices, shell_vertices
 from ..geometry.peeling import peel_layers
 from ..queries.ranking import LinearQuery
-from .base import QueryResult, RankedIndex, rank_candidates
+from .base import QueryResult, RankedIndex, check_query, rank_candidates
 from .robust import LayeredSlab
 
 __all__ = ["OnionIndex", "ShellIndex", "peel_layers"]
@@ -70,7 +70,7 @@ class _PeeledIndex(RankedIndex):
         is strictly below that minimum no deeper tuple can enter the
         top k.
         """
-        k = self._check_query(query, k)
+        k = check_query(query, k, self._points.shape)
         if k == 0:
             return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
         layered = self._layered

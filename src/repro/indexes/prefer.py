@@ -27,7 +27,7 @@ import numpy as np
 
 from ..geometry.weights import normalize_weights
 from ..queries.ranking import LinearQuery
-from .base import QueryResult, RankedIndex, rank_candidates
+from .base import QueryResult, RankedIndex, check_query, rank_candidates
 
 __all__ = ["PreferIndex", "watermark_min_score"]
 
@@ -122,7 +122,7 @@ class PreferIndex(RankedIndex):
         return self._view_weights
 
     def query(self, query: LinearQuery, k: int) -> QueryResult:
-        k = self._check_query(query, k)
+        k = check_query(query, k, self._points.shape)
         if k == 0:
             return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
         w = query.weights

@@ -10,11 +10,14 @@ That storage decision lives in one value, :class:`LayeredSlab`.  Every
 layered index (AppRI, exact, Onion/Shell, the dynamic index's serving
 view) holds one, built from ``(points, layers)`` or adopted from
 snapshot buffers, and reads the candidates of a top-k query through
-:meth:`LayeredSlab.prefix`.
+:meth:`LayeredSlab.prefix`.  The slab also ranks that prefix itself:
+:meth:`LayeredSlab.query` and :meth:`LayeredSlab.query_batch` share one
+routine, which the AppRI, exact and dynamic indexes hand both calls to.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 
@@ -24,11 +27,17 @@ from .. import obs
 from ..core.appri import appri_build
 from ..core.exact import exact_build
 from ..core.index import layer_offsets, layer_order
-from ..core.qkernel import batch_topk, topk_select
-from ..queries.ranking import LinearQuery
-from .base import QueryResult, RankedIndex
+from ..core.qkernel import _scratch_buffer, batch_topk, topk_select
+from ..queries.ranking import LinearQuery, check_weights
+from .base import QueryResult, RankedIndex, check_query
 
 __all__ = ["LayeredSlab", "RobustIndex", "ExactRobustIndex"]
+
+
+#: Batch working memory (GEMM output, kernel buffers): its ``__dict__``
+#: is one dict per thread, as :func:`batch_topk` scratch must not be
+#: shared by concurrent calls.
+_SCRATCH = threading.local()
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -138,6 +147,82 @@ class LayeredSlab:
         tids = self.order[:c]
         return self.slab[:c], tids, int(self.layers[tids[-1]]) if c else 0
 
+    def query(self, query: LinearQuery, k: int) -> QueryResult:
+        """Exact top-k of one query from the first k layers.
+
+        ``query`` was validated when it was built; only its width and
+        ``k`` are checked.  Emits ``index.query`` plus ``index.queries``
+        / ``.candidates`` / ``.layers_scanned``.
+        """
+        k = check_query(query, k, self.points.shape)
+        if k == 0:
+            return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
+        with obs.timed("index.query"):
+            top, retrieved, layers_scanned = self._ranked((query.weights,), k)
+        obs.inc("index.queries")
+        obs.inc("index.candidates", retrieved)
+        obs.inc("index.layers_scanned", layers_scanned)
+        return QueryResult(top[0], retrieved, layers_scanned)
+
+    def query_batch(self, queries, k: int) -> list[QueryResult]:
+        """Exact top-k of many queries; row j equals ``query(queries[j])``.
+
+        ``queries`` is an iterable of :class:`LinearQuery` or a ``(q, d)``
+        weight matrix whose rows must pass :class:`LinearQuery`'s rule
+        (:func:`~repro.queries.ranking.check_weights`).  Emits
+        ``index.batch`` plus ``index.batch.count`` / ``.queries`` /
+        ``.candidates``.
+        """
+        n, d = self.points.shape
+        if isinstance(queries, np.ndarray):
+            weights = np.asarray(queries, dtype=float)
+            if weights.ndim != 2 or weights.shape[1] != d:
+                raise ValueError(
+                    f"weights must be (q, {d}); got shape {weights.shape}"
+                )
+            check_weights(weights)
+        else:
+            queries = list(queries)
+            for q in queries:
+                check_query(q, k, self.points.shape)
+            weights = np.array([q.weights for q in queries])
+        if len(weights) == 0:
+            return []
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        k = min(k, n)
+        if k == 0:
+            empty = np.zeros(0, dtype=np.intp)
+            return [QueryResult(empty, 0, 0) for _ in weights]
+        with obs.timed("index.batch"):
+            top, retrieved, layers_scanned = self._ranked(weights, k)
+        obs.inc("index.batch.count")
+        obs.inc("index.batch.queries", len(weights))
+        obs.inc("index.batch.candidates", retrieved * len(weights))
+        return [QueryResult(row, retrieved, layers_scanned) for row in top]
+
+    def _ranked(self, weights, k: int):
+        """``(top, retrieved, layers_scanned)`` for ``k >= 1``.
+
+        ``weights`` holds q >= 1 weight vectors; ``top[j]`` is vector
+        j's top-k tids under the ``(score, tid)`` tie rule.  One vector
+        is a GEMV plus :func:`topk_select`.  More share one GEMM over
+        the prefix, written C-order into this thread's grow-only
+        scratch (row passes stay contiguous, no per-batch allocation),
+        and :func:`batch_topk` selects every row at once.
+        """
+        rows, candidates, layers_scanned = self.prefix(k)
+        if len(weights) == 1:
+            top = [topk_select(rows @ weights[0], candidates, k)]
+        else:
+            scratch = _SCRATCH.__dict__
+            scores = _scratch_buffer(
+                scratch, "scores", len(weights) * candidates.size, np.float64
+            ).reshape(len(weights), candidates.size)
+            np.matmul(weights, rows.T, out=scores)
+            top = batch_topk(scores, candidates, k, scratch=scratch)
+        return top, candidates.size, layers_scanned
+
 
 class RobustIndex(RankedIndex):
     """Sequentially layered robust index built with AppRI.
@@ -199,9 +284,6 @@ class RobustIndex(RankedIndex):
     def _adopt(self, layered: LayeredSlab) -> None:
         self._layered = layered
         self._points = layered.points
-        # Reusable working memory for the batch path (GEMM output plus
-        # the kernel's probe/mask buffers), sized against this slab.
-        self._batch_scratch: dict = {}
 
     @property
     def layered(self) -> LayeredSlab:
@@ -224,27 +306,15 @@ class RobustIndex(RankedIndex):
         """Tuples a top-k query reads: the size of the first k layers."""
         return self._layered.retrieval_cost(k)
 
-    def candidates_for_k(self, k: int) -> np.ndarray:
-        """Tids in the first k layers, in sequential storage order."""
-        return self._layered.prefix(k)[1]
-
     def query(self, query: LinearQuery, k: int) -> QueryResult:
-        """Answer one top-k query from the first k layers.
+        """Answer one top-k query from the first k layers
+        (:meth:`LayeredSlab.query`)."""
+        return self._layered.query(query, k)
 
-        Scores the slab prefix (:meth:`LayeredSlab.prefix`) and ranks
-        it with :func:`repro.core.qkernel.topk_select`, which realizes
-        the exact ``(score, tid)`` tie rule.
-        """
-        k = self._check_query(query, k)
-        if k == 0:
-            return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
-        with obs.timed("index.query"):
-            rows, candidates, layers_scanned = self._layered.prefix(k)
-            tids = topk_select(rows @ query.weights, candidates, k)
-        obs.inc("index.queries")
-        obs.inc("index.candidates", candidates.size)
-        obs.inc("index.layers_scanned", layers_scanned)
-        return QueryResult(tids, candidates.size, layers_scanned)
+    def query_batch(self, queries, k: int) -> list[QueryResult]:
+        """Answer many top-k queries with one GEMM over the shared
+        k-layer prefix (:meth:`LayeredSlab.query_batch`)."""
+        return self._layered.query_batch(queries, k)
 
     def build_info(self) -> dict:
         """Build parameters, layer count, build time and metrics."""
@@ -258,74 +328,6 @@ class RobustIndex(RankedIndex):
             "build_seconds": self._build_seconds,
             "build_metrics": self.build_metrics,
         }
-
-    def query_batch(self, queries, k: int) -> list[QueryResult]:
-        """Vectorized batch answering.
-
-        The robust index's candidate set depends only on k, so a whole
-        workload is answered in one shot through :meth:`query_matrix`
-        (one GEMM plus the batch top-k kernel).  ``queries`` is an
-        iterable of :class:`LinearQuery` or a ``(q, d)`` weight matrix,
-        which skips building a query object per row.
-        """
-        if isinstance(queries, np.ndarray):
-            weights = queries
-        else:
-            queries = list(queries)
-            for q in queries:
-                self._check_query(q, k)
-            weights = np.array([q.weights for q in queries])
-        if len(weights) == 0:
-            return []
-        top, prefix, layers_scanned = self.query_matrix(weights, k)
-        return [QueryResult(row, prefix, layers_scanned) for row in top]
-
-    def query_matrix(self, weights, k: int):
-        """Answer one top-k query per row of a ``(q, d)`` weight matrix.
-
-        Returns ``(tids, retrieved, layers_scanned)``: a ``(q, k')``
-        tid matrix (``k' = min(k, size)``) whose row j is row j's
-        exact answer under the ``(score, tid)`` tie rule, plus the
-        retrieval cost and layer depth every row shares — the
-        candidate set depends only on k.  A single GEMM scores the
-        layer-packed slab prefix against every row, then the batch
-        kernel (:func:`repro.core.qkernel.batch_topk`) selects each
-        row's top k.  The GEMM output and the kernel's working sets
-        live in per-index scratch buffers, so repeated batches run
-        entirely in warm memory.  Rows are taken as given (monotone,
-        like :meth:`query`); emits per-batch ``index.batch*`` counters
-        and timers.
-        """
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 2 or weights.shape[1] != self.dimensions:
-            raise ValueError(
-                f"weights must be (q, {self.dimensions}); "
-                f"got shape {weights.shape}"
-            )
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        k = min(k, self.size)
-        n_queries = weights.shape[0]
-        if k == 0 or n_queries == 0:
-            return np.zeros((n_queries, 0), dtype=np.intp), 0, 0
-        with obs.timed("index.batch"):
-            rows, candidates, layers_scanned = self._layered.prefix(k)
-            prefix = candidates.size
-            # One GEMM over the contiguous prefix, written into a
-            # reused C-order (q, c) buffer: the kernel's row passes
-            # stay contiguous per query, with no transpose copy and no
-            # fresh multi-megabyte allocation per batch.
-            scratch = self._batch_scratch
-            scores = scratch.get("scores")
-            if scores is None or scores.shape != (n_queries, prefix):
-                scores = np.empty((n_queries, prefix))
-                scratch["scores"] = scores
-            np.matmul(weights, rows.T, out=scores)
-            top = batch_topk(scores, candidates, k, scratch=scratch)
-        obs.inc("index.batch.count")
-        obs.inc("index.batch.queries", n_queries)
-        obs.inc("index.batch.candidates", prefix * n_queries)
-        return top, prefix, layers_scanned
 
     def export_state(self) -> tuple[dict, dict]:
         """Serializable ``(arrays, meta)``: the slab's buffers plus the

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..dstruct.rtree import RTree
 from ..queries.ranking import LinearQuery
-from .base import QueryResult, RankedIndex, rank_candidates
+from .base import QueryResult, RankedIndex, check_query, rank_candidates
 
 __all__ = ["RTreeIndex"]
 
@@ -53,7 +53,7 @@ class RTreeIndex(RankedIndex):
         return self._tree
 
     def query(self, query: LinearQuery, k: int) -> QueryResult:
-        k = self._check_query(query, k)
+        k = check_query(query, k, self._points.shape)
         if k == 0:
             return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
         w = query.weights

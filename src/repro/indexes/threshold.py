@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from ..queries.ranking import LinearQuery
-from .base import QueryResult, RankedIndex, rank_candidates
+from .base import QueryResult, RankedIndex, check_query, rank_candidates
 
 __all__ = ["ThresholdIndex"]
 
@@ -57,7 +57,7 @@ class ThresholdIndex(RankedIndex):
         self._build_seconds = time.perf_counter() - started
 
     def query(self, query: LinearQuery, k: int) -> QueryResult:
-        k = self._check_query(query, k)
+        k = check_query(query, k, self._points.shape)
         if k == 0:
             return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
         w = query.weights

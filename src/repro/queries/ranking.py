@@ -15,7 +15,25 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LinearQuery", "rank_of", "top_k_tids", "ranking_order"]
+__all__ = [
+    "LinearQuery", "check_weights", "rank_of", "top_k_tids", "ranking_order"
+]
+
+
+def check_weights(weights: np.ndarray, require_monotone: bool = True) -> None:
+    """Raise ``ValueError`` unless each weight vector (1-D, or each row
+    of a 2-D array) is finite, not all zero and, if ``require_monotone``,
+    non-negative: the one rule :class:`LinearQuery` and weight matrices
+    share."""
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    if require_monotone and (weights < 0).any():
+        raise ValueError(
+            "monotone queries require non-negative weights; "
+            "pass require_monotone=False for general linear queries"
+        )
+    if not weights.any(axis=-1).all():
+        raise ValueError("at least one weight must be non-zero")
 
 
 class LinearQuery:
@@ -45,15 +63,7 @@ class LinearQuery:
             raise ValueError("weights must be one-dimensional")
         if w.size == 0:
             raise ValueError("weights must be non-empty")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if require_monotone and np.any(w < 0):
-            raise ValueError(
-                "monotone queries require non-negative weights; "
-                "pass require_monotone=False for general linear queries"
-            )
-        if np.all(w == 0):
-            raise ValueError("at least one weight must be non-zero")
+        check_weights(w, require_monotone)
         self._weights = w
 
     @property

@@ -1,6 +1,8 @@
 """Tests for the batch-query API."""
 
 import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.engine.snapshot import load_snapshot, save_snapshot
 from repro.experiments.harness import INDEX_BUILDERS
+from repro.indexes.dynamic import DynamicRobustIndex
 from repro.indexes.linear_scan import LinearScanIndex
 from repro.indexes.onion import ShellIndex
 from repro.indexes.robust import ExactRobustIndex, RobustIndex
@@ -67,9 +70,66 @@ class TestRobustBatch:
     def test_query_matrix_rejects_wrong_width(self, small_3d):
         index = RobustIndex(small_3d, n_partitions=4)
         with pytest.raises(ValueError, match="weights must be"):
-            index.query_matrix(np.ones((2, 2)), 5)
+            index.query_batch(np.ones((2, 2)), 5)
         with pytest.raises(ValueError, match="non-negative"):
-            index.query_matrix(np.ones((2, 3)), -1)
+            index.query_batch(np.ones((2, 3)), -1)
+
+    @pytest.mark.parametrize("index_cls", [RobustIndex, DynamicRobustIndex])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([-1.0, 2.0, 3.0], "non-negative"),
+            ([np.nan, 1.0, 1.0], "finite"),
+            ([0.0, 0.0, 0.0], "non-zero"),
+        ],
+    )
+    def test_weight_matrix_rejects_invalid_rows(self, index_cls, row, message):
+        points = np.random.default_rng(3).random((500, 3))
+        index = index_cls(points, n_partitions=6)
+        with pytest.raises(ValueError, match=message):
+            LinearQuery(row)
+        for weights in ([row], [[1.0, 2.0, 3.0], row]):
+            with pytest.raises(ValueError, match=message):
+                index.query_batch(np.array(weights), 5)
+
+    @pytest.mark.parametrize("index_cls", [RobustIndex, DynamicRobustIndex])
+    def test_concurrent_batches_equal_single_queries(self, index_cls):
+        # Threads with differently shaped batches on one index: any
+        # shared batch working memory tears answers or raises.
+        points = np.random.default_rng(11).random((4000, 3))
+        index = index_cls(points, n_partitions=8)
+        weights = np.random.default_rng(12).dirichlet(np.ones(3), size=64)
+        shapes = [(k, m) for k in (10, 20, 50, 100) for m in (8, 24, 64)]
+        expected = {
+            k: [index.query(LinearQuery(w), k).tids for w in weights]
+            for k in (10, 20, 50, 100)
+        }
+        errors = []
+        start = threading.Barrier(4)
+
+        def client(offset):
+            start.wait()
+            try:
+                for i in range(200):
+                    k, m = shapes[(offset + i) % len(shapes)]
+                    batch = index.query_batch(weights[:m], k)
+                    for j, result in enumerate(batch):
+                        assert np.array_equal(result.tids, expected[k][j])
+            except Exception as exc:  # re-raised on the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads densely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
 
     def test_k_zero_batch(self, small_2d):
         index = RobustIndex(small_2d, n_partitions=3)
@@ -114,14 +174,23 @@ _DATA = np.random.default_rng(71).random((48, 3))
 
 @functools.lru_cache(maxsize=None)
 def _built(name):
-    return INDEX_BUILDERS[name](_DATA)
+    return _BUILDERS[name](_DATA)
+
+
+# The registered index types plus the exact and dynamic robust indexes.
+_BUILDERS = {
+    **INDEX_BUILDERS,
+    "ExactRI": lambda data: ExactRobustIndex(data),
+    "DynAppRI": lambda data: DynamicRobustIndex(data, n_partitions=10),
+}
 
 
 class TestBatchEveryIndexType:
-    """``query_batch == [query(q) for q in queries]`` for every
-    registered index type, vectorized overrides included."""
+    """``query_batch == [query(q) for q in queries] == LinearQuery.top_k``
+    for every index type, vectorized overrides and one-row batches
+    included."""
 
-    @pytest.mark.parametrize("name", sorted(INDEX_BUILDERS))
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
     def test_batch_matches_loop(self, name):
         index = _built(name)
         queries = grid_weight_workload(3, 5, seed=3) + simplex_workload(
@@ -130,9 +199,15 @@ class TestBatchEveryIndexType:
         batch = index.query_batch(queries, 9)
         assert len(batch) == len(queries)
         for q, result in zip(queries, batch):
-            assert result.tids.tolist() == index.query(q, 9).tids.tolist()
+            single = index.query(q, 9)
+            (one_row,) = index.query_batch(np.array([q.weights]), 9)
+            for r in (result, one_row):
+                assert r.tids.tolist() == single.tids.tolist()
+                assert r.retrieved == single.retrieved
+                assert r.layers_scanned == single.layers_scanned
+            assert single.tids.tolist() == q.top_k(_DATA, 9).tolist()
 
-    @pytest.mark.parametrize("name", sorted(INDEX_BUILDERS))
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
     @settings(deadline=None, max_examples=10)
     @given(
         rows=st.lists(

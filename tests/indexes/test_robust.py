@@ -39,8 +39,8 @@ class TestQueries:
 
     def test_candidates_for_k_prefix_of_order(self, small_3d):
         idx = RobustIndex(small_3d, n_partitions=4)
-        c5 = set(idx.candidates_for_k(5).tolist())
-        c10 = set(idx.candidates_for_k(10).tolist())
+        c5 = set(idx.layered.prefix(5)[1].tolist())
+        c10 = set(idx.layered.prefix(10)[1].tolist())
         assert c5 <= c10
         assert np.all(idx.layers[list(c5)] <= 5)
 

@@ -167,10 +167,15 @@ class DynamicServingMachine(RuleBasedStateMachine):
     @invariant()
     def answers_equal_brute_force(self):
         n = self.model.shape[0]
-        query = LinearQuery(self.rng.dirichlet(np.ones(3)))
+        weights = self.rng.dirichlet(np.ones(3), size=3)
+        query = LinearQuery(weights[0])
         for k in {1, max(n // 2, 1), n + 1}:
             got = self.index.query(query, k).tids
             assert np.array_equal(got, query.top_k(self.model, k))
+            batch = self.index.query_batch(weights, k)
+            for w, result in zip(weights, batch):
+                expected = LinearQuery(w).top_k(self.model, k)
+                assert np.array_equal(result.tids, expected)
 
 
 class AvlMachine(RuleBasedStateMachine):
