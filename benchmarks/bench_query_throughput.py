@@ -27,8 +27,13 @@ Q-query monotone top-k workload against one robust index:
     The same workload replayed against a warm
     :class:`repro.engine.cache.ResultCache` — every query is a hit, so
     this is the cache's truncation-serving ceiling.
+``mixed_k``
+    The workload with a per-row k drawn from ``MIXED_KS``, answered by
+    one ``index.query_batch(weights, ks)`` call, next to ``per_k``:
+    one ``query_batch`` per distinct k over that k's rows.  Every
+    mixed-k row must equal ``index.query`` at its own k (asserted).
 
-All four must return identical tids for every query (asserted); the
+The first four must return identical tids for every query (asserted); the
 batch kernel's speedup target at n=50k, d=4, k=20 is >= 5x over the
 per-query loop baseline (``loop_seed``; its speedup over today's
 already-kernelized loop is reported alongside as
@@ -66,6 +71,7 @@ FULL_CONFIGS = ((10_000, 2), (10_000, 4), (50_000, 2), (50_000, 4))
 QUICK_CONFIGS = ((2_000, 2), (2_000, 3))
 N_QUERIES = 256
 K = 20
+MIXED_KS = (10, 20, 50, 100)
 SEED = 0
 
 
@@ -178,6 +184,30 @@ def bench_config(
         cache_tids.append(result.tids)
     cache_seconds = sum(cache_latencies)
 
+    weights = np.array([q.weights for q in workload])
+    ks = np.random.default_rng(SEED + 2).choice(MIXED_KS, size=n_queries)
+    mixed_seconds = per_k_seconds = float("inf")
+    mixed_results = None
+    for _ in range(3):
+        started = time.perf_counter()
+        mixed_results = index.query_batch(weights, ks)
+        mixed_seconds = min(mixed_seconds, time.perf_counter() - started)
+        started = time.perf_counter()
+        for depth in MIXED_KS:
+            index.query_batch(weights[ks == depth], depth)
+        per_k_seconds = min(per_k_seconds, time.perf_counter() - started)
+    for query, depth, result in zip(workload, ks.tolist(), mixed_results):
+        single = index.query(query, depth)
+        if (
+            result.tids.tolist() != single.tids.tolist()
+            or result.retrieved != single.retrieved
+            or result.layers_scanned != single.layers_scanned
+        ):
+            raise AssertionError(
+                f"n={n} d={d}: mixed-k query_batch row at k={depth} "
+                "differs from index.query"
+            )
+
     exact = all(
         list(seed_tids[i])
         == list(loop_tids[i])
@@ -205,6 +235,8 @@ def bench_config(
         "loop": _rates(loop_seconds, loop_latencies, n_queries),
         "batch": _rates(batch_seconds, None, n_queries),
         "cache_warm": _rates(cache_seconds, cache_latencies, n_queries),
+        "mixed_k": _rates(mixed_seconds, None, n_queries),
+        "per_k": _rates(per_k_seconds, None, n_queries),
         "exact": exact,
     }
     record["loop"]["speedup_vs_seed_loop"] = round(
@@ -228,11 +260,14 @@ def bench_config(
 def render(records: list[dict]) -> str:
     lines = [
         f"query throughput — Q={N_QUERIES} simplex queries, top-{K}",
-        "(speedups are vs the pre-slab per-query baseline `loop_seed`)",
+        "(speedups are vs the pre-slab per-query baseline `loop_seed`;",
+        f" mixed-k: one query_batch with per-row k from {MIXED_KS},",
+        " per-k: one query_batch per distinct k over the same rows)",
         "",
         f"{'n':>7} {'d':>3} {'C':>7} | {'seed qps':>9} | "
         f"{'loop qps':>9} {'speedup':>8} | "
-        f"{'batch qps':>9} {'speedup':>8} | {'cache qps':>9} {'speedup':>8}",
+        f"{'batch qps':>9} {'speedup':>8} | {'cache qps':>9} {'speedup':>8} | "
+        f"{'mixed-k qps':>11} {'per-k qps':>9}",
     ]
     for r in records:
         lines.append(
@@ -243,7 +278,8 @@ def render(records: list[dict]) -> str:
             f"{r['batch']['qps']:>9,.0f} "
             f"{r['batch']['speedup_vs_seed_loop']:>7.1f}x | "
             f"{r['cache_warm']['qps']:>9,.0f} "
-            f"{r['cache_warm']['speedup_vs_seed_loop']:>7.1f}x"
+            f"{r['cache_warm']['speedup_vs_seed_loop']:>7.1f}x | "
+            f"{r['mixed_k']['qps']:>11,.0f} {r['per_k']['qps']:>9,.0f}"
         )
     return "\n".join(lines)
 
@@ -261,6 +297,7 @@ def run(configs, workers: int = 2, index_cache=INDEX_CACHE) -> dict:
         "params": {
             "n_queries": N_QUERIES,
             "k": K,
+            "mixed_ks": list(MIXED_KS),
             "workload": "simplex",
             "seed": SEED,
             "n_partitions": 10,
@@ -306,7 +343,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--index-cache",
         default=str(INDEX_CACHE),
-        help="directory for saved index .npz files ('' disables)",
+        help="directory for saved index .snap snapshots ('' disables)",
     )
     args = parser.parse_args(argv)
 

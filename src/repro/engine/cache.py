@@ -31,7 +31,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .. import obs
-from ..indexes.base import QueryResult
+from ..indexes.base import QueryResult, check_batch_k
 
 __all__ = [
     "ResultCache",
@@ -44,17 +44,25 @@ __all__ = [
 def _normalized_rows(weights: np.ndarray) -> np.ndarray:
     """Rows of a ``(m, d)`` weight matrix rescaled to sum 1.
 
-    The single normalization behind every cache key: row sums are
+    The single normalization behind every cache key.  Each row is first
+    divided by its largest entry, so its sum lies in [1, d]: summing
+    raw weights near the float maximum overflows to ``inf`` and would
+    normalize every such row to the zero key.  Row sums are
     accumulated column by column, so a row's bytes do not depend on
     how many other rows share the matrix and batched keys equal
     :func:`canonical_weight_key` byte for byte.
     """
-    total = weights[:, 0].copy()
-    for j in range(1, weights.shape[1]):
-        total += weights[:, j]
-    if np.any(weights < 0) or not np.all(total > 0):
-        raise ValueError("only non-negative, non-zero weights are cacheable")
-    return weights / total[:, None]
+    peak = weights.max(axis=1)  # NaN when a row holds one
+    if not (np.isfinite(peak) & (peak > 0)).all() or (weights < 0).any():
+        raise ValueError(
+            "only finite, non-negative, non-zero weights are cacheable"
+        )
+    scaled = weights / peak[:, None]
+    total = scaled[:, 0].copy()
+    for j in range(1, scaled.shape[1]):
+        total += scaled[:, j]
+    scaled /= total[:, None]
+    return scaled
 
 
 def canonical_weight_key(weights) -> bytes:
@@ -62,8 +70,9 @@ def canonical_weight_key(weights) -> bytes:
 
     Weights are normalized to sum 1 (the ranking is unchanged by
     positive rescaling) and the float64 bytes are the key.  Rejects
-    vectors that cannot be simplex-normalized (negative entries or an
-    all-zero vector) — only monotone queries are cacheable.
+    vectors that cannot be simplex-normalized (non-finite or negative
+    entries, or an all-zero vector) — only monotone queries are
+    cacheable.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -135,24 +144,26 @@ class ResultCache:
         answer that is too shallow counts as both a miss and a
         ``cache.deepenings`` (the caller is about to deepen it).
         """
-        return self._lookup_keys(scope, [canonical_weight_key(weights)], k)[0]
+        return self.lookup_keys(scope, [canonical_weight_key(weights)], k)[0]
 
-    def lookup_many(self, scope, weights, k: int) -> list:
-        """:meth:`lookup` for every row of a ``(m, d)`` weight matrix.
+    def lookup_many(self, scope, weights, k) -> list:
+        """:meth:`lookup` for every row of a ``(m, d)`` weight matrix;
+        ``k`` is one int or one per row.
 
         Rows are probed in order, exactly as m scalar lookups would
         (same answers, LRU order and counters), but keys come from one
         vectorized normalization and counters are bumped once.
         """
-        return self._lookup_keys(scope, canonical_weight_keys(weights), k)
+        return self.lookup_keys(scope, canonical_weight_keys(weights), k)
 
-    def _lookup_keys(self, scope, digests, k: int) -> list:
-        if k < 0:
-            raise ValueError("k must be non-negative")
+    def lookup_keys(self, scope, keys, k) -> list:
+        """:meth:`lookup_many` for rows whose :func:`canonical_weight_keys`
+        the caller already holds (to store its misses under the same
+        keys without normalizing twice)."""
         entries = self._entries
         answers = []
         hits = misses = deepenings = truncations = 0
-        for digest in digests:
+        for digest, depth in zip(keys, check_batch_k(k, len(keys)).tolist()):
             key = (scope, digest)
             entry = entries.get(key)
             if entry is None:
@@ -160,16 +171,16 @@ class ResultCache:
                 answers.append(None)
                 continue
             tids, complete = entry
-            if tids.size < k and not complete:
+            if tids.size < depth and not complete:
                 misses += 1
                 deepenings += 1
                 answers.append(None)
                 continue
             entries.move_to_end(key)
             hits += 1
-            if tids.size > k:
+            if tids.size > depth:
                 truncations += 1
-            answers.append(tids[:k].copy())
+            answers.append(tids[:depth].copy())
         self._count("cache.misses", misses)
         self._count("cache.deepenings", deepenings)
         self._count("cache.hits", hits)
@@ -185,34 +196,39 @@ class ResultCache:
         """
         if self._capacity == 0:
             return
-        self._store_keys(scope, [canonical_weight_key(weights)], k, [tids])
+        self.store_keys(scope, [canonical_weight_key(weights)], k, [tids])
 
-    def store_many(self, scope, weights, k: int, tids) -> None:
+    def store_many(self, scope, weights, k, tids) -> None:
         """:meth:`store` for every row of a ``(m, d)`` weight matrix;
-        ``tids[i]`` is row i's answer.  Rows are stored in order, so
-        LRU order and evictions match m scalar stores."""
+        ``k`` is one int or one per row and ``tids[i]`` is row i's
+        answer.  Rows are stored in order, so LRU order and evictions
+        match m scalar stores."""
         if self._capacity == 0:
             return
-        digests = canonical_weight_keys(weights)
-        if len(tids) != len(digests):
-            raise ValueError(
-                f"{len(tids)} answers for {len(digests)} weight rows"
-            )
-        self._store_keys(scope, digests, k, tids)
+        self.store_keys(scope, canonical_weight_keys(weights), k, tids)
 
-    def _store_keys(self, scope, digests, k: int, answers) -> None:
+    def store_keys(self, scope, keys, k, tids) -> None:
+        """:meth:`store_many` for rows whose :func:`canonical_weight_keys`
+        the caller already holds."""
+        if len(tids) != len(keys):
+            raise ValueError(
+                f"{len(tids)} answers for {len(keys)} weight rows"
+            )
+        depths = check_batch_k(k, len(keys)).tolist()
+        if self._capacity == 0:
+            return
         entries = self._entries
         insertions = evictions = 0
-        for digest, tids in zip(digests, answers):
-            tids = np.asarray(tids, dtype=np.intp)
+        for digest, depth, answer in zip(keys, depths, tids):
+            answer = np.asarray(answer, dtype=np.intp)
             key = (scope, digest)
             existing = entries.get(key)
             if existing is not None and (
-                existing[1] or existing[0].size >= tids.size
+                existing[1] or existing[0].size >= answer.size
             ):
                 entries.move_to_end(key)
                 continue
-            entries[key] = (tids.copy(), tids.size < k)
+            entries[key] = (answer.copy(), answer.size < depth)
             entries.move_to_end(key)
             insertions += 1
             while len(entries) > self._capacity:

@@ -25,7 +25,7 @@ import numpy as np
 from .. import obs
 from ..core.qkernel import topk_select
 from ..queries.ranking import LinearQuery
-from .cache import ResultCache
+from .cache import ResultCache, canonical_weight_keys
 from .catalog import Catalog
 from .relation import Relation
 from .schema import Attribute
@@ -214,13 +214,15 @@ class TopKExecutor:
 
         Statements that route to an index plan — through a ``USING
         INDEX`` hint or, resolved once per ``(table, k)`` per call,
-        the planner — are grouped by (table, index, k).  Each group is
-        answered with array operations: one ``(m, d)`` weight matrix
-        built from the ``ORDER BY`` dicts, one vectorized validity
-        check, one batched result-cache probe and store, and one
-        ``query_batch`` call for the misses, handed the weight matrix
-        itself (for a layered index, one GEMM through
-        :meth:`~repro.indexes.robust.LayeredSlab.query_batch`).
+        the planner — are grouped by (table, index), whatever their k.
+        Each group is answered with array operations: one ``(m, d)``
+        weight matrix built from the ``ORDER BY`` dicts, one vectorized
+        validity check, one key normalization shared by the batched
+        result-cache probe and store, one ``query_batch`` call for the
+        misses, handed the weight matrix and the per-row k (for a
+        layered index, one GEMM per distinct k through
+        :meth:`~repro.indexes.robust.LayeredSlab.query_batch`), and one
+        gather per column for every answer's rows.
         Everything else — ``EXPLAIN``, ``layer <=``
         predicates, planner scans, and group rows with negative, zero,
         non-finite or non-indexed weights — goes through
@@ -228,7 +230,7 @@ class TopKExecutor:
         exactly those of single-statement execution.  Results come
         back in input order; each batched result carries its group's
         ``query.*`` / ``cache.*`` metrics snapshot and ``batch_size``
-        in ``extra``.
+        (the group's row count) in ``extra``.
         """
         parsed = [
             parse(s) if isinstance(s, str) else s for s in statements
@@ -248,11 +250,10 @@ class TopKExecutor:
             if index_name is None:
                 results[i] = self.execute_auto(query)
             else:
-                key = (query.table, index_name, query.k)
-                groups.setdefault(key, []).append(i)
-        for (table, index_name, k), members in groups.items():
+                groups.setdefault((query.table, index_name), []).append(i)
+        for (table, index_name), members in groups.items():
             self._execute_index_batch(
-                table, index_name, k, members, parsed, results
+                table, index_name, members, parsed, results
             )
         return results
 
@@ -287,13 +288,14 @@ class TopKExecutor:
         return weights, servable
 
     def _execute_index_batch(
-        self, table, index_name, k, members, parsed, results
+        self, table, index_name, members, parsed, results
     ) -> None:
         relation = self._catalog.table(table)
         index = self._catalog.index(table, index_name)
-        weights, servable = self._weight_matrix(
-            relation, [parsed[i] for i in members]
-        )
+        queries = [parsed[i] for i in members]
+        weights, servable = self._weight_matrix(relation, queries)
+        ks = np.array([query.k for query in queries], dtype=np.intp)
+        servable &= ks >= 0
         if not servable.all():
             # Single-statement semantics: a scan for negative weights,
             # or execute()'s own error for what no plan can serve.
@@ -301,6 +303,7 @@ class TopKExecutor:
                 results[members[r]] = self.execute_auto(parsed[members[r]])
             members = [i for i, ok in zip(members, servable.tolist()) if ok]
             weights = weights[servable]
+            ks = ks[servable]
         if not members:
             return
         m = len(members)
@@ -311,22 +314,25 @@ class TopKExecutor:
             # scanned.  Cache hits read nothing.
             if self.cache is not None:
                 scope = self._cache_scope(table, index_name)
-                tids = self.cache.lookup_many(scope, weights, k)
+                keys = canonical_weight_keys(weights)
+                tids = self.cache.lookup_keys(scope, keys, ks)
             else:
                 tids = [None] * m
             misses = [j for j, hit in enumerate(tids) if hit is None]
             retrieved = [0] * m
             layers = [0] * m
             if misses:
-                missed = weights[misses]
-                answers = index.query_batch(missed, k)
+                answers = index.query_batch(weights[misses], ks[misses])
                 for j, answer in zip(misses, answers):
                     tids[j] = answer.tids
                     retrieved[j] = answer.retrieved
                     layers[j] = answer.layers_scanned
                 if self.cache is not None:
-                    self.cache.store_many(
-                        scope, missed, k, [a.tids for a in answers]
+                    self.cache.store_keys(
+                        scope,
+                        [keys[j] for j in misses],
+                        ks[misses],
+                        [a.tids for a in answers],
                     )
             blocks = [
                 -(-r // self._block_size) if r else 0 for r in retrieved
@@ -340,6 +346,7 @@ class TopKExecutor:
         snapshot = local.as_dict()
         plan = f"index({index_name})"
         missed_rows = set(misses)
+        rows = relation.take_many(tids)
         for j, i in enumerate(members):
             extra = {
                 "layers_scanned": layers[j],
@@ -350,7 +357,7 @@ class TopKExecutor:
                 extra["cache"] = "miss" if j in missed_rows else "hit"
             results[i] = ExecutionResult(
                 tids=tids[j],
-                rows=relation.take(tids[j]),
+                rows=rows[j],
                 retrieved=retrieved[j],
                 blocks_read=blocks[j],
                 plan=plan,
@@ -372,7 +379,6 @@ class TopKExecutor:
         weights = np.array([query.order_by[a] for a in ranked_attrs])
         monotone = bool(np.all(weights >= 0))
         linear = LinearQuery(weights, require_monotone=False)
-        data = relation.matrix(ranked_attrs)
 
         if query.index_hint is not None:
             if not monotone:
@@ -381,6 +387,7 @@ class TopKExecutor:
                     "drop the USING INDEX hint to fall back to a scan"
                 )
             return self._execute_with_index(query, relation, linear)
+        data = relation.matrix(ranked_attrs)
         if query.layer_bound is not None:
             return self._execute_layer_prefix(query, relation, linear, data)
         return self._execute_scan(query, relation, linear, data)

@@ -44,6 +44,8 @@ class Relation:
             a.name: np.asarray(columns[a.name], dtype=a.dtype) for a in schema
         }
         self._n_rows = next(iter(lengths.values())) if lengths else 0
+        # The (n, d) matrix the columns view, when built from one.
+        self._matrix = None
 
     @classmethod
     def _trusted(
@@ -57,6 +59,7 @@ class Relation:
         relation._schema = schema
         relation._columns = columns
         relation._n_rows = n_rows
+        relation._matrix = None
         return relation
 
     @classmethod
@@ -72,7 +75,10 @@ class Relation:
             )
         schema = Schema.of_floats(*names)
         columns = {n: matrix[:, i] for i, n in enumerate(names)}
-        return cls(name, schema, columns)
+        relation = cls(name, schema, columns)
+        relation._matrix = matrix.view()
+        relation._matrix.flags.writeable = False
+        return relation
 
     @property
     def name(self) -> str:
@@ -93,12 +99,20 @@ class Relation:
         return col
 
     def matrix(self, attribute_names=None) -> np.ndarray:
-        """Float (n, d) matrix over the named (default: all) attributes."""
-        names = list(attribute_names) if attribute_names else list(self._schema.names)
+        """Float (n, d) matrix over the named (default: all) attributes.
+
+        A relation built by :meth:`from_matrix` returns that matrix
+        (read-only, no copy) when asked for every attribute in schema
+        order; any other selection is stacked into a new array.
+        """
+        names = [
+            self._schema.attribute(n).name
+            for n in (attribute_names or self._schema.names)
+        ]
+        if self._matrix is not None and tuple(names) == self._schema.names:
+            return self._matrix
         return np.stack(
-            [np.asarray(self._columns[self._schema.attribute(n).name],
-                        dtype=float)
-             for n in names],
+            [np.asarray(self._columns[n], dtype=float) for n in names],
             axis=1,
         )
 
@@ -125,6 +139,25 @@ class Relation:
         tids = np.asarray(tids, dtype=np.intp)
         columns = {n: col[tids] for n, col in self._columns.items()}
         return Relation._trusted(self._name, self._schema, columns, len(tids))
+
+    def take_many(self, tid_arrays) -> list["Relation"]:
+        """``[self.take(tids) for tids in tid_arrays]`` with one gather
+        per column: each result holds its slice of the gathered rows."""
+        tid_arrays = [np.asarray(t, dtype=np.intp) for t in tid_arrays]
+        if not tid_arrays:
+            return []
+        flat = np.concatenate(tid_arrays)
+        gathered = {n: col[flat] for n, col in self._columns.items()}
+        out = []
+        start = 0
+        for tids in tid_arrays:
+            stop = start + len(tids)
+            columns = {n: col[start:stop] for n, col in gathered.items()}
+            out.append(
+                Relation._trusted(self._name, self._schema, columns, len(tids))
+            )
+            start = stop
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Relation({self._name!r}, {self._schema!r}, n={self._n_rows})"

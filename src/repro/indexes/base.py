@@ -16,7 +16,13 @@ import numpy as np
 from ..core.qkernel import topk_select
 from ..queries.ranking import LinearQuery
 
-__all__ = ["QueryResult", "RankedIndex", "check_query", "rank_candidates"]
+__all__ = [
+    "QueryResult",
+    "RankedIndex",
+    "check_batch_k",
+    "check_query",
+    "rank_candidates",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,18 +80,23 @@ class RankedIndex(ABC):
     def query(self, query: LinearQuery, k: int) -> QueryResult:
         """Answer a monotone top-k query."""
 
-    def query_batch(self, queries, k: int) -> list[QueryResult]:
+    def query_batch(self, queries, k) -> list[QueryResult]:
         """Answer many top-k queries.
 
         ``queries`` is an iterable of :class:`LinearQuery` or a
-        ``(q, d)`` weight matrix holding one monotone query per row.
-        The default loops over :meth:`query`; indexes whose candidate
-        set is query-independent (the robust and dynamic indexes)
-        override this with one vectorized scoring pass.
+        ``(q, d)`` weight matrix holding one monotone query per row;
+        ``k`` is one int for every row or a ``(q,)`` integer array of
+        per-row k (see :func:`check_batch_k`).  The default loops over
+        :meth:`query`; indexes whose candidates are a query-independent
+        prefix (the robust and dynamic indexes) override this with one
+        vectorized scoring pass per distinct k.
         """
         if isinstance(queries, np.ndarray):
             queries = [LinearQuery(w) for w in queries]
-        return [self.query(q, k) for q in queries]
+        else:
+            queries = list(queries)
+        ks = check_batch_k(k, len(queries)).tolist()
+        return [self.query(q, kj) for q, kj in zip(queries, ks)]
 
     def build_info(self) -> dict:
         """Implementation-specific build statistics (layer counts...)."""
@@ -107,6 +118,30 @@ def check_query(query: LinearQuery, k: int, shape: tuple[int, int]) -> int:
     if k < 0:
         raise ValueError("k must be non-negative")
     return min(k, n)
+
+
+def check_batch_k(k, rows: int) -> np.ndarray:
+    """Per-row k of a ``rows``-query batch as a ``(rows,)`` integer array.
+
+    ``k`` is one integer for every row or one per row.  Raises
+    ``ValueError`` for a wrong length, a non-integer dtype or a
+    negative entry.
+    """
+    if isinstance(k, (int, np.integer)):
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        return np.full(rows, k, dtype=np.intp)
+    ks = np.asarray(k)
+    if ks.dtype.kind not in "iu":
+        raise ValueError(f"k must be an integer or integer array; got {k!r}")
+    if ks.shape != (rows,):
+        raise ValueError(
+            f"k must be an integer or one per query ({rows},); "
+            f"got shape {ks.shape}"
+        )
+    if (ks < 0).any():
+        raise ValueError("k must be non-negative")
+    return ks
 
 
 def rank_candidates(

@@ -156,10 +156,10 @@ class DynamicRobustIndex(RankedIndex):
         # One atomic grab of the view: a concurrent swap cannot tear us.
         return self._view.slab.query(query, k)
 
-    def query_batch(self, queries, k: int) -> list[QueryResult]:
-        """Exact top-k of many queries against one view, without
-        locking: one GEMM over the shared prefix
-        (:meth:`LayeredSlab.query_batch`)."""
+    def query_batch(self, queries, k) -> list[QueryResult]:
+        """Exact top-k of many queries (``k`` one int or one per row)
+        against one view, without locking: one GEMM per distinct k
+        over that prefix (:meth:`LayeredSlab.query_batch`)."""
         return self._view.slab.query_batch(queries, k)
 
     def build_info(self) -> dict:

@@ -29,7 +29,7 @@ from ..core.exact import exact_build
 from ..core.index import layer_offsets, layer_order
 from ..core.qkernel import _scratch_buffer, batch_topk, topk_select
 from ..queries.ranking import LinearQuery, check_weights
-from .base import QueryResult, RankedIndex, check_query
+from .base import QueryResult, RankedIndex, check_batch_k, check_query
 
 __all__ = ["LayeredSlab", "RobustIndex", "ExactRobustIndex"]
 
@@ -164,14 +164,22 @@ class LayeredSlab:
         obs.inc("index.layers_scanned", layers_scanned)
         return QueryResult(top[0], retrieved, layers_scanned)
 
-    def query_batch(self, queries, k: int) -> list[QueryResult]:
-        """Exact top-k of many queries; row j equals ``query(queries[j])``.
+    def query_batch(self, queries, k) -> list[QueryResult]:
+        """Exact top-k of many queries; row j equals
+        ``query(queries[j], k_j)``.
 
         ``queries`` is an iterable of :class:`LinearQuery` or a ``(q, d)``
         weight matrix whose rows must pass :class:`LinearQuery`'s rule
-        (:func:`~repro.queries.ranking.check_weights`).  Emits
+        (:func:`~repro.queries.ranking.check_weights`).  ``k`` is one
+        int for every row or a ``(q,)`` integer array of per-row k
+        (:func:`~repro.indexes.base.check_batch_k`).  Row j scores only
+        its own prefix ``slab[:offsets[k_j]]``: the rows of each
+        distinct k, in input order, take one :meth:`_ranked` pass, so
+        row j's ``retrieved`` is :meth:`retrieval_cost` (k_j) and its
+        ``layers_scanned`` that prefix's last layer.  Emits
         ``index.batch`` plus ``index.batch.count`` / ``.queries`` /
-        ``.candidates``.
+        ``.candidates`` (rows with k_j = 0 read nothing and are not
+        counted).
         """
         n, d = self.points.shape
         if isinstance(queries, np.ndarray):
@@ -184,22 +192,32 @@ class LayeredSlab:
         else:
             queries = list(queries)
             for q in queries:
-                check_query(q, k, self.points.shape)
-            weights = np.array([q.weights for q in queries])
-        if len(weights) == 0:
-            return []
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        k = min(k, n)
-        if k == 0:
-            empty = np.zeros(0, dtype=np.intp)
-            return [QueryResult(empty, 0, 0) for _ in weights]
+                check_query(q, 0, self.points.shape)  # width; k below
+            weights = np.array([q.weights for q in queries]).reshape(-1, d)
+        # Row numbers per distinct k (clamped to n), in input order.
+        runs: dict[int, list[int]] = {}
+        for j, depth in enumerate(check_batch_k(k, len(weights)).tolist()):
+            runs.setdefault(min(depth, n), []).append(j)
+        results: list = [None] * len(weights)
+        for j in runs.pop(0, ()):
+            results[j] = QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
+        if not runs:
+            return results
+        answered = candidates = 0
         with obs.timed("index.batch"):
-            top, retrieved, layers_scanned = self._ranked(weights, k)
+            for depth in sorted(runs):
+                rows = runs[depth]
+                top, retrieved, layers_scanned = self._ranked(
+                    weights[rows], depth
+                )
+                answered += len(rows)
+                candidates += retrieved * len(rows)
+                for j, tids in zip(rows, top):
+                    results[j] = QueryResult(tids, retrieved, layers_scanned)
         obs.inc("index.batch.count")
-        obs.inc("index.batch.queries", len(weights))
-        obs.inc("index.batch.candidates", retrieved * len(weights))
-        return [QueryResult(row, retrieved, layers_scanned) for row in top]
+        obs.inc("index.batch.queries", answered)
+        obs.inc("index.batch.candidates", candidates)
+        return results
 
     def _ranked(self, weights, k: int):
         """``(top, retrieved, layers_scanned)`` for ``k >= 1``.
@@ -311,9 +329,10 @@ class RobustIndex(RankedIndex):
         (:meth:`LayeredSlab.query`)."""
         return self._layered.query(query, k)
 
-    def query_batch(self, queries, k: int) -> list[QueryResult]:
-        """Answer many top-k queries with one GEMM over the shared
-        k-layer prefix (:meth:`LayeredSlab.query_batch`)."""
+    def query_batch(self, queries, k) -> list[QueryResult]:
+        """Answer many top-k queries, ``k`` one int or one per row, with
+        one GEMM per distinct k over that k-layer prefix
+        (:meth:`LayeredSlab.query_batch`)."""
         return self._layered.query_batch(queries, k)
 
     def build_info(self) -> dict:

@@ -37,6 +37,9 @@ class TestCanonicalKey:
             canonical_weight_key([1.0, -1.0])
         with pytest.raises(ValueError):
             canonical_weight_key([0.0, 0.0])
+        for bad in ([np.inf, 1.0], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="finite"):
+                canonical_weight_key(bad)
 
 
 class TestBatchedKeys:
@@ -58,6 +61,16 @@ class TestBatchedKeys:
         matrix = np.array(rows)
         keys = canonical_weight_keys(matrix)
         assert keys == [canonical_weight_key(row) for row in matrix]
+
+    def test_overflowing_sums_keep_directions_apart(self):
+        """Weights whose sum overflows to inf still key by direction."""
+        big = np.array([[1e308, 1e308], [1e308, 1.7e308], [1.7e308, 1e308]])
+        keys = canonical_weight_keys(big)
+        assert len(set(keys)) == 3
+        assert keys == [canonical_weight_key(row) for row in big]
+        assert canonical_weight_key([1e308, 1e308]) == canonical_weight_key(
+            [1.0, 1.0]
+        )
 
     def test_rescaled_rows_share_a_key(self):
         keys = canonical_weight_keys(np.array([[1.0, 3.0], [2.0, 6.0]]))
@@ -96,6 +109,57 @@ class TestBatchedLookupStore:
         for w in weights:
             a, b = batched.lookup("t", w, 1), scalar.lookup("t", w, 1)
             assert (a is None) == (b is None)
+
+    def test_per_row_k_matches_scalar_calls(self, rng):
+        """Per-row k: lookup_many / store_many == the scalar calls at
+        each row's own k, in row order (answers, counters, LRU order)."""
+        weights = rng.random((10, 3))
+        weights[4] = 3 * weights[0]  # same key, deeper k below
+        weights[8] = weights[2]  # same key, shallower k below
+        ks = np.array([2, 5, 7, 0, 6, 3, 1, 4, 3, 5])
+        batched, scalar = ResultCache(capacity=5), ResultCache(capacity=5)
+        for cache in (batched, scalar):
+            cache.store("t", weights[1], 6, np.arange(6))
+            cache.store("t", weights[5], 1, np.arange(1))
+        answers = [np.arange(j, j + k) for j, k in enumerate(ks)]
+        for _ in range(2):
+            got = batched.lookup_many("t", weights, ks)
+            want = [scalar.lookup("t", w, int(k)) for w, k in zip(weights, ks)]
+            assert [None if a is None else a.tolist() for a in got] == [
+                None if a is None else a.tolist() for a in want
+            ]
+            batched.store_many("t", weights, ks, answers)
+            for w, k, tids in zip(weights, ks, answers):
+                scalar.store("t", w, int(k), tids)
+            assert batched.metrics.counters == scalar.metrics.counters
+            assert list(batched._entries) == list(scalar._entries)
+
+    def test_keys_entry_points_share_keys(self, rng):
+        weights = rng.random((4, 3))
+        ks = np.array([3, 1, 2, 3])
+        keys = canonical_weight_keys(weights)
+        by_keys, by_weights = ResultCache(capacity=8), ResultCache(capacity=8)
+        answers = [np.arange(k) for k in ks]
+        by_keys.store_keys("t", keys, ks, answers)
+        by_weights.store_many("t", weights, ks, answers)
+        assert list(by_keys._entries) == list(by_weights._entries)
+        got = by_keys.lookup_keys("t", keys, 1)
+        assert [a.tolist() for a in got] == [[0], [0], [0], [0]]
+
+    @pytest.mark.parametrize(
+        "ks, message",
+        [
+            (np.array([1, 2]), "one per query"),
+            (np.array([1, -2, 1]), "non-negative"),
+        ],
+    )
+    def test_per_row_k_is_checked(self, ks, message):
+        cache = ResultCache(capacity=4)
+        weights = np.ones((3, 2))
+        with pytest.raises(ValueError, match=message):
+            cache.lookup_many("t", weights, ks)
+        with pytest.raises(ValueError, match=message):
+            cache.store_many("t", weights, ks, [np.arange(1)] * 3)
 
     def test_store_many_checks_answer_count(self):
         cache = ResultCache(capacity=4)

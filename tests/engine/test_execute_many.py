@@ -111,6 +111,61 @@ class TestExecuteMany:
         )
         assert results[0].plan == "explain"
 
+    @pytest.mark.parametrize("cache_size", [0, 64])
+    def test_mixed_k_group_matches_execute_auto(self, setup, cache_size):
+        """Statements on one (table, index) form one group whatever
+        their k; each answer equals single-statement execution."""
+        catalog, data = setup
+        exprs = ["x + 2*y + z", "3*x + y", "y + 4*z", "2*x + 4*y + 2*z"]
+        ks = [3, 12, 0, 25, 3, 100, 12, 7]
+        statements = [
+            f"SELECT TOP {k} FROM t USING INDEX ri ORDER BY {exprs[j % 4]}"
+            for j, k in enumerate(ks)
+        ] + [f"SELECT TOP {k} FROM t ORDER BY x + y" for k in (4, 9)]
+        executor = TopKExecutor(catalog, cache_size=cache_size)
+        solo = TopKExecutor(catalog)
+        for _ in range(2):  # cold, then (with a cache) warm
+            results = executor.execute_many(statements)
+            for statement, result in zip(statements, results):
+                expected = solo.execute_auto(statement)
+                assert result.tids.tolist() == expected.tids.tolist()
+                assert result.plan == expected.plan
+                assert result.rows.matrix().tolist() == (
+                    expected.rows.matrix().tolist()
+                )
+                if result.extra.get("cache") != "hit":
+                    assert result.retrieved == expected.retrieved
+                    assert result.extra["layers_scanned"] == (
+                        expected.extra["layers_scanned"]
+                    )
+            assert {r.extra["batch_size"] for r in results} == {len(statements)}
+            assert results[0].metrics["counters"]["query.batches"] == 1
+        if cache_size:
+            assert all(r.extra["cache"] == "hit" for r in results)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_weights_do_not_share_cache_entries(self, setup):
+        """Weight sums that overflow to inf must not collapse distinct
+        directions onto one cache key."""
+        catalog, data = setup
+        big, bigger = f"{1e308:f}", f"{1.7e308:f}"  # 309-digit literals
+        orders = [
+            (f"{big}*x + {big}*y", [1e308, 1e308, 0.0]),
+            (f"{big}*x + {bigger}*y", [1e308, 1.7e308, 0.0]),
+            (f"{bigger}*x + {big}*y", [1.7e308, 1e308, 0.0]),
+        ]
+        statements = [
+            f"SELECT TOP 5 FROM t USING INDEX ri ORDER BY {expr}"
+            for expr, _ in orders
+        ]
+        executor = TopKExecutor(catalog, cache_size=16)
+        # One call per statement: each probe sees the earlier stores.
+        cached = [executor.execute_many([s])[0] for s in statements]
+        plain = TopKExecutor(catalog).execute_many(statements)
+        for (_, weights), a, b in zip(orders, cached, plain):
+            expected = LinearQuery(weights).top_k(data, 5).tolist()
+            assert a.tids.tolist() == b.tids.tolist() == expected
+
     def test_distinct_k_groups_still_exact(self, setup):
         catalog, _ = setup
         executor = TopKExecutor(catalog)
@@ -163,25 +218,25 @@ MIXED = [
 
 def _expected_cache_states(batches):
     """Replay ``batches`` on a bare cache under lookup-then-store
-    semantics: every group's rows are looked up before its misses are
-    stored.  Returns the last batch's per-statement 'hit' / 'miss'
-    (index-plan statements only) and the cache."""
+    semantics: all of table ``t``'s index rows form one group, whatever
+    their k, and every row is looked up before the misses are stored.
+    Returns the last batch's per-statement 'hit' / 'miss' (index-plan
+    statements only) and the cache."""
     cache = ResultCache(capacity=64)
     for statements in batches:
-        groups = {}
+        members = []
         for i, text in enumerate(statements):
             query = parse(text)
             if query.table == "t" and min(query.order_by.values()) >= 0:
                 weights = [query.order_by.get(a, 0.0) for a in ("x", "y", "z")]
-                groups.setdefault(query.k, []).append((i, weights))
+                members.append((i, weights, query.k))
         states = {}
-        for k, members in groups.items():
-            for i, weights in members:
-                hit = cache.lookup("t", weights, k) is not None
-                states[i] = "hit" if hit else "miss"
-            for i, weights in members:
-                if states[i] == "miss":
-                    cache.store("t", weights, k, np.arange(min(k, 120)))
+        for i, weights, k in members:
+            hit = cache.lookup("t", weights, k) is not None
+            states[i] = "hit" if hit else "miss"
+        for i, weights, k in members:
+            if states[i] == "miss":
+                cache.store("t", weights, k, np.arange(min(k, 120)))
     return states, cache
 
 

@@ -65,6 +65,33 @@ class TestAccess:
         assert sub.n_rows == 2
         assert sub.column("price").tolist() == [180.0, 100.0]
 
+    def test_take_many_equals_take(self, houses):
+        groups = [[2, 0], [], [1], [0, 1, 2]]
+        many = houses.take_many(groups)
+        assert len(many) == len(groups)
+        for tids, sub in zip(groups, many):
+            one = houses.take(tids)
+            assert sub.n_rows == one.n_rows == len(tids)
+            assert sub.matrix().tolist() == one.matrix().tolist()
+        assert houses.take_many([]) == []
+
+    def test_from_matrix_keeps_its_matrix(self):
+        data = np.random.default_rng(5).random((6, 3))
+        rel = Relation.from_matrix("t", ["a", "b", "c"], data)
+        full = rel.matrix()
+        assert np.shares_memory(full, data)
+        assert rel.matrix(["a", "b", "c"]) is full
+        assert not full.flags.writeable
+        with pytest.raises(ValueError):
+            full[0, 0] = 1.0
+        assert np.array_equal(full, data)
+        # Other selections stack a fresh array.
+        picked = rel.matrix(["c", "a"])
+        assert not np.shares_memory(picked, data)
+        assert picked.tolist() == data[:, [2, 0]].tolist()
+        # Relations derived by take / with_column have no stored matrix.
+        assert not np.shares_memory(rel.take([1, 0]).matrix(), data)
+
 
 class TestWithColumn:
     def test_adds_layer_column(self, houses):

@@ -228,3 +228,137 @@ class TestBatchEveryIndexType:
         for q, result in zip(queries, batch):
             single = index.query(q, k)
             assert result.tids.tolist() == single.tids.tolist()
+
+
+def _assert_rows_equal_single(index, weights, ks):
+    batch = index.query_batch(weights, ks)
+    assert len(batch) == len(weights)
+    for w, k, result in zip(weights, np.broadcast_to(ks, len(weights)), batch):
+        single = index.query(LinearQuery(w), int(k))
+        assert result.tids.tolist() == single.tids.tolist()
+        assert result.retrieved == single.retrieved
+        assert result.layers_scanned == single.layers_scanned
+
+
+class TestPerRowK:
+    """``query_batch(W, ks)`` row j == ``query(W[j], ks[j])`` (tids,
+    ``retrieved``, ``layers_scanned``) for every index type."""
+
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    def test_mixed_k_matches_single(self, name):
+        index = _built(name)
+        weights = np.array(
+            [q.weights for q in simplex_workload(3, 9, seed=8)]
+        )
+        n = len(_DATA)
+        # k = 0, k > n, repeated k in and out of input order, one row
+        # alone at its k.
+        ks = np.array([5, 0, 12, 5, n + 7, 1, 12, 5, 0])
+        _assert_rows_equal_single(index, weights, ks)
+        _assert_rows_equal_single(index, weights[:1], np.array([3]))
+        _assert_rows_equal_single(index, weights[:3], np.zeros(3, dtype=int))
+
+    @pytest.mark.parametrize("name", sorted(_BUILDERS))
+    @settings(deadline=None, max_examples=10)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.lists(
+                    st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+                    min_size=3,
+                    max_size=3,
+                ).filter(lambda w: sum(w) > 1e-9),
+                st.integers(0, 60),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_mixed_k_matches_single_hypothesis(self, name, rows):
+        weights = np.array([w for w, _ in rows])
+        ks = np.array([k for _, k in rows])
+        _assert_rows_equal_single(_built(name), weights, ks)
+
+    @pytest.mark.parametrize("index_cls", [RobustIndex, ShellIndex])
+    def test_query_list_takes_per_row_k(self, small_3d, index_cls):
+        index = index_cls(small_3d)
+        queries = simplex_workload(3, 4, seed=9)
+        batch = index.query_batch(queries, np.array([4, 9, 0, 4]))
+        for q, k, result in zip(queries, (4, 9, 0, 4), batch):
+            assert result.tids.tolist() == index.query(q, k).tids.tolist()
+
+    def test_counts_only_rows_that_read(self, small_3d):
+        from repro import obs
+
+        index = RobustIndex(small_3d, n_partitions=4)
+        weights = np.array([q.weights for q in simplex_workload(3, 4, seed=2)])
+        ks = np.array([3, 0, 8, 3])
+        local = obs.Metrics()
+        with obs.collect(local):
+            batch = index.query_batch(weights, ks)
+        counters = local.counters
+        assert counters["index.batch.count"] == 1
+        assert counters["index.batch.queries"] == 3
+        assert counters["index.batch.candidates"] == sum(
+            r.retrieved for r in batch
+        )
+
+    @pytest.mark.parametrize(
+        "index_cls", [RobustIndex, DynamicRobustIndex, ShellIndex]
+    )
+    @pytest.mark.parametrize(
+        "ks, message",
+        [
+            (np.array([3, 4]), "one per query"),
+            (np.array([[3, 4, 5]]), "one per query"),
+            (np.array([3, -1, 5]), "non-negative"),
+            (np.array([3.0, 4.0, 5.0]), "integer"),
+        ],
+    )
+    def test_rejects_bad_per_row_k(self, small_3d, index_cls, ks, message):
+        index = index_cls(small_3d)
+        with pytest.raises(ValueError, match=message):
+            index.query_batch(np.ones((3, 3)), ks)
+
+    @pytest.mark.parametrize("index_cls", [RobustIndex, DynamicRobustIndex])
+    def test_concurrent_mixed_k_batches_equal_single_queries(self, index_cls):
+        # Threads sending batches that mix k: every distinct k reuses
+        # the calling thread's scratch, so a shared buffer would tear
+        # answers across threads or across the k runs of one call.
+        points = np.random.default_rng(13).random((4000, 3))
+        index = index_cls(points, n_partitions=8)
+        weights = np.random.default_rng(14).dirichlet(np.ones(3), size=64)
+        ks = np.random.default_rng(15).choice([10, 20, 50, 100], size=64)
+        expected = [
+            index.query(LinearQuery(w), int(k)).tids
+            for w, k in zip(weights, ks)
+        ]
+        errors = []
+        start = threading.Barrier(4)
+
+        def client(offset):
+            start.wait()
+            try:
+                for i in range(60):
+                    m = (8, 24, 64)[(offset + i) % 3]
+                    lo = (offset * 7 + i) % (64 - m + 1)
+                    batch = index.query_batch(
+                        weights[lo:lo + m], ks[lo:lo + m]
+                    )
+                    for j, result in enumerate(batch):
+                        assert np.array_equal(result.tids, expected[lo + j])
+            except Exception as exc:  # re-raised on the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads densely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
