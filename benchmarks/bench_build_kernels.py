@@ -16,17 +16,23 @@ Per configuration, the same data is built twice:
     schedule with the pre-kernel engine, kept with the tests that pin
     the build to it.
 ``kernel``
-    ``appri_build(...)`` — every system runs through one fused kernel
-    call that shares bilinear columns across sides and lead columns
-    across levels.
+    ``appri_build(...)`` — every system runs through one shared kernel
+    call that sorts and packs each distinct transformed column once
+    (signed attributes, and per level the bilinear columns) and ANDs
+    it into every system that uses it.
 
 The layer arrays must be **bit-identical** (asserted), making the
-speedup a pure scheduling/kernel win with zero accuracy cost.  Full
-runs write ``BENCH_build_kernels.json`` at the repo root (the
-acceptance evidence for the >= 10x target) plus a text report in
-``benchmarks/results/``; ``--quick`` runs a tiny size for CI,
-additionally cross-checking the kernel build against the per-level
-schedule on the ``naive`` engine, and writes only the text report.
+speedup a pure scheduling/kernel win with zero accuracy cost.  Each
+row also prints the build's ``counting.prefix_words`` and asserts it
+equals the distinct-column count (``distinct_columns`` in
+``tests/core/appri_reference.py``) times ``n * words``: a build that
+packed a column once per system using it would fail.  Full runs write
+``BENCH_build_kernels.json`` at the repo root (the acceptance evidence
+for the >= 10x target) plus a text report in ``benchmarks/results/``;
+``--quick`` runs tiny sizes for CI — d=3 and d=4, both system
+configurations, where sharing is largest — additionally
+cross-checking the kernel build against the per-level schedule on the
+``naive`` engine, and writes only the text report.
 """
 
 from __future__ import annotations
@@ -50,12 +56,19 @@ if __name__ == "__main__":  # standalone: make src/ importable
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-#: (n, d, measure the legacy schedule too?).  Legacy at n=50k would
-#: take ~44 minutes (the pre-kernel recorded rebuild below), so the
-#: 50k row times the kernel build only and reports the speedup
+#: (n, d, systems, measure the legacy schedule too?).  Legacy at n=50k
+#: would take ~44 minutes (the pre-kernel recorded rebuild below), so
+#: the 50k row times the kernel build only and reports the speedup
 #: against that recorded baseline.
-FULL_CONFIGS = ((10_000, 4, True), (50_000, 4, False))
-QUICK_CONFIGS = ((400, 3, True),)
+FULL_CONFIGS = (
+    (10_000, 4, "complementary", True),
+    (50_000, 4, "complementary", False),
+)
+QUICK_CONFIGS = (
+    (400, 3, "complementary", True),
+    (300, 4, "complementary", True),
+    (200, 4, "families", True),
+)
 SEED = 0
 N_PARTITIONS = 10
 
@@ -77,15 +90,24 @@ def _machine() -> dict:
     }
 
 
-def _legacy_layers(data, count_name="count_dominators_blocked"):
+def _legacy_layers(
+    data, systems="complementary", count_name="count_dominators_blocked"
+):
     """The per-level schedule on one of the paper's named engines."""
     from repro.dstruct import dominance
 
     from tests.core.appri_reference import reference_layers
 
     return reference_layers(
-        data, N_PARTITIONS, count=getattr(dominance, count_name)
+        data, N_PARTITIONS, systems, count=getattr(dominance, count_name)
     )
+
+
+def _expected_prefix_words(n, d, systems):
+    """Words of one build that packs each distinct column once."""
+    from tests.core.appri_reference import distinct_columns
+
+    return distinct_columns(d, systems, N_PARTITIONS) * n * ((n + 63) >> 6)
 
 
 def _timed(build, data):
@@ -103,23 +125,41 @@ def run(configs, quick: bool):
         "build kernels vs legacy per-level schedule "
         f"(B={N_PARTITIONS}, seed={SEED})",
         "",
-        f"{'n':>7} {'d':>3}  {'legacy(s)':>10}  {'kernel(s)':>10}  "
-        f"{'speedup':>8}  {'vs recorded':>11}  layers",
+        f"{'n':>7} {'d':>3} {'systems':>13}  {'legacy(s)':>10}  "
+        f"{'kernel(s)':>10}  {'speedup':>8}  {'vs recorded':>11}  "
+        f"{'prefix words':>14}  layers",
     ]
-    for n, d, measure_legacy in configs:
+    for n, d, systems, measure_legacy in configs:
         data = uniform(n, d, seed=SEED)
         kernel_build, kernel_seconds = _timed(
-            lambda x: appri_build(x, n_partitions=N_PARTITIONS), data
+            lambda x: appri_build(
+                x, n_partitions=N_PARTITIONS, systems=systems
+            ),
+            data,
         )
+        prefix_words = kernel_build.metrics["counters"][
+            "counting.prefix_words"
+        ]
+        expected_words = _expected_prefix_words(n, d, systems)
+        if prefix_words != expected_words:
+            raise AssertionError(
+                f"n={n} d={d} {systems}: {prefix_words:,d} prefix words, "
+                f"expected {expected_words:,d} — each distinct column "
+                "must be packed once per build"
+            )
         entry = {
             "n": n,
             "d": d,
+            "systems": systems,
             "n_partitions": N_PARTITIONS,
             "kernel_seconds": round(kernel_seconds, 4),
+            "prefix_words": prefix_words,
         }
         legacy_text = recorded_text = "-"
         if measure_legacy:
-            legacy, legacy_seconds = _timed(_legacy_layers, data)
+            legacy, legacy_seconds = _timed(
+                lambda x: _legacy_layers(x, systems), data
+            )
             if not np.array_equal(legacy, kernel_build.layers):
                 raise AssertionError(
                     f"n={n}: kernel layers differ from the legacy "
@@ -132,7 +172,7 @@ def run(configs, quick: bool):
             entry["layers_identical"] = True
             legacy_text = f"{legacy_seconds:10.2f}"
         if quick:
-            naive = _legacy_layers(data, "count_dominators_naive")
+            naive = _legacy_layers(data, systems, "count_dominators_naive")
             assert np.array_equal(naive, kernel_build.layers), (
                 "kernel build must match the naive reference engine"
             )
@@ -149,13 +189,15 @@ def run(configs, quick: bool):
             else "-".rjust(8)
         )
         lines.append(
-            f"{n:>7} {d:>3}  {legacy_text:>10}  {kernel_seconds:>10.2f}  "
-            f"{speed:>8}  {recorded_text:>11}  identical"
+            f"{n:>7} {d:>3} {systems:>13}  {legacy_text:>10}  "
+            f"{kernel_seconds:>10.2f}  {speed:>8}  {recorded_text:>11}  "
+            f"{prefix_words:>14,d}  identical"
         )
     lines.append("")
     lines.append(
         "legacy = per-level blocked passes (pre-kernel engine); recorded = "
-        "pre-kernel RobustIndex build time on this machine"
+        "pre-kernel RobustIndex build time on this machine; prefix words "
+        "= distinct columns x n x words (asserted)"
     )
     return results, "\n".join(lines)
 
@@ -170,7 +212,8 @@ def test_build_kernel_speedup(benchmark):
     data = uniform(QUICK_CONFIGS[0][0], QUICK_CONFIGS[0][1], seed=SEED)
     build = benchmark(lambda: appri_build(data, n_partitions=N_PARTITIONS))
     assert np.array_equal(
-        build.layers, _legacy_layers(data, "count_dominators_naive")
+        build.layers,
+        _legacy_layers(data, count_name="count_dominators_naive"),
     )
     _, text = run(QUICK_CONFIGS, quick=True)
     publish("bench_build_kernels", text)

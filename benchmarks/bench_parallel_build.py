@@ -1,18 +1,18 @@
 """Pooled build schedule vs. the inline one.
 
-Runs ``appri_build`` at ``workers=1`` (inline: one task per pair
-system over all tuple ids) and at increasing worker counts (each
-system's tuple ids split into word-aligned ranges over a process
-pool), verifies the layer arrays are identical, and reports
+Runs ``appri_build`` at ``workers=1`` (inline: one task over every
+pair system and all tuple ids) and at increasing worker counts (the
+tuple ids split into word-aligned ranges, one task each over every
+system, on a process pool), verifies the layer arrays are identical, and reports
 wall-clock speedup plus the per-phase timer breakdown from the
 ``build.*`` metrics.
 
-Every schedule runs the same fused bitset counting kernel
+Every schedule runs the same shared bitset counting kernel
 (:mod:`repro.core.kernels`) through one pipeline
 (:mod:`repro.core.pipeline`), and the id ranges split its work
 without repeating any (the ``counting.prefix_words`` column matches
 the inline build's).  With more than one usable core the pool fans
-the per-system ranges out across a ``ProcessPoolExecutor`` (the
+the id ranges out across a ``ProcessPoolExecutor`` (the
 ``build.pool_used`` counter records whether it engaged; on
 single-core machines it is bypassed because competing processes
 would only add overhead).  The kernel-vs-legacy speedup itself is

@@ -40,14 +40,15 @@ Construction
 ------------
 One path builds every layering:
 :func:`repro.core.pipeline.build_level_data` computes the dominance
-factor and every pair system's level-region sizes with the fused
-bitset kernel (:func:`repro.core.kernels.pair_level_data`), and the
-builder matches each system's wedges with
+factor and every pair system's level-region sizes with one shared
+bitset kernel over all systems
+(:func:`repro.core.kernels.systems_level_data`), and the builder
+matches each system's wedges with
 :func:`~repro.core.matching.greedy_staircase_matching` (equal to the
 paper's Lemma-3 closed form, :func:`~repro.core.matching.lemma3_bound`).
-``workers`` only picks the schedule: inline, one task per system, or
-per-system tuple-id ranges over a process pool — the same kernel
-either way, so the layers are identical.  :func:`appri_build` exposes
+``workers`` only picks the schedule: inline, one task over all tuple
+ids, or one tuple-id range per worker over a process pool — the same
+kernel either way, so the layers are identical.  :func:`appri_build` exposes
 per-phase build metrics; :func:`appri_layers` returns just the layer
 array.
 """
@@ -145,7 +146,7 @@ def appri_layers(
         ``None`` or ``"peel"`` (take the max with shell-peeling depth).
     workers:
         Upper bound on worker processes.  ``1`` runs everything
-        inline; ``> 1`` fans per-system tuple-id ranges out over a
+        inline; ``> 1`` fans tuple-id ranges out over a
         process pool of at most ``workers`` (and at most the usable
         CPUs) once the input is large enough to pay for it
         (:mod:`repro.core.pipeline`).  Identical output either way.
@@ -255,7 +256,7 @@ def _wedges_from_levels(a_levels: np.ndarray, b_levels: np.ndarray):
 def wedge_counts(points, pair, n_partitions):
     """Per-tuple wedge sizes ``(|I_i|, |III_i|)`` for one pair system.
 
-    All of the system's level sizes come from one fused bitset kernel
+    All of the system's level sizes come from one shared bitset kernel
     call (:func:`repro.core.kernels.pair_level_data`), bit-identical
     to the paper's schedule of one dominance pass per level per side.
 

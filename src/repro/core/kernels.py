@@ -1,22 +1,31 @@
-"""Fused level-region counting for the AppRI build.
+"""Shared level-region counting for the AppRI build.
 
 The paper's schedule runs one full dominance pass per gamma level per
 side — ``2B`` transformed-space passes per pair system — and each pass
 re-sorts every transformed column from scratch.  This module collapses
-all of a system's passes into one fused kernel built on the
-packed-bitset machinery of :mod:`repro.dstruct.kernels`, exploiting
-two kinds of sharing the per-level schedule cannot see:
+the passes of *every* pair system into one kernel built on the
+packed-bitset machinery of :mod:`repro.dstruct.kernels`.  Each
+coordinate of every transformed space is one of two kinds of column:
 
-* **Across sides.**  :func:`repro.core.partitioning.level_transform`
-  gives side a and side b the *same* bilinear columns
-  ``gamma * x_i + x_j`` for ``(i, j) in J2 x J1`` — only the lead
-  columns differ.  The fused kernel computes each bilinear dominator
-  bitset once per level and ANDs it against both sides' lead bitsets,
-  halving the dominant cost.
-* **Across levels.**  The lead columns (shared-below attributes and
-  the negated above-attributes) do not depend on gamma, so their
-  combined bitsets are built once per call and reused for every
-  level, including the two full-subspace passes.
+* a **signed attribute** ``x_j`` or ``-x_j`` (shared-below
+  dimensions, the negated above-dimensions that lead each side's
+  region, and the plain attributes that close the full-subspace
+  passes) — at most ``2d`` of them, none depending on gamma;
+* a **bilinear column** ``gamma_p * x_i + x_j`` for ``(i, j) in
+  J2 x J1`` — one per level and distinct ``(i, j)``, shared by both
+  sides of a system *and* by every system whose sides contain that
+  ``(i, j)``.
+
+So the kernel works level-major over all systems at once.  Per
+bit-space chunk it gathers each signed attribute's dominator bitset
+once, ANDs every system's two lead accumulators out of them and
+counts the two full-subspace regions; then, per level, it gathers that
+level's distinct bilinear columns once and ANDs / popcounts them into
+every system that uses them.  Every distinct column is sorted once per
+call and packed once per chunk, so a build packs ``2d + pairs * (B -
+1)`` prefix matrices instead of the per-system schedule's sum over
+systems (93 instead of 276 at d=4, B=10, the dominance-factor pass
+included; the ``counting.prefix_words`` counter).
 
 Every comparison is made on the *exact float values* the per-level
 transforms produce (the same ``gamma * pts[:, i] + pts[:, j]`` /
@@ -26,17 +35,22 @@ one dominance pass per transformed space on any input, ties included
 reference schedule in ``tests/core/appri_reference.py`` under every
 named dominance engine.  Peak memory is bounded by processing the
 dominator bitsets in bit-space chunks
-(:func:`repro.dstruct.kernels.bit_chunks`), and each call allocates
-its accumulators once (:func:`repro.dstruct.kernels.chunk_buffers`)
-instead of once per column.
+(:func:`repro.dstruct.kernels.bit_chunks`) sized so that every bitset
+live at once — the per-system accumulators, one column family and the
+scratch — fits the bytes of four accumulators plus one prefix matrix
+of :data:`~repro.dstruct.kernels.MATRIX_BYTES_BUDGET` each, the
+envelope of one per-system pass.  Each call allocates its buffers once
+(:func:`repro.dstruct.kernels.chunk_buffers`) and keeps them local,
+so builds may run in concurrent threads.
 
-:func:`pair_level_data` is the entry point; the build pipeline
-(:mod:`repro.core.pipeline`) runs it once per system over all tuple
-ids, or once per system and tuple-id range (``lo``, ``hi``) when it
-fans out over a process pool.  A range restricts the bit space —
-which tuples count as dominators — exactly like one of the
-memory-bounding bit chunks, so every schedule builds the same words,
-reuses the same code and stays identical by construction.
+:func:`systems_level_data` is the entry point; the build pipeline
+(:mod:`repro.core.pipeline`) runs it once over all tuple ids, or once
+per tuple-id range (``lo``, ``hi``) when it fans out over a process
+pool.  A range restricts the bit space — which tuples count as
+dominators — exactly like one of the memory-bounding bit chunks, so
+every schedule builds the same words, reuses the same code and stays
+identical by construction.  :func:`pair_level_data` is its one-system
+call.
 """
 
 from __future__ import annotations
@@ -46,38 +60,44 @@ import numpy as np
 from .. import obs
 from ..dstruct.kernels import (
     MATRIX_BYTES_BUDGET,
-    and_prefix_rows,
     bit_chunks,
     chunk_buffers,
     popcount_rows,
+    prefix_bit_matrix,
     sort_and_rank,
 )
 from ..geometry.weights import gamma_levels
 from .partitioning import SubspacePair
 
 __all__ = [
+    "systems_level_data",
     "pair_level_data",
     "suffix_smaller_counts",
     "crossing_partners",
 ]
 
+#: Live bitsets per chunk, in matrices of at most ``budget_bytes``:
+#: what one system counted alone needs (four accumulators and one
+#: prefix matrix).
+_ENVELOPE_MATRICES = 5
 
-def pair_level_data(
+
+def systems_level_data(
     points: np.ndarray,
-    pair: SubspacePair,
+    systems: list[SubspacePair],
     n_partitions: int,
     lo: int = 0,
     hi: int | None = None,
     budget_bytes: int = MATRIX_BYTES_BUDGET,
-):
-    """All level-region sizes of one pair system, in one fused kernel.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """All level-region sizes of every pair system, in one shared kernel.
 
     Parameters
     ----------
     points:
         ``(n, d)`` data matrix.
-    pair:
-        The system whose nested regions are counted.
+    systems:
+        The pair systems whose nested regions are counted.
     n_partitions:
         The paper's B.
     lo, hi:
@@ -88,13 +108,15 @@ def pair_level_data(
         schedule relies on this.
     budget_bytes:
         Bit-space chunking budget (see
-        :data:`repro.dstruct.kernels.MATRIX_BYTES_BUDGET`).
+        :data:`repro.dstruct.kernels.MATRIX_BYTES_BUDGET`); the live
+        bitsets of a chunk stay within ``5 * budget_bytes``.
 
     Returns
     -------
-    ``(a_levels, b_levels)`` — two ``(n, B + 1)`` int64 arrays with
-    ``a_levels[:, p] = |a_p|`` and ``b_levels[:, p] = |b_p|``: columns
-    ``1..B-1`` from the interior gamma levels, ``a_levels[:, B]`` and
+    One ``(a_levels, b_levels)`` pair per system, in ``systems``
+    order: two ``(n, B + 1)`` int64 arrays with ``a_levels[:, p] =
+    |a_p|`` and ``b_levels[:, p] = |b_p|`` — columns ``1..B-1`` from
+    the interior gamma levels, ``a_levels[:, B]`` and
     ``b_levels[:, 0]`` from the pair of full-subspace passes, the
     always-empty ``b_levels[:, B]`` / ``a_levels[:, 0]`` zero.
     """
@@ -106,56 +128,128 @@ def pair_level_data(
         raise ValueError(
             f"id range must satisfy 0 <= lo <= hi <= {n}; got [{lo}, {hi})"
         )
-    a_levels = np.zeros((n, b + 1), dtype=np.int64)
-    b_levels = np.zeros((n, b + 1), dtype=np.int64)
-    if lo == hi:
-        return a_levels, b_levels
+    levels = [
+        (np.zeros((n, b + 1), dtype=np.int64),
+         np.zeros((n, b + 1), dtype=np.int64))
+        for _ in systems
+    ]
+    if lo == hi or not systems:
+        return levels
+
+    # Catalogue the distinct columns: signed attributes keyed by
+    # ``(sign, j)``, bilinear columns by their ``(i, j)`` pair; each
+    # system refers to them by slot.
+    singles: dict[tuple[int, int], int] = {}
+    pairs: dict[tuple[int, int], int] = {}
+
+    def slots(table, keys):
+        return [table.setdefault(key, len(table)) for key in keys]
+
+    plans = []
+    for pair in systems:
+        j1, j2 = pair.side_a_above, pair.side_b_above
+        shared = [(1, i) for i in pair.shared_below]
+        plans.append((
+            slots(singles, shared + [(-1, j) for j in j1]),  # lead of a
+            slots(singles, shared + [(-1, i) for i in j2]),  # lead of b
+            slots(singles, [(1, i) for i in j2]),  # closes a's subspace
+            slots(singles, [(1, j) for j in j1]),  # closes b's subspace
+            slots(pairs, [(i, j) for i in j2 for j in j1]),
+        ))
 
     gammas = gamma_levels(b)
-    j1 = list(pair.side_a_above)
-    j2 = list(pair.side_b_above)
-    shared = [pts[:, i] for i in pair.shared_below]
-
     with obs.timed("counting.kernel"):
-        # Gamma-independent column families, ranked once and reused
-        # across every bit-space chunk and every level.
-        lead_a = [sort_and_rank(c) for c in shared + [-pts[:, j] for j in j1]]
-        lead_b = [sort_and_rank(c) for c in shared + [-pts[:, i] for i in j2]]
-        # The remaining columns of the two subspace transforms: the
-        # side's full region adds "strictly below on the *other*
-        # side's above-dimensions" to its lead constraints.
-        sub_a = [sort_and_rank(pts[:, i]) for i in j2]
-        sub_b = [sort_and_rank(pts[:, j]) for j in j1]
-        ranked_bilinear = [
+        # Column ranks are chunk-independent: one sort per column.
+        ranked_singles = [
+            sort_and_rank(pts[:, j] if sign > 0 else -pts[:, j])
+            for sign, j in singles
+        ]
+        ranked_levels = [
             [
                 sort_and_rank(float(gammas[p - 1]) * pts[:, i] + pts[:, j])
-                for i in j2
-                for j in j1
+                for i, j in pairs
             ]
             for p in range(1, b)
         ]
-        obs.inc("counting.fused_levels", b + 1)
+        obs.inc("counting.fused_levels", (b + 1) * len(systems))
 
-        # Word-major ``(words, n)`` accumulators: column ``t`` is tuple
-        # ``t``'s bitset, so popcounts run over the transposes.
-        chunks = bit_chunks(n, budget_bytes, lo, hi)
-        for c_lo, c_hi, buffers in chunk_buffers(n, chunks, 4):
-            gather, acc_a, acc_b, acc = buffers
-            and_prefix_rows(lead_a, c_lo, c_hi, acc_a, gather)
-            and_prefix_rows(lead_b, c_lo, c_hi, acc_b, gather)
-            sub = and_prefix_rows(sub_a, c_lo, c_hi, acc, gather)
-            sub &= acc_a
-            a_levels[:, b] += popcount_rows(sub.T)
-            sub = and_prefix_rows(sub_b, c_lo, c_hi, acc, gather)
-            sub &= acc_b
-            b_levels[:, 0] += popcount_rows(sub.T)
-            for p, ranked in enumerate(ranked_bilinear, start=1):
-                bil = and_prefix_rows(ranked, c_lo, c_hi, acc, gather)
-                np.bitwise_and(bil, acc_a, out=gather)
-                a_levels[:, p] += popcount_rows(gather.T)
-                bil &= acc_b
-                b_levels[:, p] += popcount_rows(bil.T)
-    return a_levels, b_levels
+        # Live per chunk: two accumulators per system, one column
+        # family (the signed attributes, then one level's bilinear
+        # columns, in the same slots), two scratch buffers and the
+        # prefix matrix being gathered.
+        n_columns = max(len(singles), len(pairs))
+        live = 2 * len(systems) + n_columns + 3
+        words = (hi - lo + 63) >> 6
+        envelope = _ENVELOPE_MATRICES * 8 * n * min(
+            words, max(1, int(budget_bytes) // (8 * n))
+        )
+        chunks = bit_chunks(n, envelope // live, lo, hi)
+        for c_lo, c_hi, buffers in chunk_buffers(n, chunks, live - 1):
+            columns = buffers[:n_columns]
+            scratch, bil = buffers[n_columns:n_columns + 2]
+            accumulators = buffers[n_columns + 2:]
+            acc_a, acc_b = accumulators[0::2], accumulators[1::2]
+
+            _gather(ranked_singles, columns, n, c_lo, c_hi)
+            for s, (lead_a, lead_b, sub_a, sub_b, _) in enumerate(plans):
+                a_levels, b_levels = levels[s]
+                _and_columns(columns, lead_a, acc_a[s])
+                _and_columns(columns, lead_b, acc_b[s])
+                _and_columns(columns, sub_a, scratch)
+                scratch &= acc_a[s]
+                a_levels[:, b] += popcount_rows(scratch.T)
+                _and_columns(columns, sub_b, scratch)
+                scratch &= acc_b[s]
+                b_levels[:, 0] += popcount_rows(scratch.T)
+
+            for p, ranked in enumerate(ranked_levels, start=1):
+                _gather(ranked, columns, n, c_lo, c_hi)
+                for s, (*_, bilinear) in enumerate(plans):
+                    a_levels, b_levels = levels[s]
+                    _and_columns(columns, bilinear, bil)
+                    np.bitwise_and(bil, acc_a[s], out=scratch)
+                    a_levels[:, p] += popcount_rows(scratch.T)
+                    bil &= acc_b[s]
+                    b_levels[:, p] += popcount_rows(bil.T)
+    return levels
+
+
+def _gather(ranked, columns, n, lo, hi):
+    """Gather every ranked column's chunk bitsets into ``columns``.
+
+    Column ``t`` of ``columns[k]`` receives tuple ``t``'s strict
+    dominators on ranked column ``k``, restricted to ids ``[lo, hi)``.
+    """
+    for (order, g), out in zip(ranked, columns):
+        matrix = prefix_bit_matrix(order, n, lo, hi).T
+        # Every row index is valid, so ``clip`` changes nothing; it
+        # lets ``take`` write straight into ``out`` without a buffer.
+        np.take(matrix, g, axis=1, out=out, mode="clip")
+
+
+def _and_columns(columns, slots, out):
+    """``out`` = AND of the gathered ``columns`` at ``slots``."""
+    if len(slots) == 1:
+        np.copyto(out, columns[slots[0]])
+    else:
+        np.bitwise_and(columns[slots[0]], columns[slots[1]], out=out)
+        for k in slots[2:]:
+            out &= columns[k]
+
+
+def pair_level_data(
+    points: np.ndarray,
+    pair: SubspacePair,
+    n_partitions: int,
+    lo: int = 0,
+    hi: int | None = None,
+    budget_bytes: int = MATRIX_BYTES_BUDGET,
+):
+    """One pair system's ``(a_levels, b_levels)``: the one-system call
+    of :func:`systems_level_data`."""
+    return systems_level_data(
+        points, [pair], n_partitions, lo, hi, budget_bytes
+    )[0]
 
 
 def _kernel_buffer(scratch: dict, name, size: int, dtype) -> np.ndarray:

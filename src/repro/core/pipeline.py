@@ -5,25 +5,25 @@ counts from :func:`build_level_data`, which splits them into
 independent tasks:
 
 1.  One task computes the global dominance factor.
-2.  For every pair system, the tuple ids ``[0, n)`` are cut into
-    word-aligned ranges; each ``("lev", s, lo, hi)`` task runs the
-    fused kernel :func:`~repro.core.kernels.pair_level_data` over all
-    levels ``1..B`` with only the ids in ``[lo, hi)`` counted as
-    dominators, and returns the two ``(n, B + 1)`` level arrays of
-    that range.  The ranges split the kernel's bit space exactly the
-    way its memory-bounding bit chunks do, so the coordinator adds
-    the results up.
+2.  The tuple ids ``[0, n)`` are cut into word-aligned ranges; each
+    ``("lev", lo, hi)`` task runs the shared kernel
+    :func:`~repro.core.kernels.systems_level_data` over every pair
+    system and all levels ``1..B`` with only the ids in ``[lo, hi)``
+    counted as dominators, and returns each system's two
+    ``(n, B + 1)`` level arrays for that range.  The ranges split the
+    kernel's bit space exactly the way its memory-bounding bit chunks
+    do, so the coordinator adds the results up.
 
 The pool engages only when it can pay for itself: ``workers > 1``, at
-least ``POOL_MIN_N`` tuples *and* more than one usable core.  Then
-each system gets ``min(workers, usable CPUs)`` ranges and the pool
+least ``POOL_MIN_N`` tuples *and* more than one usable core.  Then the
+ids are cut into ``min(workers, usable CPUs)`` ranges and the pool
 starts that many processes; each worker holds the data once (pool
-initializer) and returns per-range count arrays plus a metrics
-snapshot, which the coordinator folds into the system's arrays as
-they arrive.  Otherwise the tasks run inline with one range
-``[0, n)`` per system.  Either way every prefix bit matrix is built
-exactly once per build (the ``counting.prefix_words`` counter), so a
-pooled build does the inline build's kernel work, split.
+initializer) and returns one range's count arrays plus a metrics
+snapshot, which the coordinator folds into the per-system sums as
+they arrive.  Otherwise the tasks run inline with the one range
+``[0, n)``.  Either way every prefix bit matrix is built exactly once
+per build (the ``counting.prefix_words`` counter), so a pooled build
+does the inline build's kernel work, split.
 
 Because every task runs the same kernel on a subset of the bit space,
 the counts are **identical** for every schedule on any input (the
@@ -41,7 +41,7 @@ import numpy as np
 
 from .. import obs
 from ..dstruct.dominance import count_dominators
-from .kernels import pair_level_data
+from .kernels import systems_level_data
 from .partitioning import pair_systems
 
 __all__ = [
@@ -52,8 +52,9 @@ __all__ = [
 
 #: Below this many tuples, tasks run inline in the coordinating process
 #: (identical output; avoids process start-up costing more than the
-#: build: on two cores a d=3 or d=4 build breaks even at about 3-4k
-#: tuples).  Tests monkeypatch this to force the pool on small inputs.
+#: build: on two cores a d=3 or d=4 B=10 build breaks even at about 3k
+#: tuples, and the pool is 8-24% faster at 4096).  Tests monkeypatch
+#: this to force the pool on small inputs.
 POOL_MIN_N = 4096
 
 
@@ -138,13 +139,29 @@ def _run_task(task, state=None):
             with obs.timed("build.phase.dominators"):
                 payload = count_dominators(pts).astype(np.int64)
         elif kind == "lev":
-            _, s, lo, hi = task
+            _, lo, hi = task
             with obs.timed("build.phase.levels"):
-                payload = pair_level_data(pts, systems[s], b, lo, hi)
+                payload = systems_level_data(pts, systems, b, lo, hi)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown task kind {kind!r}")
         obs.inc("build.tasks")
     return task, payload, local.as_dict()
+
+
+def _run_pooled_task(task):
+    """:func:`_run_task` in a pool worker; level counts travel as int32.
+
+    A count never exceeds ``n``, so the narrowing is exact, and it
+    halves the bytes each payload pickles and the coordinator holds
+    beyond its int64 sums.
+    """
+    task, payload, task_metrics = _run_task(task)
+    if task[0] == "lev":
+        payload = [
+            (a_levels.astype(np.int32), b_levels.astype(np.int32))
+            for a_levels, b_levels in payload
+        ]
+    return task, payload, task_metrics
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +181,7 @@ def build_level_data(
     Returns ``(dominators, level_data, systems)`` where ``level_data``
     is a list over pair systems of ``(a_levels, b_levels)`` arrays of
     shape ``(n, B + 1)`` laid out like
-    :func:`~repro.core.kernels.pair_level_data` returns them: interior
+    :func:`~repro.core.kernels.systems_level_data` returns them: interior
     columns from the gamma levels, column B of ``a`` / column 0 of
     ``b`` from the full-subspace passes, the remaining boundary
     columns zero.
@@ -181,9 +198,7 @@ def build_level_data(
     ranges = _id_ranges(n, parts if use_pool else 1)
 
     # The cheap dominance task goes last so it fills a gap at the end.
-    tasks: list[tuple] = [
-        ("lev", s, lo, hi) for s in range(len(systems)) for lo, hi in ranges
-    ]
+    tasks: list[tuple] = [("lev", lo, hi) for lo, hi in ranges if systems]
     tasks.append(("dom",))
 
     if metrics is not None:
@@ -191,20 +206,25 @@ def build_level_data(
         metrics.inc("build.pool_used", int(use_pool))
 
     dominators = np.zeros(n, dtype=np.int64)
-    level_data: list = [None] * len(systems)
+    level_data: list = []
 
     def fold(task, payload, task_metrics):
         if metrics is not None:
             metrics.merge(task_metrics)
         if task[0] == "dom":
             dominators[:] = payload
-        elif level_data[task[1]] is None:
-            level_data[task[1]] = payload
+        elif not level_data:
+            level_data.extend(
+                tuple(levels.astype(np.int64, copy=False) for levels in pair)
+                for pair in payload
+            )
         else:
             # Ranges split the dominators disjointly: addition combines.
-            a_levels, b_levels = level_data[task[1]]
-            a_levels += payload[0]
-            b_levels += payload[1]
+            for (a_levels, b_levels), (part_a, part_b) in zip(
+                level_data, payload
+            ):
+                a_levels += part_a
+                b_levels += part_b
 
     if use_pool:
         with ProcessPoolExecutor(
@@ -212,8 +232,11 @@ def build_level_data(
             initializer=_init_worker,
             initargs=(pts, b, include_partial),
         ) as pool:
-            futures = [pool.submit(_run_task, task) for task in tasks]
-            for future in as_completed(futures):
+            # No list of the futures is kept: a folded payload is freed
+            # as soon as the next one arrives.
+            for future in as_completed(
+                [pool.submit(_run_pooled_task, task) for task in tasks]
+            ):
                 fold(*future.result())
     else:
         state = {"pts": pts, "b": b, "systems": systems}

@@ -264,8 +264,14 @@ def and_prefix_rows(ranked, lo, hi, out, gather):
 
 
 def popcount_rows(packed: np.ndarray) -> np.ndarray:
-    """Total set bits per row of a packed ``uint64`` matrix."""
-    return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+    """Total set bits per row of a packed ``uint64`` matrix.
+
+    Rows of fewer than 1024 words hold at most ``64 * 1023`` bits, so
+    their sums run in ``uint16`` — about a third faster than ``int64``
+    and exact; wider rows sum in ``int64``.
+    """
+    dtype = np.uint16 if packed.shape[1] < 1024 else np.int64
+    return np.bitwise_count(packed).sum(axis=1, dtype=dtype)
 
 
 def sort_and_rank(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,12 @@ from repro.core.partitioning import (
 from repro.dstruct.dominance import count_dominators_naive
 from repro.geometry.weights import gamma_levels
 
-__all__ = ["level_pass", "serial_level_arrays", "reference_layers"]
+__all__ = [
+    "level_pass",
+    "serial_level_arrays",
+    "reference_layers",
+    "distinct_columns",
+]
 
 
 def level_pass(pts, pair, b, p, side, count=count_dominators_naive):
@@ -98,3 +103,24 @@ def reference_layers(
     return (np.asarray(count(pts), dtype=np.int64) + eds2_bound + 1).astype(
         np.intp
     )
+
+
+def distinct_columns(d, systems="complementary", n_partitions=10):
+    """Prefix matrices one AppRI build packs when columns are shared.
+
+    Every coordinate of every transformed space is a signed attribute
+    (``x_i`` on shared-below dimensions and to close a subspace,
+    ``-x_j`` to lead a side) or a bilinear ``gamma_p * x_i + x_j`` for
+    ``(i, j) in J2 x J1``; counted once each across all systems and
+    levels, plus the ``d`` columns of the dominance-factor pass (whose
+    bitset engine serves d >= 3; d = 2 merge-counts).  A build's
+    ``counting.prefix_words`` is this times ``n * words``.
+    """
+    signed, pairs = set(), set()
+    for pair in pair_systems(d, include_partial=(systems == "families")):
+        j1, j2 = pair.side_a_above, pair.side_b_above
+        signed |= {(1, i) for i in pair.shared_below + j1 + j2}
+        signed |= {(-1, j) for j in j1 + j2}
+        pairs |= {(i, j) for i in j2 for j in j1}
+    dominance_pass = d if d >= 3 else 0
+    return len(signed) + len(pairs) * (n_partitions - 1) + dominance_pass

@@ -1,11 +1,12 @@
-"""Tests for the fused system-level counting kernel.
+"""Tests for the shared all-systems counting kernel.
 
 The contract under test is bit-identity:
-:func:`repro.core.kernels.pair_level_data` must reproduce, exactly,
+:func:`repro.core.kernels.systems_level_data` (and its one-system call
+:func:`repro.core.kernels.pair_level_data`) must reproduce, exactly,
 the level sizes the paper's per-level schedule
 (``tests/core/appri_reference.py``) obtains from one dominance pass
 per transformed space — under every named engine, on tied and untied
-data.
+data — while packing each distinct column once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.core.kernels import pair_level_data
+from repro.core import kernels, pipeline
+from repro.core.appri import appri_build
+from repro.core.kernels import pair_level_data, systems_level_data
 from repro.core.partitioning import pair_systems
 from repro.dstruct.dominance import (
     count_dominators_blocked,
@@ -23,7 +26,7 @@ from repro.dstruct.dominance import (
     count_dominators_naive,
 )
 
-from .appri_reference import level_pass, serial_level_arrays
+from .appri_reference import distinct_columns, level_pass, serial_level_arrays
 
 
 class TestPairLevelData:
@@ -147,3 +150,137 @@ class TestPairLevelData:
             expect_a, expect_b = serial_level_arrays(pts, pair, b, count)
             assert np.array_equal(got_a, expect_a), count.__name__
             assert np.array_equal(got_b, expect_b), count.__name__
+
+
+def _points(rng, n, d, data):
+    if data == "distinct":
+        return rng.random((n, d))
+    pts = rng.integers(0, 3, size=(n, d)).astype(float)
+    if data == "duplicate_columns":
+        # Equal attribute columns make equal bilinear columns too.
+        pts[:, -1] = pts[:, 0]
+    return pts
+
+
+def _assert_levels_equal(got, expected):
+    assert len(got) == len(expected)
+    for (got_a, got_b), (expect_a, expect_b) in zip(got, expected):
+        assert np.array_equal(got_a, expect_a)
+        assert np.array_equal(got_b, expect_b)
+
+
+class TestSystemsLevelData:
+    """Every system at once, against the per-level reference."""
+
+    @pytest.mark.parametrize(
+        "d, n", [(2, 130), (3, 130), (4, 130), (2, 45), (3, 45), (4, 45),
+                 (5, 45)]
+    )
+    @pytest.mark.parametrize("systems", ["complementary", "families"])
+    @pytest.mark.parametrize("data", ["distinct", "tied", "duplicate_columns"])
+    def test_matches_per_level_reference(self, d, n, systems, data):
+        rng = np.random.default_rng(100 * d + n)
+        pts = _points(rng, n, d, data)
+        all_systems = pair_systems(d, include_partial=(systems == "families"))
+        if systems == "families" and d > 2:
+            assert any(pair.shared_below for pair in all_systems)
+        b = 4
+        got = systems_level_data(pts, all_systems, b)
+        _assert_levels_equal(
+            got, [serial_level_arrays(pts, pair, b) for pair in all_systems]
+        )
+
+    def test_no_systems_and_single_tuple_still_build(self):
+        pts = np.random.default_rng(5).random((20, 1))
+        assert pair_systems(1) == []
+        assert systems_level_data(pts, [], 4) == []
+        dominators, level_data, systems = pipeline.build_level_data(
+            pts, 4, include_partial=False, workers=1
+        )
+        assert level_data == [] and systems == []
+        build = appri_build(pts, n_partitions=4)
+        # d=1: the layer is the tuple's rank among distinct values.
+        assert build.layers.tolist() == (dominators + 1).tolist()
+        for d in (1, 2, 4):
+            single = appri_build(np.ones((1, d)), n_partitions=4)
+            assert single.layers.tolist() == [1]
+
+    @pytest.mark.parametrize("systems", ["complementary", "families"])
+    def test_tiny_budget_many_chunks_identical(self, systems):
+        rng = np.random.default_rng(9)
+        pts = rng.integers(0, 4, size=(200, 4)).astype(float)
+        all_systems = pair_systems(4, include_partial=(systems == "families"))
+        full = systems_level_data(pts, all_systems, 5)
+        # One word per chunk: the maximum chunk count.
+        tiny = systems_level_data(pts, all_systems, 5, budget_bytes=1)
+        _assert_levels_equal(tiny, full)
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_word_aligned_ranges_sum_to_full_call(self, parts):
+        rng = np.random.default_rng(parts)
+        pts = rng.integers(0, 5, size=(200, 3)).astype(float)
+        all_systems = pair_systems(3, include_partial=True)
+        full_metrics = obs.Metrics()
+        with obs.collect(full_metrics):
+            full = systems_level_data(pts, all_systems, 6)
+        summed = [(np.zeros_like(a), np.zeros_like(b)) for a, b in full]
+        split_metrics = obs.Metrics()
+        with obs.collect(split_metrics):
+            for lo, hi in pipeline._id_ranges(200, parts):
+                assert lo % 64 == 0
+                part = systems_level_data(pts, all_systems, 6, lo, hi)
+                for (sum_a, sum_b), (part_a, part_b) in zip(summed, part):
+                    sum_a += part_a
+                    sum_b += part_b
+        _assert_levels_equal(summed, full)
+        assert (
+            split_metrics.counters["counting.prefix_words"]
+            == full_metrics.counters["counting.prefix_words"]
+        )
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("systems", ["complementary", "families"])
+    def test_prefix_words_count_each_distinct_column_once(
+        self, monkeypatch, d, systems
+    ):
+        # Packing a column per system that uses it, instead of once per
+        # build, would multiply these words (276 vs 93 matrices at d=4).
+        n, b = 150, 10
+        pts = np.random.default_rng(d).random((n, d))
+        words = (n + 63) >> 6
+        if d == 4:
+            # 8 signed attributes, 9 bilinear pairs x 9 levels and the
+            # 4 columns of the dominance-factor pass.
+            assert distinct_columns(d, systems, b) == 93
+        expected = distinct_columns(d, systems, b) * n * words
+        inline = appri_build(pts, n_partitions=b, systems=systems)
+        assert inline.metrics["counters"]["counting.prefix_words"] == expected
+        monkeypatch.setattr(pipeline, "POOL_MIN_N", 0)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+        pooled = appri_build(pts, n_partitions=b, systems=systems, workers=2)
+        counters = pooled.metrics["counters"]
+        assert counters["build.pool_used"] == 1
+        assert counters["counting.prefix_words"] == expected
+        assert np.array_equal(pooled.layers, inline.layers)
+
+    def test_live_bitsets_fit_the_envelope(self, monkeypatch):
+        # Four accumulators plus one prefix matrix of ``budget_bytes``
+        # each: every buffer of a chunk, plus the prefix matrix being
+        # gathered, fits in those bytes.
+        seen = []
+        real = kernels.chunk_buffers
+
+        def recording(n, chunks, count):
+            widest = max((hi - lo + 63) >> 6 for lo, hi in chunks)
+            seen.append((count + 1) * 8 * n * widest)
+            return real(n, chunks, count)
+
+        monkeypatch.setattr(kernels, "chunk_buffers", recording)
+        n = 64 * 60
+        pts = np.random.default_rng(4).random((n, 4))
+        budget = 8 * n * 40
+        systems_level_data(
+            pts, pair_systems(4, include_partial=False), 3,
+            budget_bytes=budget,
+        )
+        assert seen and seen[0] <= 5 * budget

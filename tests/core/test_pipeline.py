@@ -33,7 +33,7 @@ class TestPlanChunks:
         assert pipeline._id_ranges(0, 4) == [(0, 0)]
 
     def test_one_worker_gets_one_range(self):
-        # Inline, one task per system ranks its columns once.
+        # Inline, one task over every system ranks each column once.
         assert pipeline._id_ranges(1000, 1) == [(0, 1000)]
 
     def test_one_word_aligned_range_per_worker(self):
@@ -93,7 +93,7 @@ class TestBuildLevelData:
     def test_metrics_record_tasks_and_chunks(self, monkeypatch):
         pts = np.random.default_rng(3).random((200, 2))
         metrics = Metrics()
-        # Below POOL_MIN_N the tasks run inline: one range per system.
+        # Below POOL_MIN_N the tasks run inline: one range, all systems.
         pipeline.build_level_data(
             pts, 4, include_partial=False, workers=2, metrics=metrics,
         )
@@ -112,6 +112,25 @@ class TestBuildLevelData:
         # With the pool, the system's 200 ids split into 2 ranges.
         assert pooled.counters["build.chunks"] == 2
         assert pooled.counters["build.tasks"] == 1 + 2
+
+    def test_one_task_per_range_over_all_systems(self, monkeypatch):
+        # Three systems at d=3, yet one level task per id range: the
+        # shared kernel serves every system from one set of columns.
+        pts = np.random.default_rng(4).random((200, 3))
+        inline = Metrics()
+        pipeline.build_level_data(
+            pts, 4, include_partial=False, workers=1, metrics=inline,
+        )
+        assert inline.counters["build.tasks"] == 1 + 1
+        assert inline.counters["counting.fused_levels"] == 3 * (4 + 1)
+        monkeypatch.setattr(pipeline, "POOL_MIN_N", 0)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+        pooled = Metrics()
+        pipeline.build_level_data(
+            pts, 4, include_partial=False, workers=3, metrics=pooled,
+        )
+        assert pooled.counters["build.chunks"] == 3
+        assert pooled.counters["build.tasks"] == 1 + 3
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pool_builds_each_prefix_word_once(self, monkeypatch, workers):
@@ -172,6 +191,8 @@ class TestBuildLevelData:
         for (pa, pb), (sa, sb) in zip(level_data, serial_level):
             assert np.array_equal(pa, sa)
             assert np.array_equal(pb, sb)
+            # Payloads travel as int32; the sums are int64 either way.
+            assert pa.dtype == pb.dtype == sa.dtype == np.int64
 
     def test_pool_bypassed_on_single_core(self, monkeypatch):
         monkeypatch.setattr(pipeline, "POOL_MIN_N", 0)
