@@ -1,8 +1,8 @@
 """Engine-level I/O: block reads of the paper's SQL plan vs a scan.
 
 The sequential layer-ordered layout turns a top-k query into a short
-prefix read; this bench reports the tuple and block counts through the
-real storage layer.
+prefix read; this bench reports the tuple and block counts of the
+layer-prefix plan (the catalog's layer-ordered slab) against a scan.
 """
 
 import numpy as np
@@ -21,9 +21,8 @@ def test_layer_prefix_io(benchmark):
     catalog = Catalog()
     catalog.create_table(Relation.from_matrix("d", ["a", "b", "c"], data))
     layers = appri_layers(data, n_partitions=10)
-    store = materialize_layers(catalog, "d", layers, block_size=64)
-    executor = TopKExecutor(catalog)
-    executor.register_store("d", store)
+    materialize_layers(catalog, "d", layers)
+    executor = TopKExecutor(catalog, block_size=64)
 
     rows = []
     for k in (10, 50):

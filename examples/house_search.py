@@ -6,7 +6,7 @@ column, store the table in layer order, and any top-k query becomes
     SELECT TOP k FROM houses WHERE layer <= k ORDER BY <preference>
 
 This example drives the whole engine stack: catalog, layer
-materialization, paged sequential storage with I/O accounting, the SQL
+materialization, layer-ordered storage with block accounting, the SQL
 parser, and the executor's three physical plans.
 
 Run:  python examples/house_search.py
@@ -42,12 +42,11 @@ def main() -> None:
     catalog.create_table(relation)
 
     # Build the robust layers and materialize them as a column; the
-    # store keeps the table sequentially in layer order.
+    # catalog keeps the table sequentially in layer order.
     layers = appri_layers(houses, n_partitions=10)
-    store = materialize_layers(catalog, "houses", layers, block_size=64)
+    materialize_layers(catalog, "houses", layers)
 
-    executor = TopKExecutor(catalog)
-    executor.register_store("houses", store)
+    executor = TopKExecutor(catalog, block_size=64)
     catalog.attach_index("houses", "robust", RobustIndex(houses))
 
     k = 20

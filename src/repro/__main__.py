@@ -152,8 +152,7 @@ def _cmd_sql(args) -> int:
     executor = TopKExecutor(catalog)
     if parsed.layer_bound is not None:
         layers = appri_layers(relation.matrix(), n_partitions=args.partitions)
-        store = materialize_layers(catalog, parsed.table, layers)
-        executor.register_store(parsed.table, store)
+        materialize_layers(catalog, parsed.table, layers)
     result = executor.execute(parsed)
     if result.plan == "explain":
         print(result.extra["text"])

@@ -34,7 +34,8 @@ convex-shell peeling depth — itself a lower bound on the minimal rank
 query) — which tightens deep tuples where wedge counting saturates.
 
 All region sizes are dominance-factor counts in transformed spaces
-(paper Example 4), delegated to :mod:`repro.dstruct.dominance`.
+(paper Example 4), made with the packed bitsets of
+:mod:`repro.dstruct.kernels`.
 
 Construction
 ------------

@@ -19,13 +19,16 @@ coordinate of every transformed space is one of two kinds of column:
 So the kernel works level-major over all systems at once.  Per
 bit-space chunk it gathers each signed attribute's dominator bitset
 once, ANDs every system's two lead accumulators out of them and
-counts the two full-subspace regions; then, per level, it gathers that
-level's distinct bilinear columns once and ANDs / popcounts them into
-every system that uses them.  Every distinct column is sorted once per
-call and packed once per chunk, so a build packs ``2d + pairs * (B -
-1)`` prefix matrices instead of the per-system schedule's sum over
-systems (93 instead of 276 at d=4, B=10, the dominance-factor pass
-included; the ``counting.prefix_words`` counter).
+counts the two full-subspace regions; the AND of the ``d`` plain
+attributes ``+x_j`` is each tuple's strict-dominator set, so the
+dominance factor is counted from the same bitsets.  Then, per level,
+it gathers that level's distinct bilinear columns once and ANDs /
+popcounts them into every system that uses them.  Every distinct
+column is sorted once per call and packed once per chunk, so a build
+packs ``2d + pairs * (B - 1)`` prefix matrices, the dominance factor
+included, instead of the per-system schedule's sum over systems plus
+a dominance-factor pass of its own (89 instead of 276 at d=4, B=10;
+the ``counting.prefix_words`` counter).
 
 Every comparison is made on the *exact float values* the per-level
 transforms produce (the same ``gamma * pts[:, i] + pts[:, j]`` /
@@ -50,7 +53,7 @@ pool.  A range restricts the bit space — which tuples count as
 dominators — exactly like one of the memory-bounding bit chunks, so
 every schedule builds the same words, reuses the same code and stays
 identical by construction.  :func:`pair_level_data` is its one-system
-call.
+call, returning only that system's level sizes.
 """
 
 from __future__ import annotations
@@ -89,8 +92,9 @@ def systems_level_data(
     lo: int = 0,
     hi: int | None = None,
     budget_bytes: int = MATRIX_BYTES_BUDGET,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All level-region sizes of every pair system, in one shared kernel.
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The dominance factor and all level-region sizes of every pair
+    system, in one shared kernel.
 
     Parameters
     ----------
@@ -113,28 +117,32 @@ def systems_level_data(
 
     Returns
     -------
-    One ``(a_levels, b_levels)`` pair per system, in ``systems``
-    order: two ``(n, B + 1)`` int64 arrays with ``a_levels[:, p] =
-    |a_p|`` and ``b_levels[:, p] = |b_p|`` — columns ``1..B-1`` from
-    the interior gamma levels, ``a_levels[:, B]`` and
-    ``b_levels[:, 0]`` from the pair of full-subspace passes, the
-    always-empty ``b_levels[:, B]`` / ``a_levels[:, 0]`` zero.
+    ``(dominators, levels)``.  ``dominators`` is the ``(n,)`` int64
+    count of each tuple's strict dominators (smaller on every
+    attribute) in the id range.  ``levels`` holds one ``(a_levels,
+    b_levels)`` pair per system, in ``systems`` order: two ``(n, B +
+    1)`` int64 arrays with ``a_levels[:, p] = |a_p|`` and
+    ``b_levels[:, p] = |b_p|`` — columns ``1..B-1`` from the interior
+    gamma levels, ``a_levels[:, B]`` and ``b_levels[:, 0]`` from the
+    pair of full-subspace passes, the always-empty ``b_levels[:, B]``
+    / ``a_levels[:, 0]`` zero.
     """
     pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
+    n, d = pts.shape
     b = int(n_partitions)
     hi = n if hi is None else hi
     if not 0 <= lo <= hi <= n:
         raise ValueError(
             f"id range must satisfy 0 <= lo <= hi <= {n}; got [{lo}, {hi})"
         )
+    dominators = np.zeros(n, dtype=np.int64)
     levels = [
         (np.zeros((n, b + 1), dtype=np.int64),
          np.zeros((n, b + 1), dtype=np.int64))
         for _ in systems
     ]
-    if lo == hi or not systems:
-        return levels
+    if lo == hi:
+        return dominators, levels
 
     # Catalogue the distinct columns: signed attributes keyed by
     # ``(sign, j)``, bilinear columns by their ``(i, j)`` pair; each
@@ -156,6 +164,9 @@ def systems_level_data(
             slots(singles, [(1, j) for j in j1]),  # closes b's subspace
             slots(pairs, [(i, j) for i in j2 for j in j1]),
         ))
+    # The dominance factor ANDs every plain attribute; for d >= 2 the
+    # systems already use each one.
+    dominance = slots(singles, [(1, j) for j in range(d)])
 
     gammas = gamma_levels(b)
     with obs.timed("counting.kernel"):
@@ -191,6 +202,8 @@ def systems_level_data(
             acc_a, acc_b = accumulators[0::2], accumulators[1::2]
 
             _gather(ranked_singles, columns, n, c_lo, c_hi)
+            _and_columns(columns, dominance, scratch)
+            dominators += popcount_rows(scratch.T)
             for s, (lead_a, lead_b, sub_a, sub_b, _) in enumerate(plans):
                 a_levels, b_levels = levels[s]
                 _and_columns(columns, lead_a, acc_a[s])
@@ -211,7 +224,7 @@ def systems_level_data(
                     a_levels[:, p] += popcount_rows(scratch.T)
                     bil &= acc_b[s]
                     b_levels[:, p] += popcount_rows(bil.T)
-    return levels
+    return dominators, levels
 
 
 def _gather(ranked, columns, n, lo, hi):
@@ -249,7 +262,7 @@ def pair_level_data(
     of :func:`systems_level_data`."""
     return systems_level_data(
         points, [pair], n_partitions, lo, hi, budget_bytes
-    )[0]
+    )[1][0]
 
 
 def _kernel_buffer(scratch: dict, name, size: int, dtype) -> np.ndarray:

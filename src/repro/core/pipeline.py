@@ -2,17 +2,16 @@
 
 Every AppRI build (:func:`repro.core.appri.appri_build`) gets its
 counts from :func:`build_level_data`, which splits them into
-independent tasks:
-
-1.  One task computes the global dominance factor.
-2.  The tuple ids ``[0, n)`` are cut into word-aligned ranges; each
-    ``("lev", lo, hi)`` task runs the shared kernel
-    :func:`~repro.core.kernels.systems_level_data` over every pair
-    system and all levels ``1..B`` with only the ids in ``[lo, hi)``
-    counted as dominators, and returns each system's two
-    ``(n, B + 1)`` level arrays for that range.  The ranges split the
-    kernel's bit space exactly the way its memory-bounding bit chunks
-    do, so the coordinator adds the results up.
+independent tasks: the tuple ids ``[0, n)`` are cut into word-aligned
+ranges, and each ``("lev", lo, hi)`` task runs the shared kernel
+:func:`~repro.core.kernels.systems_level_data` over every pair system
+and all levels ``1..B`` with only the ids in ``[lo, hi)`` counted as
+dominators.  It returns that range's dominance factor and each
+system's two ``(n, B + 1)`` level arrays.  The ranges split the
+kernel's bit space exactly the way its memory-bounding bit chunks do,
+so the coordinator adds the results up.  A 1-D input has no pair
+systems and no task: its dominance factor is each value's count of
+strictly smaller values, one sort inline.
 
 The pool engages only when it can pay for itself: ``workers > 1``, at
 least ``POOL_MIN_N`` tuples *and* more than one usable core.  Then the
@@ -40,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 import numpy as np
 
 from .. import obs
-from ..dstruct.dominance import count_dominators
+from ..dstruct.kernels import sort_and_rank
 from .kernels import systems_level_data
 from .partitioning import pair_systems
 
@@ -134,33 +133,28 @@ def _run_task(task, state=None):
     pts, b, systems = state["pts"], state["b"], state["systems"]
     local = obs.Metrics()
     with obs.collect(local, propagate=False):
-        kind = task[0]
-        if kind == "dom":
-            with obs.timed("build.phase.dominators"):
-                payload = count_dominators(pts).astype(np.int64)
-        elif kind == "lev":
-            _, lo, hi = task
-            with obs.timed("build.phase.levels"):
-                payload = systems_level_data(pts, systems, b, lo, hi)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown task kind {kind!r}")
+        _, lo, hi = task
+        with obs.timed("build.phase.levels"):
+            payload = systems_level_data(pts, systems, b, lo, hi)
         obs.inc("build.tasks")
     return task, payload, local.as_dict()
 
 
 def _run_pooled_task(task):
-    """:func:`_run_task` in a pool worker; level counts travel as int32.
+    """:func:`_run_task` in a pool worker; counts travel as int32.
 
     A count never exceeds ``n``, so the narrowing is exact, and it
     halves the bytes each payload pickles and the coordinator holds
     beyond its int64 sums.
     """
-    task, payload, task_metrics = _run_task(task)
-    if task[0] == "lev":
-        payload = [
+    task, (dominators, levels), task_metrics = _run_task(task)
+    payload = (
+        dominators.astype(np.int32),
+        [
             (a_levels.astype(np.int32), b_levels.astype(np.int32))
-            for a_levels, b_levels in payload
-        ]
+            for a_levels, b_levels in levels
+        ],
+    )
     return task, payload, task_metrics
 
 
@@ -196,32 +190,33 @@ def build_level_data(
     parts = min(workers, _usable_cpus())
     use_pool = parts > 1 and n >= POOL_MIN_N and len(systems) > 0
     ranges = _id_ranges(n, parts if use_pool else 1)
-
-    # The cheap dominance task goes last so it fills a gap at the end.
-    tasks: list[tuple] = [("lev", lo, hi) for lo, hi in ranges if systems]
-    tasks.append(("dom",))
+    tasks = [("lev", lo, hi) for lo, hi in ranges] if systems else []
 
     if metrics is not None:
         metrics.inc("build.chunks", len(ranges))
         metrics.inc("build.pool_used", int(use_pool))
 
-    dominators = np.zeros(n, dtype=np.int64)
+    if systems:
+        dominators = np.zeros(n, dtype=np.int64)
+    else:
+        # d = 1: the strict dominators are the strictly smaller values.
+        dominators = sort_and_rank(pts[:, 0])[1].astype(np.int64)
     level_data: list = []
 
     def fold(task, payload, task_metrics):
         if metrics is not None:
             metrics.merge(task_metrics)
-        if task[0] == "dom":
-            dominators[:] = payload
-        elif not level_data:
+        # Ranges split the dominators disjointly: addition combines.
+        part_dominators, part_levels = payload
+        dominators[:] += part_dominators
+        if not level_data:
             level_data.extend(
                 tuple(levels.astype(np.int64, copy=False) for levels in pair)
-                for pair in payload
+                for pair in part_levels
             )
         else:
-            # Ranges split the dominators disjointly: addition combines.
             for (a_levels, b_levels), (part_a, part_b) in zip(
-                level_data, payload
+                level_data, part_levels
             ):
                 a_levels += part_a
                 b_levels += part_b

@@ -9,8 +9,10 @@ which keeps the robust-layer bound a valid lower bound (tuples are only
 ever placed in *shallower* layers, never deeper — soundness of the
 layered index is preserved).
 
-:func:`count_dominators` is the one entry point the library builds on:
-a searchsorted short-cut for d = 1 and the vectorized offline kernels
+:func:`count_dominators` is the one stand-alone entry point (the AppRI
+build counts the dominance factor inside its level kernel,
+:func:`repro.core.kernels.systems_level_data`): a searchsorted
+short-cut for d = 1 and the vectorized offline kernels
 of :mod:`repro.dstruct.kernels` (offline merge counting for d = 2,
 packed dominance bitsets for d >= 3) otherwise — exact under ties and
 duplicate columns, and the fastest engine by an order of magnitude at

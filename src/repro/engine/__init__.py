@@ -1,4 +1,4 @@
-"""Mini relational engine: relations, paged storage, SQL, execution,
+"""Mini relational engine: relations, layered storage, SQL, execution,
 result caching, and persistent index snapshots."""
 
 from .cache import ResultCache, cached_query
@@ -14,15 +14,11 @@ from .snapshot import (
     snapshot_info,
 )
 from .sql import ParsedQuery, SqlError, parse
-from .stats import AccessStats
-from .storage import BlockStore
 
 __all__ = [
     "Attribute",
     "Schema",
     "Relation",
-    "BlockStore",
-    "AccessStats",
     "Catalog",
     "ResultCache",
     "cached_query",

@@ -8,20 +8,31 @@ stamped with the table's content version at save time.  Because
 replaced tables go stale automatically — :meth:`load_index_snapshots`
 refuses to attach them, so a warm start can never serve answers
 computed over old data.
+
+A table's ``layer`` column is its layered storage:
+:meth:`Catalog.layering` packs it into a
+:class:`~repro.indexes.robust.LayeredSlab` once per table version, the
+one layout the ``WHERE layer <= c`` plan and the planner read.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from .. import obs
 from ..indexes.base import RankedIndex
+from ..indexes.robust import LayeredSlab
 from .relation import Relation
 
-__all__ = ["Catalog"]
+__all__ = ["Catalog", "LAYER_COLUMN"]
 
 #: File suffix of catalog-managed snapshot files.
 SNAPSHOT_SUFFIX = ".snap"
+
+#: Name of the integer column holding each row's layer.
+LAYER_COLUMN = "layer"
 
 
 class Catalog:
@@ -44,6 +55,8 @@ class Catalog:
         # (table, version) go stale automatically.  Survives drops so
         # a re-created table never reuses a version.
         self._versions: dict[str, int] = {}
+        # table -> (table_version packed, its layer column's slab).
+        self._layerings: dict[str, tuple[int, LayeredSlab]] = {}
 
     def _bump_version(self, name: str) -> None:
         self._versions[name] = self._versions.get(name, 0) + 1
@@ -56,10 +69,21 @@ class Catalog:
         self._bump_version(relation.name)
 
     def replace_table(self, relation: Relation) -> None:
-        """Swap a table's contents (e.g. after materializing a layer
-        column); attached indexes are kept."""
+        """Swap a table's contents.
+
+        An attached index survives only when its points equal the new
+        relation's float attributes in schema order — as after adding
+        a ``layer`` column; every other index described the old rows
+        and is dropped.
+        """
         if relation.name not in self._tables:
             raise KeyError(f"no table {relation.name!r}")
+        points = relation.float_matrix()
+        self._indexes[relation.name] = {
+            name: index
+            for name, index in self._indexes[relation.name].items()
+            if np.array_equal(index.points, points)
+        }
         self._tables[relation.name] = relation
         self._bump_version(relation.name)
 
@@ -75,6 +99,7 @@ class Catalog:
             raise KeyError(f"no table {name!r}")
         del self._tables[name]
         del self._indexes[name]
+        self._layerings.pop(name, None)
 
     def table(self, name: str) -> Relation:
         if name not in self._tables:
@@ -83,6 +108,29 @@ class Catalog:
 
     def table_names(self) -> list[str]:
         return sorted(self._tables)
+
+    def layering(self, name: str) -> LayeredSlab | None:
+        """The table's int ``layer`` column as a :class:`LayeredSlab`
+        over its float attributes in schema order, or ``None`` when it
+        has no such column.
+
+        Packed on first use and cached per :meth:`table_version`, so a
+        :meth:`replace_table` re-packs it on the next call.
+        """
+        relation = self.table(name)
+        if (
+            LAYER_COLUMN not in relation.schema
+            or relation.schema.attribute(LAYER_COLUMN).kind != "int"
+        ):
+            return None
+        version = self._versions[name]
+        cached = self._layerings.get(name)
+        if cached is None or cached[0] != version:
+            slab = LayeredSlab.from_layers(
+                relation.float_matrix(), relation.column(LAYER_COLUMN)
+            )
+            cached = self._layerings[name] = (version, slab)
+        return cached[1]
 
     def attach_index(self, table_name: str, index_name: str,
                      index: RankedIndex) -> None:

@@ -6,9 +6,10 @@ Three physical plans, mirroring the paper's deployment story:
     Route to an attached :class:`~repro.indexes.base.RankedIndex`
     (``USING INDEX name``).
 ``layer-prefix``
-    The paper's SQL integration: the relation carries a materialized
-    ``layer`` column and is stored sequentially in layer order; the
-    executor reads the prefix with ``layer <= c`` and ranks it.
+    The paper's SQL integration: the relation carries a ``layer``
+    column, which :meth:`~repro.engine.catalog.Catalog.layering` packs
+    into a layer-ordered :class:`~repro.indexes.robust.LayeredSlab`;
+    ``WHERE layer <= c`` reads that slab's prefix and ranks it.
 ``scan``
     Full sequential scan (also the fallback for non-monotone
     ``ORDER BY`` expressions, which layered monotone indexes cannot
@@ -24,18 +25,15 @@ import numpy as np
 
 from .. import obs
 from ..core.qkernel import topk_select
+from ..indexes.robust import LayeredSlab
 from ..queries.ranking import LinearQuery
 from .cache import ResultCache, canonical_weight_keys
-from .catalog import Catalog
+from .catalog import LAYER_COLUMN, Catalog
 from .relation import Relation
 from .schema import Attribute
 from .sql import ParsedQuery, parse
-from .storage import BlockStore
 
 __all__ = ["ExecutionResult", "TopKExecutor", "materialize_layers"]
-
-#: Name of the materialized layer column.
-LAYER_COLUMN = "layer"
 
 
 @dataclass(frozen=True)
@@ -58,12 +56,13 @@ class ExecutionResult:
 
 
 def materialize_layers(
-    catalog: Catalog, table_name: str, layers, block_size: int = 64
-) -> BlockStore:
-    """Attach a layer column to a table and store it in layer order.
+    catalog: Catalog, table_name: str, layers
+) -> LayeredSlab:
+    """Add a ``layer`` column to a table; return its layered storage.
 
-    Returns the resulting :class:`BlockStore`; the catalog's table is
-    replaced by the extended relation (same name).
+    The catalog's table is replaced by the extended relation (same
+    name; indexes over its rows stay attached).  Layers are 1-based.
+    Returns :meth:`Catalog.layering` of the new table.
     """
     relation = catalog.table(table_name)
     layers = np.asarray(layers, dtype=np.int64)
@@ -71,10 +70,12 @@ def materialize_layers(
         raise ValueError("layers must assign one value per row")
     if LAYER_COLUMN in relation.schema:
         raise ValueError(f"table {table_name!r} already has a layer column")
-    extended = relation.with_column(Attribute(LAYER_COLUMN, "int"), layers)
-    catalog.replace_table(extended)
-    order = np.lexsort((np.arange(layers.size), layers))
-    return BlockStore(extended, storage_order=order, block_size=block_size)
+    if layers.size and layers.min() < 1:
+        raise ValueError("layers are 1-based; found a value < 1")
+    catalog.replace_table(
+        relation.with_column(Attribute(LAYER_COLUMN, "int"), layers)
+    )
+    return catalog.layering(table_name)
 
 
 def _index_columns(relation: Relation) -> dict[str, int]:
@@ -110,7 +111,6 @@ class TopKExecutor:
     ):
         self._catalog = catalog
         self._block_size = block_size
-        self._stores: dict[str, BlockStore] = {}
         self._planner = None
         #: Result cache for index-plan answers; ``None`` when disabled.
         self.cache = ResultCache(cache_size) if cache_size > 0 else None
@@ -119,9 +119,9 @@ class TopKExecutor:
         #: :attr:`ExecutionResult.metrics`).
         self.metrics = obs.Metrics()
 
-    def register_store(self, table_name: str, store: BlockStore) -> None:
-        """Associate a sequential store (e.g. layer-ordered) with a table."""
-        self._stores[table_name] = store
+    def _blocks(self, tuples: int) -> int:
+        """Blocks a sequential read of ``tuples`` tuples touches."""
+        return -(-tuples // self._block_size)
 
     @property
     def planner(self):
@@ -144,8 +144,9 @@ class TopKExecutor:
 
         Explicit ``USING INDEX`` hints and ``layer <=`` predicates are
         honoured as written; otherwise the planner picks the cheapest
-        of scan / layer-prefix / attached robust index.  Non-monotone
-        ORDER BY always scans (layered plans cannot serve it).
+        of scan / layer-prefix / attached robust index.  A non-monotone
+        ORDER BY, or one on a non-float attribute, always scans
+        (layered plans cannot serve it).
         """
         query = parse(statement) if isinstance(statement, str) else statement
         if query.explain:
@@ -153,7 +154,8 @@ class TopKExecutor:
         if query.index_hint is not None or query.layer_bound is not None:
             return self.execute(query)
         weights = np.array(list(query.order_by.values()))
-        if np.any(weights < 0):
+        covered = _index_columns(self._catalog.table(query.table))
+        if np.any(weights < 0) or not query.order_by.keys() <= covered.keys():
             return self.execute(query)
         chosen = self.planner.choose(query.table, query.k)
         if chosen.kind == "layer-prefix":
@@ -334,9 +336,7 @@ class TopKExecutor:
                         ks[misses],
                         [a.tids for a in answers],
                     )
-            blocks = [
-                -(-r // self._block_size) if r else 0 for r in retrieved
-            ]
+            blocks = [self._blocks(r) for r in retrieved]
             local.add_time("query.index", time.perf_counter() - started)
             local.inc("query.count", m)
             local.inc("query.batches")
@@ -377,30 +377,29 @@ class TopKExecutor:
                     f"on table {query.table!r}"
                 )
         weights = np.array([query.order_by[a] for a in ranked_attrs])
-        monotone = bool(np.all(weights >= 0))
         linear = LinearQuery(weights, require_monotone=False)
 
         if query.index_hint is not None:
-            if not monotone:
+            if not np.all(weights >= 0):
                 raise ValueError(
                     "monotone layered indexes cannot serve negative weights; "
                     "drop the USING INDEX hint to fall back to a scan"
                 )
-            return self._execute_with_index(query, relation, linear)
-        data = relation.matrix(ranked_attrs)
+            return self._execute_with_index(query, relation)
         if query.layer_bound is not None:
-            return self._execute_layer_prefix(query, relation, linear, data)
-        return self._execute_scan(query, relation, linear, data)
+            return self._execute_layer_prefix(query, relation)
+        return self._execute_scan(query, relation, linear, ranked_attrs)
 
     def _index_weights(
-        self, relation, index_name: str, order_by: dict
+        self, relation, plan: str, order_by: dict
     ) -> np.ndarray:
+        """``order_by`` as one weight per float attribute, in schema
+        order — the columns an index or layering covers; ``plan`` names
+        the plan in the error for any other attribute."""
         position = _index_columns(relation)
         unknown = [a for a in order_by if a not in position]
         if unknown:
-            raise ValueError(
-                f"index {index_name!r} does not cover {unknown}"
-            )
+            raise ValueError(f"{plan} does not cover {unknown}")
         weights = np.zeros(len(position))
         for name, weight in order_by.items():
             weights[position[name]] = weight
@@ -409,9 +408,11 @@ class TopKExecutor:
     def _cache_scope(self, table: str, index_name: str) -> tuple:
         return (table, index_name, self._catalog.table_version(table))
 
-    def _execute_with_index(self, query, relation, linear) -> ExecutionResult:
+    def _execute_with_index(self, query, relation) -> ExecutionResult:
         index = self._catalog.index(query.table, query.index_hint)
-        full = self._index_weights(relation, query.index_hint, query.order_by)
+        full = self._index_weights(
+            relation, f"index {query.index_hint!r}", query.order_by
+        )
         if self.cache is not None:
             scope = self._cache_scope(query.table, query.index_hint)
             hit = self.cache.lookup(scope, full, query.k)
@@ -427,7 +428,6 @@ class TopKExecutor:
         result = index.query(LinearQuery(full), query.k)
         if self.cache is not None:
             self.cache.store(scope, full, query.k, result.tids)
-        blocks = -(-result.retrieved // self._block_size) if result.retrieved else 0
         extra = {"layers_scanned": result.layers_scanned}
         if self.cache is not None:
             extra["cache"] = "miss"
@@ -435,47 +435,41 @@ class TopKExecutor:
             tids=result.tids,
             rows=relation.take(result.tids),
             retrieved=result.retrieved,
-            blocks_read=blocks,
+            blocks_read=self._blocks(result.retrieved),
             plan=f"index({query.index_hint})",
             extra=extra,
         )
 
-    def _execute_layer_prefix(self, query, relation, linear, data) -> ExecutionResult:
-        if LAYER_COLUMN not in relation.schema:
+    def _execute_layer_prefix(self, query, relation) -> ExecutionResult:
+        slab = self._catalog.layering(query.table)
+        if slab is None:
             raise KeyError(
                 f"table {query.table!r} has no materialized {LAYER_COLUMN!r} "
                 "column; call materialize_layers first"
             )
-        store = self._stores.get(query.table)
-        layers = relation.column(LAYER_COLUMN)
-        candidates = np.flatnonzero(layers <= query.layer_bound)
-        retrieved = int(candidates.size)
-        if store is not None:
-            # Sequential prefix read: layer-ordered storage makes the
-            # qualifying tuples exactly the first |candidates| ones.
-            prefix = store.read_prefix(retrieved)
-            candidates = np.sort(prefix)
-            blocks = store.blocks_for_prefix(retrieved)
-        else:
-            blocks = -(-retrieved // self._block_size) if retrieved else 0
-        scores = linear.scores(data[candidates]) if retrieved else np.zeros(0)
-        tids = topk_select(scores, candidates, query.k)
+        weights = self._index_weights(
+            relation, "the layer prefix", query.order_by
+        )
+        # Layer-ordered storage: the rows with layer <= c are exactly
+        # the slab's first offsets[c].
+        rows, candidates, _ = slab.prefix(query.layer_bound)
+        tids = topk_select(rows @ weights, candidates, query.k)
         return ExecutionResult(
             tids=tids,
             rows=relation.take(tids),
-            retrieved=retrieved,
-            blocks_read=blocks,
+            retrieved=candidates.size,
+            blocks_read=self._blocks(candidates.size),
             plan=f"layer-prefix(<= {query.layer_bound})",
         )
 
-    def _execute_scan(self, query, relation, linear, data) -> ExecutionResult:
+    def _execute_scan(self, query, relation, linear, ranked_attrs):
         n = relation.n_rows
+        data = relation.matrix(ranked_attrs)
         tids = topk_select(linear.scores(data), np.arange(n), query.k)
-        blocks = -(-n // self._block_size) if n else 0
         return ExecutionResult(
             tids=tids,
             rows=relation.take(tids),
             retrieved=n,
-            blocks_read=blocks,
+            blocks_read=self._blocks(n),
             plan="scan",
         )

@@ -2,18 +2,20 @@
 
 Given a statement with no explicit ``USING INDEX`` hint or ``layer``
 predicate, the executor can run a full scan, read a layer prefix (when
-a layer column is materialized), or route to any attached robust
-index.  This module estimates each alternative's cost in *blocks read*
-— the sequential-storage currency the paper argues in — and picks the
+the table has a ``layer`` column), or route to any attached robust
+index.  This module costs each alternative in *blocks read* — the
+sequential-storage currency the paper argues in — and picks the
 cheapest:
 
 * scan: ``ceil(n / block_size)`` blocks, always applicable;
-* layer prefix: the layer column's equi-depth histogram estimates how
-  many tuples satisfy ``layer <= k``;
-* robust index: the exact retrieval cost is a property of the index
-  (``|first k layers|``), so no estimation error at all.
+* layer prefix: the table's layering
+  (:meth:`~repro.engine.catalog.Catalog.layering`) knows exactly how
+  many tuples satisfy ``layer <= k`` (``offsets[k]``);
+* robust index: the retrieval cost is a property of the index
+  (``|first k layers|``).
 
-The planner only *chooses*; execution stays in
+Every cost is exact, so no statistics are gathered.  The planner only
+*chooses*; execution stays in
 :class:`repro.engine.executor.TopKExecutor`.
 """
 
@@ -21,16 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..indexes.robust import RobustIndex
-from .relation import Relation
-from .statistics import TableStats, analyze
 
 __all__ = ["PlanCandidate", "CostBasedPlanner"]
-
-#: Name of the materialized layer column (kept in sync with executor).
-LAYER_COLUMN = "layer"
 
 
 @dataclass(frozen=True)
@@ -51,38 +46,14 @@ class PlanCandidate:
 
 
 class CostBasedPlanner:
-    """Estimates and ranks the physical plans for one catalog."""
+    """Costs and ranks the physical plans for one catalog."""
 
     def __init__(self, catalog, block_size: int = 64):
         self._catalog = catalog
         self._block_size = block_size
-        # table -> (catalog table_version analyzed, statistics).
-        self._stats_cache: dict[str, tuple[int, TableStats]] = {}
-
-    def statistics(self, table_name: str) -> TableStats:
-        """ANALYZE-once-and-cache statistics for a table.
-
-        Cached per catalog :meth:`~repro.engine.catalog.Catalog.table_version`,
-        so any :meth:`~repro.engine.catalog.Catalog.replace_table` —
-        even one that keeps the row count, such as a new ``layer``
-        column — re-analyzes on next use.
-        """
-        relation = self._catalog.table(table_name)
-        version = self._catalog.table_version(table_name)
-        cached = self._stats_cache.get(table_name)
-        if cached is None or cached[0] != version:
-            cached = (version, analyze(relation))
-            self._stats_cache[table_name] = cached
-        return cached[1]
-
-    def invalidate(self, table_name: str | None = None) -> None:
-        if table_name is None:
-            self._stats_cache.clear()
-        else:
-            self._stats_cache.pop(table_name, None)
 
     def _blocks(self, tuples: int) -> int:
-        return -(-max(tuples, 0) // self._block_size) if tuples else 0
+        return -(-tuples // self._block_size)
 
     def candidates(self, table_name: str, k: int) -> list[PlanCandidate]:
         """All applicable plans for a monotone top-k on this table."""
@@ -91,12 +62,11 @@ class CostBasedPlanner:
         plans = [
             PlanCandidate("scan", n, self._blocks(n)),
         ]
-        if LAYER_COLUMN in relation.schema:
-            stats = self.statistics(table_name)
-            hist = stats.column(LAYER_COLUMN).histogram
-            est = max(k, hist.estimate_count_le(float(k)))
+        slab = self._catalog.layering(table_name)
+        if slab is not None:
+            exact = slab.retrieval_cost(k)
             plans.append(
-                PlanCandidate("layer-prefix", est, self._blocks(est))
+                PlanCandidate("layer-prefix", exact, self._blocks(exact))
             )
         for name, index in self._catalog.indexes_on(table_name).items():
             if isinstance(index, RobustIndex):

@@ -116,6 +116,14 @@ class Relation:
             axis=1,
         )
 
+    def float_matrix(self) -> np.ndarray:
+        """``(n, f)`` matrix over the float attributes in schema order:
+        the points every index on this table covers."""
+        names = [a.name for a in self._schema if a.kind == "float"]
+        if not names:
+            return np.zeros((self._n_rows, 0))
+        return self.matrix(names)
+
     def row(self, tid: int) -> dict:
         """One row as an attribute -> value mapping."""
         if not 0 <= tid < self._n_rows:

@@ -112,8 +112,8 @@ def distinct_columns(d, systems="complementary", n_partitions=10):
     (``x_i`` on shared-below dimensions and to close a subspace,
     ``-x_j`` to lead a side) or a bilinear ``gamma_p * x_i + x_j`` for
     ``(i, j) in J2 x J1``; counted once each across all systems and
-    levels, plus the ``d`` columns of the dominance-factor pass (whose
-    bitset engine serves d >= 3; d = 2 merge-counts).  A build's
+    levels.  The dominance factor ANDs the ``x_i`` columns the systems
+    already pack, so it adds none.  A build's
     ``counting.prefix_words`` is this times ``n * words``.
     """
     signed, pairs = set(), set()
@@ -122,5 +122,4 @@ def distinct_columns(d, systems="complementary", n_partitions=10):
         signed |= {(1, i) for i in pair.shared_below + j1 + j2}
         signed |= {(-1, j) for j in j1 + j2}
         pairs |= {(i, j) for i in j2 for j in j1}
-    dominance_pass = d if d >= 3 else 0
-    return len(signed) + len(pairs) * (n_partitions - 1) + dominance_pass
+    return len(signed) + len(pairs) * (n_partitions - 1)

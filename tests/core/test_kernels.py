@@ -185,7 +185,8 @@ class TestSystemsLevelData:
         if systems == "families" and d > 2:
             assert any(pair.shared_below for pair in all_systems)
         b = 4
-        got = systems_level_data(pts, all_systems, b)
+        dominators, got = systems_level_data(pts, all_systems, b)
+        assert np.array_equal(dominators, count_dominators_naive(pts))
         _assert_levels_equal(
             got, [serial_level_arrays(pts, pair, b) for pair in all_systems]
         )
@@ -193,7 +194,9 @@ class TestSystemsLevelData:
     def test_no_systems_and_single_tuple_still_build(self):
         pts = np.random.default_rng(5).random((20, 1))
         assert pair_systems(1) == []
-        assert systems_level_data(pts, [], 4) == []
+        dominators, levels = systems_level_data(pts, [], 4)
+        assert levels == []
+        assert np.array_equal(dominators, count_dominators_naive(pts))
         dominators, level_data, systems = pipeline.build_level_data(
             pts, 4, include_partial=False, workers=1
         )
@@ -210,10 +213,13 @@ class TestSystemsLevelData:
         rng = np.random.default_rng(9)
         pts = rng.integers(0, 4, size=(200, 4)).astype(float)
         all_systems = pair_systems(4, include_partial=(systems == "families"))
-        full = systems_level_data(pts, all_systems, 5)
+        full_dom, full = systems_level_data(pts, all_systems, 5)
         # One word per chunk: the maximum chunk count.
-        tiny = systems_level_data(pts, all_systems, 5, budget_bytes=1)
+        tiny_dom, tiny = systems_level_data(
+            pts, all_systems, 5, budget_bytes=1
+        )
         _assert_levels_equal(tiny, full)
+        assert np.array_equal(tiny_dom, full_dom)
 
     @pytest.mark.parametrize("parts", [2, 3])
     def test_word_aligned_ranges_sum_to_full_call(self, parts):
@@ -222,17 +228,22 @@ class TestSystemsLevelData:
         all_systems = pair_systems(3, include_partial=True)
         full_metrics = obs.Metrics()
         with obs.collect(full_metrics):
-            full = systems_level_data(pts, all_systems, 6)
+            full_dom, full = systems_level_data(pts, all_systems, 6)
+        summed_dom = np.zeros_like(full_dom)
         summed = [(np.zeros_like(a), np.zeros_like(b)) for a, b in full]
         split_metrics = obs.Metrics()
         with obs.collect(split_metrics):
             for lo, hi in pipeline._id_ranges(200, parts):
                 assert lo % 64 == 0
-                part = systems_level_data(pts, all_systems, 6, lo, hi)
+                part_dom, part = systems_level_data(
+                    pts, all_systems, 6, lo, hi
+                )
+                summed_dom += part_dom
                 for (sum_a, sum_b), (part_a, part_b) in zip(summed, part):
                     sum_a += part_a
                     sum_b += part_b
         _assert_levels_equal(summed, full)
+        assert np.array_equal(summed_dom, full_dom)
         assert (
             split_metrics.counters["counting.prefix_words"]
             == full_metrics.counters["counting.prefix_words"]
@@ -244,14 +255,14 @@ class TestSystemsLevelData:
         self, monkeypatch, d, systems
     ):
         # Packing a column per system that uses it, instead of once per
-        # build, would multiply these words (276 vs 93 matrices at d=4).
+        # build, would multiply these words (276 vs 89 matrices at d=4).
         n, b = 150, 10
         pts = np.random.default_rng(d).random((n, d))
         words = (n + 63) >> 6
         if d == 4:
-            # 8 signed attributes, 9 bilinear pairs x 9 levels and the
-            # 4 columns of the dominance-factor pass.
-            assert distinct_columns(d, systems, b) == 93
+            # 8 signed attributes and 9 bilinear pairs x 9 levels; the
+            # dominance factor reuses the 4 plain attributes.
+            assert distinct_columns(d, systems, b) == 89
         expected = distinct_columns(d, systems, b) * n * words
         inline = appri_build(pts, n_partitions=b, systems=systems)
         assert inline.metrics["counters"]["counting.prefix_words"] == expected

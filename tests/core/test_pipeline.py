@@ -98,8 +98,9 @@ class TestBuildLevelData:
             pts, 4, include_partial=False, workers=2, metrics=metrics,
         )
         assert metrics.counters["build.chunks"] == 1
-        # 1 dom task + 1 id-range task for the single 2-D system.
-        assert metrics.counters["build.tasks"] == 1 + 1
+        # One id-range task for the single 2-D system; the dominance
+        # factor rides along in it.
+        assert metrics.counters["build.tasks"] == 1
         assert "build.phase.levels" in metrics.timers
         assert "counting.kernel" in metrics.timers
 
@@ -111,7 +112,7 @@ class TestBuildLevelData:
         )
         # With the pool, the system's 200 ids split into 2 ranges.
         assert pooled.counters["build.chunks"] == 2
-        assert pooled.counters["build.tasks"] == 1 + 2
+        assert pooled.counters["build.tasks"] == 2
 
     def test_one_task_per_range_over_all_systems(self, monkeypatch):
         # Three systems at d=3, yet one level task per id range: the
@@ -121,7 +122,7 @@ class TestBuildLevelData:
         pipeline.build_level_data(
             pts, 4, include_partial=False, workers=1, metrics=inline,
         )
-        assert inline.counters["build.tasks"] == 1 + 1
+        assert inline.counters["build.tasks"] == 1
         assert inline.counters["counting.fused_levels"] == 3 * (4 + 1)
         monkeypatch.setattr(pipeline, "POOL_MIN_N", 0)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
@@ -130,7 +131,7 @@ class TestBuildLevelData:
             pts, 4, include_partial=False, workers=3, metrics=pooled,
         )
         assert pooled.counters["build.chunks"] == 3
-        assert pooled.counters["build.tasks"] == 1 + 3
+        assert pooled.counters["build.tasks"] == 3
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pool_builds_each_prefix_word_once(self, monkeypatch, workers):
@@ -193,6 +194,7 @@ class TestBuildLevelData:
             assert np.array_equal(pb, sb)
             # Payloads travel as int32; the sums are int64 either way.
             assert pa.dtype == pb.dtype == sa.dtype == np.int64
+        assert dominators.dtype == np.int64
 
     def test_pool_bypassed_on_single_core(self, monkeypatch):
         monkeypatch.setattr(pipeline, "POOL_MIN_N", 0)

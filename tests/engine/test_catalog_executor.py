@@ -64,6 +64,46 @@ class TestCatalog:
             catalog.table("houses")
 
 
+class TestReplaceTable:
+    """An index survives ``replace_table`` only if it still indexes
+    the table's float attributes."""
+
+    NAMES = ["price", "distance", "age"]
+
+    @pytest.fixture
+    def indexed(self, setup):
+        catalog, data = setup
+        catalog.attach_index("houses", "ri", RobustIndex(data, n_partitions=3))
+        return catalog, data
+
+    @pytest.mark.parametrize("n", [60, 25])
+    def test_new_rows_drop_old_indexes(self, indexed, n):
+        catalog, _ = indexed
+        fresh = np.random.default_rng(9).random((n, 3))
+        catalog.replace_table(Relation.from_matrix("houses", self.NAMES, fresh))
+        assert catalog.indexes_on("houses") == {}
+        executor = TopKExecutor(catalog)
+        expected = LinearQuery([1, 1, 0]).top_k(fresh, 5).tolist()
+        statement = "SELECT TOP 5 FROM houses ORDER BY price + distance"
+        assert executor.execute(statement).tids.tolist() == expected
+        assert executor.execute_many([statement])[0].tids.tolist() == expected
+        with pytest.raises(KeyError, match="ri"):
+            executor.execute(
+                "SELECT TOP 5 FROM houses USING INDEX ri "
+                "ORDER BY price + distance"
+            )
+
+    def test_materialized_layer_column_keeps_indexes(self, indexed):
+        catalog, data = indexed
+        index = catalog.index("houses", "ri")
+        materialize_layers(catalog, "houses", index.layers)
+        assert catalog.index("houses", "ri") is index
+        result = TopKExecutor(catalog).execute(
+            "SELECT TOP 5 FROM houses USING INDEX ri ORDER BY price + age"
+        )
+        assert result.tids.tolist() == LinearQuery([1, 0, 1]).top_k(data, 5).tolist()
+
+
 class TestScanPlan:
     def test_scan_matches_reference(self, setup):
         catalog, data = setup
@@ -138,9 +178,9 @@ class TestLayerPrefixPlan:
     def test_materialize_then_query(self, setup):
         catalog, data = setup
         layers = appri_layers(data, n_partitions=4)
-        store = materialize_layers(catalog, "houses", layers, block_size=8)
-        executor = TopKExecutor(catalog)
-        executor.register_store("houses", store)
+        slab = materialize_layers(catalog, "houses", layers)
+        assert slab is catalog.layering("houses")
+        executor = TopKExecutor(catalog, block_size=8)
         result = executor.execute(
             "SELECT TOP 10 FROM houses WHERE layer <= 10 "
             "ORDER BY price + 2*distance + age"
@@ -148,7 +188,7 @@ class TestLayerPrefixPlan:
         expected = LinearQuery([1, 2, 1]).top_k(data, 10)
         assert result.tids.tolist() == expected.tolist()
         assert result.retrieved == int(np.count_nonzero(layers <= 10))
-        assert result.blocks_read == store.blocks_for_prefix(result.retrieved)
+        assert result.blocks_read == -(-result.retrieved // 8)
         assert result.plan.startswith("layer-prefix")
 
     def test_layer_prefix_without_store(self, setup):

@@ -59,16 +59,14 @@ class TestExecuteMany:
     def test_mixed_plans_fall_back(self, setup):
         catalog, data = setup
         layers = appri_layers(data, n_partitions=4)
-        store = materialize_layers(catalog, "t", layers)
+        materialize_layers(catalog, "t", layers)
         executor = TopKExecutor(catalog)
-        executor.register_store("t", store)
         mixed = WORKLOAD + [
             "SELECT TOP 6 FROM t WHERE layer <= 6 ORDER BY x + y + z",
             "SELECT TOP 6 FROM t ORDER BY x - y",  # negative weight: scan
         ]
         results = executor.execute_many(mixed)
         solo = TopKExecutor(catalog)
-        solo.register_store("t", store)
         for statement, result in zip(mixed, results):
             assert (
                 result.tids.tolist()
@@ -191,8 +189,8 @@ def two_tables(rng):
     catalog.create_table(Relation.from_matrix("t", ["x", "y", "z"], data))
     catalog.attach_index("t", "ri", RobustIndex(data, n_partitions=4))
     catalog.create_table(Relation.from_matrix("u", ["x", "y", "z"], data))
-    store = materialize_layers(catalog, "u", appri_layers(data, n_partitions=4))
-    return catalog, store
+    materialize_layers(catalog, "u", appri_layers(data, n_partitions=4))
+    return catalog
 
 
 HINT = "SELECT TOP {k} FROM t USING INDEX ri ORDER BY {expr}"
@@ -242,11 +240,9 @@ def _expected_cache_states(batches):
 
 class TestSetAtATime:
     def test_mixed_batch_matches_single_statement_execution(self, two_tables):
-        catalog, store = two_tables
+        catalog = two_tables
         executor = TopKExecutor(catalog, cache_size=64)
-        executor.register_store("u", store)
         solo = TopKExecutor(catalog)
-        solo.register_store("u", store)
         executor.execute_many(WARM)
         results = executor.execute_many(MIXED)
         states, reference = _expected_cache_states([WARM, MIXED])
@@ -275,7 +271,7 @@ class TestSetAtATime:
         assert len(executor.cache) == len(reference)
 
     def test_non_robust_index_group_matches_execute(self, two_tables, rng):
-        catalog, _ = two_tables
+        catalog = two_tables
         data = np.column_stack(
             [catalog.table("t").column(a) for a in ("x", "y", "z")]
         )
@@ -314,7 +310,7 @@ class TestSetAtATime:
             )[:k].tolist()
 
     def test_batch_metrics_count_only_batched_rows(self, two_tables):
-        catalog, _ = two_tables
+        catalog = two_tables
         executor = TopKExecutor(catalog)
         statements = [
             HINT.format(k=5, expr="x + y"),
@@ -339,7 +335,7 @@ class TestErrorParity:
         ],
     )
     def test_unknown_attribute_raises_key_error(self, two_tables, statement):
-        catalog, _ = two_tables
+        catalog = two_tables
         executor = TopKExecutor(catalog, cache_size=8)
         with pytest.raises(KeyError, match="unknown attribute 'nope'") as single:
             executor.execute_auto(statement)
@@ -348,7 +344,7 @@ class TestErrorParity:
         assert many.value.args == single.value.args
 
     def test_non_float_attribute_keeps_value_error(self, two_tables):
-        catalog, _ = two_tables
+        catalog = two_tables
         catalog.attach_index(
             "u", "ri", catalog.index("t", "ri")
         )
@@ -365,7 +361,7 @@ class TestErrorParity:
         [("0*x", "non-zero"), ("x - y", "negative weights")],
     )
     def test_unservable_weights_raise_like_execute(self, two_tables, expr, message):
-        catalog, _ = two_tables
+        catalog = two_tables
         statement = HINT.format(k=5, expr=expr)
         executor = TopKExecutor(catalog)
         with pytest.raises(ValueError, match=message):

@@ -56,8 +56,7 @@ class TestExecutionResultMetrics:
         from repro.core.appri import appri_layers
 
         layers = appri_layers(data, n_partitions=4)
-        store = materialize_layers(catalog, "houses", layers)
-        executor.register_store("houses", store)
+        materialize_layers(catalog, "houses", layers)
         result = executor.execute(
             f"SELECT TOP 5 FROM houses WHERE layer <= 5 {ORDER}"
         )

@@ -45,9 +45,8 @@ class TestExecuteExplain:
     def test_lists_all_plans_when_available(self, world):
         data, catalog, executor = world
         layers = appri_layers(data, n_partitions=4)
-        materialize_layers(catalog, "d", layers, block_size=32)
+        materialize_layers(catalog, "d", layers)
         catalog.attach_index("d", "robust", RobustIndex(data, n_partitions=4))
-        executor.planner.invalidate()
         result = executor.execute(
             "EXPLAIN SELECT TOP 10 FROM d ORDER BY a + b + c"
         )

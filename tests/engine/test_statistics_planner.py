@@ -1,4 +1,4 @@
-"""Tests for column statistics and the cost-based planner."""
+"""Tests for the cost-based planner and ``execute_auto``."""
 
 import numpy as np
 import pytest
@@ -9,55 +9,8 @@ from repro.engine.executor import TopKExecutor, materialize_layers
 from repro.engine.planner import CostBasedPlanner
 from repro.engine.relation import Relation
 from repro.engine.schema import Attribute
-from repro.engine.statistics import analyze, build_histogram
 from repro.indexes.robust import RobustIndex
 from repro.queries.ranking import LinearQuery
-
-
-class TestHistogram:
-    def test_equi_depth_quantiles(self):
-        values = np.arange(100, dtype=float)
-        hist = build_histogram(values, n_buckets=4)
-        assert hist.n_buckets == 4
-        assert hist.selectivity_le(-1) == 0.0
-        assert hist.selectivity_le(1000) == 1.0
-        assert hist.selectivity_le(49.5) == pytest.approx(0.5, abs=0.03)
-
-    def test_estimate_count(self):
-        values = np.arange(200, dtype=float)
-        hist = build_histogram(values, n_buckets=8)
-        assert hist.estimate_count_le(99.5) == pytest.approx(100, abs=6)
-
-    def test_skewed_distribution(self):
-        rng = np.random.default_rng(0)
-        values = rng.exponential(1.0, size=2000)
-        hist = build_histogram(values, n_buckets=16)
-        median = float(np.median(values))
-        assert hist.selectivity_le(median) == pytest.approx(0.5, abs=0.05)
-
-    def test_empty_column(self):
-        hist = build_histogram(np.array([]))
-        assert hist.selectivity_le(0.0) == 0.0
-        assert hist.estimate_count_le(5.0) == 0
-
-    def test_rejects_bad_buckets(self):
-        with pytest.raises(ValueError):
-            build_histogram(np.ones(3), n_buckets=0)
-
-
-class TestAnalyze:
-    def test_per_column_summaries(self, rng):
-        rel = Relation.from_matrix("t", ["a", "b"], rng.random((50, 2)) * 10)
-        stats = analyze(rel)
-        assert stats.n_rows == 50
-        col = stats.column("a")
-        assert col.minimum <= col.mean <= col.maximum
-        assert col.n_distinct == 50
-
-    def test_unknown_column(self, rng):
-        rel = Relation.from_matrix("t", ["a"], rng.random((5, 1)))
-        with pytest.raises(KeyError):
-            analyze(rel).column("zzz")
 
 
 @pytest.fixture
@@ -66,11 +19,10 @@ def planned_world(rng):
     catalog = Catalog()
     catalog.create_table(Relation.from_matrix("d", ["a", "b", "c"], data))
     layers = appri_layers(data, n_partitions=5)
-    store = materialize_layers(catalog, "d", layers, block_size=32)
+    materialize_layers(catalog, "d", layers)
     index = RobustIndex(data, n_partitions=5)
     catalog.attach_index("d", "robust", index)
     executor = TopKExecutor(catalog, block_size=32)
-    executor.register_store("d", store)
     return data, catalog, executor, index
 
 
@@ -106,17 +58,19 @@ class TestPlanner:
         assert "->" in text
         assert "scan" in text and "index" in text
 
-    def test_statistics_cached_and_invalidated(self, planned_world):
+    def test_layer_prefix_estimate_is_exact(self, planned_world):
         _, catalog, executor, _ = planned_world
-        planner = executor.planner
-        first = planner.statistics("d")
-        assert planner.statistics("d") is first
-        planner.invalidate("d")
-        assert planner.statistics("d") is not first
+        layers = catalog.table("d").column("layer")
+        for k in (0, 1, 10, 300):
+            plans = executor.planner.candidates("d", k)
+            prefix = next(p for p in plans if p.kind == "layer-prefix")
+            assert prefix.est_tuples == int(np.count_nonzero(layers <= k))
+            assert prefix.est_blocks == -(-prefix.est_tuples // 32)
 
-    def test_same_length_layer_replacement_refreshes_statistics(self):
-        """Statistics follow the catalog's table version, not the row
-        count: a new same-length layer column must be re-analyzed."""
+    def test_same_length_layer_replacement_refreshes_layering(self):
+        """The layering follows the catalog's table version, not the
+        row count: a new same-length layer column is re-read by the
+        next statement and by EXPLAIN."""
         n = 400
         data = np.random.default_rng(3).random((n, 2))
         base = Relation.from_matrix("t", ["a", "b"], data)
@@ -124,16 +78,22 @@ class TestPlanner:
         catalog.create_table(
             base.with_column(Attribute("layer", "int"), np.ones(n, int))
         )
-        planner = CostBasedPlanner(catalog)
-        assert planner.choose("t", 5).kind == "scan"  # every tuple at layer 1
+        executor = TopKExecutor(catalog)
+        statement = "SELECT TOP 5 FROM t ORDER BY a + b"
+        assert executor.execute_auto(statement).plan == "scan"  # all layer 1
         catalog.replace_table(
             base.with_column(Attribute("layer", "int"), np.arange(1, n + 1))
         )
-        chosen = planner.choose("t", 5)
-        fresh = CostBasedPlanner(catalog).choose("t", 5)
-        assert chosen == fresh
+        result = executor.execute_auto(statement)
+        assert result.plan == "layer-prefix(<= 5)"
+        assert result.retrieved < 20
+        assert sorted(result.tids.tolist()) == list(range(5))  # layers 1..5
+        chosen = executor.planner.choose("t", 5)
+        assert chosen == CostBasedPlanner(catalog).choose("t", 5)
         assert chosen.kind == "layer-prefix"
         assert chosen.est_tuples < 20
+        first = executor.explain(statement).splitlines()[1]
+        assert first.strip().startswith("-> layer-prefix")
 
 
 class TestExecuteAuto:

@@ -78,9 +78,8 @@ class TestEngineOverTheSameData:
         catalog = Catalog()
         catalog.create_table(Relation.from_matrix("d", ["a", "b", "c"], data))
         layers = appri_layers(data, n_partitions=6)
-        store = materialize_layers(catalog, "d", layers, block_size=32)
-        executor = TopKExecutor(catalog)
-        executor.register_store("d", store)
+        materialize_layers(catalog, "d", layers)
+        executor = TopKExecutor(catalog, block_size=32)
         catalog.attach_index("d", "robust", indexes["robust"])
 
         sql_prefix = executor.execute(
@@ -92,7 +91,7 @@ class TestEngineOverTheSameData:
         expected = LinearQuery([1, 2, 1]).top_k(data, 20).tolist()
         assert sql_prefix.tids.tolist() == expected
         assert sql_hint.tids.tolist() == expected
-        assert sql_prefix.blocks_read < store.n_blocks
+        assert sql_prefix.blocks_read < -(-data.shape[0] // 32)
 
     def test_persistence_mid_pipeline(self, world, tmp_path):
         data, indexes = world
