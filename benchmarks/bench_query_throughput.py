@@ -17,8 +17,8 @@ Q-query monotone top-k workload against one robust index:
     ``index.query``.
 ``loop``
     ``[index.query(q, k) for q in workload]`` — today's single-query
-    path (layer-packed slab + argpartition selection), with per-query
-    latencies for p50/p99.
+    path (layer-packed slab + the head-and-audit selection of
+    :mod:`repro.core.qkernel`), with per-query latencies for p50/p99.
 ``batch``
     One ``index.query_batch(workload, k)`` call — a single GEMM over
     the slab prefix plus the row-parallel top-k kernel
@@ -32,8 +32,13 @@ Q-query monotone top-k workload against one robust index:
     one ``index.query_batch(weights, ks)`` call, next to ``per_k``:
     one ``query_batch`` per distinct k over that k's rows.  Every
     mixed-k row must equal ``index.query`` at its own k (asserted).
+``loop_mixed_k``
+    That per-row ``index.query(q, k_q)`` check loop, timed: the
+    single-query path over the mixed-k workload, with p50/p99.
 
-The first four must return identical tids for every query (asserted); the
+The first four must return identical tids for every query, and
+``index.query`` must equal the full-lexsort ``loop_seed`` ranking for
+every query at every k in ``MIXED_KS`` (both asserted); the
 batch kernel's speedup target at n=50k, d=4, k=20 is >= 5x over the
 per-query loop baseline (``loop_seed``; its speedup over today's
 already-kernelized loop is reported alongside as
@@ -136,14 +141,14 @@ def bench_config(
     index.query(workload[0], k)
     index.query_batch(workload[:8], k)
 
-    def seed_query(query):
+    def seed_query(query, depth=k):
         # Pre-slab per-query path: fancy gather from the original
         # matrix + full-lexsort ranking + per-query layer max.
-        candidates = index.layered.prefix(k)[1]
+        candidates = index.layered.prefix(depth)[1]
         scores = query.scores(index.points[candidates])
         order = np.lexsort((candidates, scores))
         layers = index.layers[candidates].max() if candidates.size else 0
-        return candidates[order[:k]], int(layers)
+        return candidates[order[:depth]], int(layers)
 
     seed_query(workload[0])
     seed_latencies: list[float] = []
@@ -196,8 +201,11 @@ def bench_config(
         for depth in MIXED_KS:
             index.query_batch(weights[ks == depth], depth)
         per_k_seconds = min(per_k_seconds, time.perf_counter() - started)
+    mixed_latencies: list[float] = []
     for query, depth, result in zip(workload, ks.tolist(), mixed_results):
+        started = time.perf_counter()
         single = index.query(query, depth)
+        mixed_latencies.append(time.perf_counter() - started)
         if (
             result.tids.tolist() != single.tids.tolist()
             or result.retrieved != single.retrieved
@@ -207,6 +215,16 @@ def bench_config(
                 f"n={n} d={d}: mixed-k query_batch row at k={depth} "
                 "differs from index.query"
             )
+    # The single-query kernel picks its head strategy by prefix size, so
+    # check it against the full lexsort at every prefix the mix uses.
+    for depth in MIXED_KS:
+        for query in workload:
+            tids = index.query(query, depth).tids
+            if tids.tolist() != seed_query(query, depth)[0].tolist():
+                raise AssertionError(
+                    f"n={n} d={d}: index.query at k={depth} differs "
+                    "from the full-lexsort loop_seed ranking"
+                )
 
     exact = all(
         list(seed_tids[i])
@@ -237,6 +255,9 @@ def bench_config(
         "cache_warm": _rates(cache_seconds, cache_latencies, n_queries),
         "mixed_k": _rates(mixed_seconds, None, n_queries),
         "per_k": _rates(per_k_seconds, None, n_queries),
+        "loop_mixed_k": _rates(
+            sum(mixed_latencies), mixed_latencies, n_queries
+        ),
         "exact": exact,
     }
     record["loop"]["speedup_vs_seed_loop"] = round(
@@ -262,12 +283,13 @@ def render(records: list[dict]) -> str:
         f"query throughput — Q={N_QUERIES} simplex queries, top-{K}",
         "(speedups are vs the pre-slab per-query baseline `loop_seed`;",
         f" mixed-k: one query_batch with per-row k from {MIXED_KS},",
-        " per-k: one query_batch per distinct k over the same rows)",
+        " per-k: one query_batch per distinct k over the same rows,",
+        " loop-mk: one index.query per row at its own k)",
         "",
         f"{'n':>7} {'d':>3} {'C':>7} | {'seed qps':>9} | "
         f"{'loop qps':>9} {'speedup':>8} | "
         f"{'batch qps':>9} {'speedup':>8} | {'cache qps':>9} {'speedup':>8} | "
-        f"{'mixed-k qps':>11} {'per-k qps':>9}",
+        f"{'mixed-k qps':>11} {'per-k qps':>9} {'loop-mk qps':>11}",
     ]
     for r in records:
         lines.append(
@@ -279,7 +301,8 @@ def render(records: list[dict]) -> str:
             f"{r['batch']['speedup_vs_seed_loop']:>7.1f}x | "
             f"{r['cache_warm']['qps']:>9,.0f} "
             f"{r['cache_warm']['speedup_vs_seed_loop']:>7.1f}x | "
-            f"{r['mixed_k']['qps']:>11,.0f} {r['per_k']['qps']:>9,.0f}"
+            f"{r['mixed_k']['qps']:>11,.0f} {r['per_k']['qps']:>9,.0f} "
+            f"{r['loop_mixed_k']['qps']:>11,.0f}"
         )
     return "\n".join(lines)
 

@@ -4,60 +4,63 @@ Every ranked answer in this library is ordered by ascending
 ``(score, tid)`` — the paper's tie rule (no duplicate attribute values
 assumed, remaining ties broken by tuple id).  The reference
 realization is a full ``np.lexsort((tids, scores))`` over the whole
-candidate set, which costs ``O(C log C)`` per query even when only the
-top ``k << C`` entries are wanted.
+candidate set.  The kernels here produce *bit-identical* answers by
+sorting only the head of the ranking.
 
-The kernels here produce *bit-identical* answers with partial
-selection instead:
+The selection rule (both kernels):
 
-:func:`topk_select`
-    One query.  ``np.argpartition`` isolates the k cheapest candidates
-    in ``O(C)``, boundary ties at the k-th score are resolved exactly
-    as the lexsort would (smallest tids win), and only the k survivors
-    are sorted.
+1. **Head.**  Take the positions of the k + 1 smallest scores in score
+   order.  At or below :data:`_ARGSORT_MAX` candidates the head is a
+   prefix of NumPy's default (SIMD, unstable) ``argsort``; above it,
+   ``argpartition(scores, k)[:k + 1]`` isolates the k + 1 cheapest in
+   ``O(C)`` and only those are argsorted.
+2. **Audit.**  If the k + 1 head scores are strictly increasing, no
+   tie touches the top k or its boundary, so the unstable order is
+   the only order: ``tids[head[:k]]`` is the lexsort's answer.  (NaN
+   compares false, so a NaN in a head of two or more fails the audit,
+   and a passing head's top k lie strictly below every other score,
+   infinite or not: no separate finiteness check is needed.)
+3. **Tie-exact fallback.**  Otherwise (equal scores, ``-0.0 == 0.0``
+   or a NaN in the head) the k-th order statistic ``kth`` decides:
+   the lexsort's top k are exactly all candidates with ``score < kth``
+   (provably fewer than k) plus the smallest-tid candidates with
+   ``score == kth`` filling the remainder (a NaN ``kth`` counts every
+   number as below and every NaN as tied, where the lexsort puts
+   them).  Two ``O(C)`` scans and a sort of those k finish the call;
+   on tied data with ``k < C`` the whole candidate set is never
+   sorted.
 
-:func:`batch_topk`
-    Q queries at once over a shared candidate set — one ``(Q, C)``
-    score matrix in, one ``(Q, k)`` tid matrix out.  Two regimes:
-
-    * the default row-parallel partition: ``argpartition`` per row plus
-      an O(Q) clean-row check (the (k+1)-th order statistic strictly
-      above the k-th means no tied candidate was cut off);
-    * with a ``scratch`` dict and a large candidate set, a *masked*
-      path that sidesteps the per-row O(C log k) partition entirely:
-      each row's k-th score over a small probe window bounds the true
-      k-th score from above, a boolean threshold mask shrinks the
-      problem to the few candidates at or below that bound, and one
-      composite-key argsort orders every survivor of every row at
-      once.  ``scratch`` persists the working buffers across calls —
-      on repeated batches this avoids fresh large allocations (and the
-      page faults they cost) on the hot path.
-
-Correctness of the boundary handling: the k-th order statistic of the
-scores is ``kth``; the lexsort's top k are exactly all candidates with
-``score < kth`` (provably fewer than k) plus the smallest-tid
-candidates with ``score == kth`` filling the remainder.  Both batch
-regimes detect rows where float ties (or, on the masked path, key
-collapses) make the vectorized answer ambiguous and re-answer exactly
-those rows with :func:`topk_select`.
+:func:`topk_select` applies the rule to one score vector.
+:func:`batch_topk` applies it row-parallel to a ``(Q, C)`` score
+matrix — one argsort (or argpartition plus head argsort) across the
+batch, an O(Q k) audit — and sends only the rows that fail the audit
+through the fallback.  With a caller-held ``scratch`` dict
+and a large candidate set it instead runs a *masked* schedule that
+sidesteps the per-row partition: each row's k-th score over a small
+probe window bounds the true k-th score from above, a boolean
+threshold mask shrinks the problem to the few candidates at or below
+that bound, and one composite-key argsort orders every survivor of
+every row at once.  ``scratch`` persists the working buffers across
+calls, so repeated batches touch warm, already-faulted memory.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 __all__ = ["topk_select", "batch_topk"]
 
-#: Below this ratio of k to candidate count the partition prefilter
-#: wins; above it a full lexsort is both simpler and faster.
-_PARTITION_RATIO = 4
-
-#: Candidate sets at or below this size skip the partition prefilter
-#: outright.  At small C the prefilter's extra passes (partition, two
-#: flatnonzero scans, boundary-tie repair) cost more than just
-#: lexsorting everything — the d = 2 throughput benchmark showed the
-#: prefilter at 0.5-0.7x of the plain lexsort for C < ~200.
-_SMALL_C = 256
+#: Candidate counts at or below this take the head from a full
+#: ``argsort``; larger ones from ``argpartition`` plus an argsort of
+#: the k + 1 survivors.  Measured with NumPy 2.4 on a 2-vCPU AVX-512
+#: host, k in {10, 20, 50, 100}: per row of a 64- or 256-row batch,
+#: the argsort head costs about 3 us up to C = 256 and 5-7 us at
+#: C = 320, where the partition head costs 4-5 us; the scalar kernel
+#: breaks even between C = 320 and 450, and at C = 1024 the partition
+#: head wins 10-11 us to 16-19 us.  One crossover serves both kernels.
+_ARGSORT_MAX = 256
 
 #: Leading score columns used by the masked batch path to bound each
 #: row's k-th score.  Because candidate columns arrive in layer order
@@ -70,10 +73,9 @@ _PROBE = 256
 def topk_select(scores: np.ndarray, tids: np.ndarray, k: int) -> np.ndarray:
     """Top-k ``tids`` by ascending ``(score, tid)``.
 
-    Exactly ``tids[np.lexsort((tids, scores))[:k]]``, computed with an
-    ``np.argpartition`` prefilter when ``k`` is small relative to the
-    candidate count.  ``k`` larger than the candidate count returns
-    the full ranking; ``k <= 0`` returns an empty array.
+    Exactly ``tids[np.lexsort((tids, scores))[:k]]``, computed by the
+    module's head + audit rule.  ``k`` larger than the candidate count
+    returns the full ranking; ``k <= 0`` returns an empty array.
     """
     scores = np.asarray(scores, dtype=float)
     tids = np.asarray(tids, dtype=np.intp)
@@ -81,20 +83,36 @@ def topk_select(scores: np.ndarray, tids: np.ndarray, k: int) -> np.ndarray:
     if k <= 0 or n == 0:
         return np.zeros(0, dtype=np.intp)
     k = min(int(k), n)
-    if k * _PARTITION_RATIO >= n or n <= _SMALL_C:
-        order = np.lexsort((tids, scores))
-        return tids[order[:k]]
-    part = np.argpartition(scores, k - 1)[:k]
-    kth = scores[part].max()
-    below = np.flatnonzero(scores < kth)
-    tied = np.flatnonzero(scores == kth)
-    need = k - below.size
+    # Method calls and count_nonzero: at serving-sized C the kernel is
+    # a handful of microseconds, and the np.* wrappers add about one each.
+    if n <= _ARGSORT_MAX or k == n:
+        head = scores.argsort()[: k + 1]
+    else:
+        head = scores.argpartition(k)[: k + 1]
+        head = head[scores[head].argsort()]
+    ordered = scores[head]
+    if np.count_nonzero(ordered[1:] > ordered[:-1]) == ordered.size - 1:
+        return tids[head[:k]]
+    return _tied_topk(scores, tids, k, ordered[k - 1])
+
+
+def _tied_topk(
+    scores: np.ndarray, tids: np.ndarray, k: int, kth: float
+) -> np.ndarray:
+    """The lexsort's top k given its k-th order statistic ``kth``:
+    every score below ``kth``, then the smallest tids tied at it."""
+    if math.isnan(kth):  # the lexsort ranks NaN after every number
+        tied_mask = np.isnan(scores)
+        below = np.flatnonzero(~tied_mask)
+        tied = np.flatnonzero(tied_mask)
+    else:
+        below = np.flatnonzero(scores < kth)
+        tied = np.flatnonzero(scores == kth)
+    need = k - below.size  # >= 1: fewer than k scores lie below kth
     if tied.size > need:
-        keep = np.argpartition(tids[tied], need - 1)[:need] if need else []
-        tied = tied[keep] if need else tied[:0]
+        tied = tied[np.argpartition(tids[tied], need - 1)[:need]]
     sel = np.concatenate([below, tied])
-    order = np.lexsort((tids[sel], scores[sel]))
-    return tids[sel][order]
+    return tids[sel][np.lexsort((tids[sel], scores[sel]))]
 
 
 def _scratch_buffer(scratch: dict, name: str, size: int, dtype) -> np.ndarray:
@@ -131,6 +149,10 @@ def _masked_batch_topk(
       only risk is *collapses* (distinct scores rounding to one key)
       and genuine score ties, both of which surface as equal adjacent
       keys and route that row to the exact scalar kernel.
+    * A row whose bound is not finite (NaN or ``+inf`` among its probe
+      head) or whose survivors hold ``-inf`` has no finite rescale; it
+      is split off to the scalar kernel before the key sort, so it
+      cannot disturb the other rows' key ranges.
     """
     n_queries, n_candidates = scores.shape
     probe = _PROBE
@@ -142,6 +164,9 @@ def _masked_batch_topk(
     np.copyto(pbuf, scores[:, :probe])
     pbuf.partition(k - 1, axis=1)
     tau = pbuf[:, k - 1]
+    odd = ~np.isfinite(tau)
+    if odd.any():
+        return _split_batch_topk(scores, tids, k, scratch, odd)
     # Threshold mask, padded to a whole number of 64-bit words so the
     # survivor scan can test 64 candidates per comparison.
     size = n_queries * n_candidates
@@ -163,6 +188,9 @@ def _masked_batch_topk(
     # (or 3-key lexsort) ordering pass.
     rowmin = np.minimum.reduceat(svals, starts)
     span = np.maximum.reduceat(svals, starts) - rowmin
+    odd = ~np.isfinite(span)
+    if odd.any():
+        return _split_batch_topk(scores, tids, k, scratch, odd)
     span[span == 0] = 1.0
     key = rows + (svals - rowmin[rows]) / span[rows] * 0.5
     order = np.argsort(key)
@@ -185,6 +213,20 @@ def _masked_batch_topk(
     return out
 
 
+def _split_batch_topk(
+    scores: np.ndarray, tids: np.ndarray, k: int, scratch: dict, odd
+) -> np.ndarray:
+    """The masked path over the rows outside ``odd``; the ``odd`` rows
+    (no finite rescale) through :func:`topk_select`."""
+    out = np.empty((scores.shape[0], k), dtype=np.intp)
+    for row in np.flatnonzero(odd):
+        out[row] = topk_select(scores[row], tids, k)
+    rest = np.flatnonzero(~odd)
+    if rest.size:
+        out[rest] = _masked_batch_topk(scores[rest], tids, k, scratch)
+    return out
+
+
 def batch_topk(
     scores: np.ndarray,
     tids: np.ndarray,
@@ -196,7 +238,8 @@ def batch_topk(
     ``scores[q, c]`` is query q's score for candidate ``tids[c]``; the
     result is a ``(Q, k)`` matrix whose row q equals
     ``topk_select(scores[q], tids, k)``.  All heavy passes run across
-    the whole batch inside numpy.
+    the whole batch inside numpy; rows that fail the head audit take
+    the tie-exact fallback.
 
     Passing a ``scratch`` dict (the same one on every call) enables
     the masked large-C path and persists its working buffers between
@@ -215,41 +258,26 @@ def batch_topk(
     if k <= 0 or n_candidates == 0:
         return np.zeros((n_queries, 0), dtype=np.intp)
     k = min(int(k), n_candidates)
+    # The masked schedule pays off when the probe window's bound leaves
+    # few survivors per row: a large candidate set and k well below it.
     if (
-        k * _PARTITION_RATIO >= n_candidates
-        or k >= n_candidates
-        or n_candidates <= _SMALL_C
+        scratch is not None
+        and k <= _PROBE
+        and n_candidates >= 2 * _PROBE
+        and 4 * k < n_candidates
     ):
-        # Near-full ranking (or a candidate set too small for the
-        # partition passes to pay off): lexsort every row via two
-        # stable argsorts (tid pre-ordering makes the score sort's
-        # stability realize the tid tie-break).
-        tid_order = np.argsort(tids, kind="stable")
-        ordered = np.argsort(
-            scores[:, tid_order], axis=1, kind="stable"
-        )[:, :k]
-        return tids[tid_order][ordered]
-    if scratch is not None and k <= _PROBE and n_candidates >= 2 * _PROBE:
         if not scores.flags.c_contiguous:
             scores = np.ascontiguousarray(scores)
         return _masked_batch_topk(scores, tids, k, scratch)
-    # Partition at position k so column k carries the (k+1)-th order
-    # statistic: a row's top-k *set* is exact iff that next value is
-    # strictly above the k-th (no tied candidate was cut off), which
-    # replaces a full (Q, C) tie scan with an O(Q) comparison.
-    part = np.argpartition(scores, k, axis=1)[:, : k + 1]  # (Q, k + 1)
-    part_scores = np.take_along_axis(scores, part, axis=1)
-    kth = part_scores[:, :k].max(axis=1)  # (Q,)
-    clean = part_scores[:, k] > kth
-    part = part[:, :k]
-    part_scores = part_scores[:, :k]
-    part_tids = tids[part]
-    by_tid = np.argsort(part_tids, axis=1, kind="stable")
-    part_tids = np.take_along_axis(part_tids, by_tid, axis=1)
-    part_scores = np.take_along_axis(part_scores, by_tid, axis=1)
-    by_score = np.argsort(part_scores, axis=1, kind="stable")
-    out = np.take_along_axis(part_tids, by_score, axis=1)
-    if not clean.all():
-        for row in np.flatnonzero(~clean):
-            out[row] = topk_select(scores[row], tids, k)
+    if n_candidates <= _ARGSORT_MAX or k == n_candidates:
+        head = np.argsort(scores, axis=1)[:, : k + 1]
+    else:
+        head = np.argpartition(scores, k, axis=1)[:, : k + 1]
+        by_score = np.take_along_axis(scores, head, axis=1).argsort(axis=1)
+        head = np.take_along_axis(head, by_score, axis=1)
+    ordered = np.take_along_axis(scores, head, axis=1)
+    clean = (ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
+    out = tids[head[:, :k]]
+    for row in np.flatnonzero(~clean):
+        out[row] = _tied_topk(scores[row], tids, k, ordered[row, k - 1])
     return out

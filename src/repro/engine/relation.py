@@ -99,18 +99,23 @@ class Relation:
         return col
 
     def matrix(self, attribute_names=None) -> np.ndarray:
-        """Float (n, d) matrix over the named (default: all) attributes.
+        """Float (n, d) matrix over the named attributes (``None``: all;
+        an empty selection gives an ``(n, 0)`` matrix).
 
         A relation built by :meth:`from_matrix` returns that matrix
         (read-only, no copy) when asked for every attribute in schema
         order; any other selection is stacked into a new array.
         """
-        names = [
-            self._schema.attribute(n).name
-            for n in (attribute_names or self._schema.names)
-        ]
-        if self._matrix is not None and tuple(names) == self._schema.names:
+        if attribute_names is None:
+            names = self._schema.names
+        else:
+            names = tuple(
+                self._schema.attribute(n).name for n in attribute_names
+            )
+        if self._matrix is not None and names == self._schema.names:
             return self._matrix
+        if not names:
+            return np.zeros((self._n_rows, 0))
         return np.stack(
             [np.asarray(self._columns[n], dtype=float) for n in names],
             axis=1,
@@ -119,10 +124,7 @@ class Relation:
     def float_matrix(self) -> np.ndarray:
         """``(n, f)`` matrix over the float attributes in schema order:
         the points every index on this table covers."""
-        names = [a.name for a in self._schema if a.kind == "float"]
-        if not names:
-            return np.zeros((self._n_rows, 0))
-        return self.matrix(names)
+        return self.matrix([a.name for a in self._schema if a.kind == "float"])
 
     def row(self, tid: int) -> dict:
         """One row as an attribute -> value mapping."""

@@ -150,9 +150,10 @@ def rank_candidates(
     """Exact top-k among ``candidates`` under the library tie rule.
 
     Identical to the full ``np.lexsort((candidates, scores))`` ranking
-    truncated to k, but when ``k`` is small relative to the candidate
-    count an ``np.argpartition`` prefilter avoids sorting the whole
-    set (see :mod:`repro.core.qkernel` for the tie-exact selection).
+    truncated to k, computed by :func:`~repro.core.qkernel.topk_select`:
+    only the k+1 smallest scores are sorted (an argsort head up to the
+    kernel's crossover, an argpartition head above it), and a head
+    with tied scores falls back to the tie-exact selection.
     """
     candidates = np.asarray(candidates, dtype=np.intp)
     scores = query.scores(points[candidates])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import qkernel
 from repro.core.qkernel import batch_topk, topk_select
 
 
@@ -13,6 +14,60 @@ def lexsort_topk(scores, tids, k):
     tids = np.asarray(tids, dtype=np.intp)
     order = np.lexsort((tids, scores))
     return tids[order[: max(k, 0)]]
+
+
+#: Candidate counts on both sides of the argsort / argpartition
+#: crossover (and of the masked batch path's 2 x probe threshold).
+SIZES = st.one_of(
+    st.integers(1, 2 * qkernel._ARGSORT_MAX),
+    st.integers(qkernel._ARGSORT_MAX - 8, 3000),
+)
+
+#: How a score vector is drawn: generic, from a few values, with ties
+#: planted inside the k-head and at the k boundary, or with signed
+#: zeros, infinities and NaN mixed in.
+STYLES = st.sampled_from(("distinct", "few", "head_ties", "specials"))
+
+#: k relative to the candidate count n.
+K_CHOICES = st.sampled_from(("0", "1", "n-1", "n", "n+5", "any"))
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def pick_k(choice: str, n: int, rng) -> int:
+    return {
+        "0": 0,
+        "1": 1,
+        "n-1": n - 1,
+        "n": n,
+        "n+5": n + 5,
+        "any": int(rng.integers(1, n + 1)),
+    }[choice]
+
+
+def draw_scores(rng, n: int, style: str, k: int) -> np.ndarray:
+    if style == "few":
+        return rng.choice(rng.random(int(rng.integers(1, 6))), size=n)
+    scores = rng.random(n)
+    if style == "head_ties":
+        # Sorted, so positions are ranks: tie a pair strictly inside
+        # the head, and the k-th score with the (k+1)-th.
+        scores.sort()
+        head = min(max(k, 1), n)
+        inside = int(rng.integers(0, head))
+        scores[inside : inside + 2] = scores[inside]
+        if 1 <= k < n:
+            scores[k] = scores[k - 1]
+        rng.shuffle(scores)
+    elif style == "specials":
+        planted = rng.random(n) < rng.uniform(0.02, 0.5)
+        scores[planted] = rng.choice(SPECIALS, size=int(planted.sum()))
+    return scores
+
+
+def unsorted_tids(rng, n: int) -> np.ndarray:
+    """n distinct tids in random order, not a permutation of 0..n-1."""
+    return rng.permutation(2 * n)[:n].astype(np.intp)
 
 
 class TestTopkSelect:
@@ -50,19 +105,50 @@ class TestTopkSelect:
         out = topk_select(scores, np.array([5, 9]), 10)
         assert out.tolist() == [9, 5]
 
-    @settings(deadline=None, max_examples=60)
+    def test_specials_and_signed_zeros(self):
+        # -0.0 == 0.0 ties by tid; NaN ranks after +inf, NaNs by tid.
+        scores = np.array([np.nan, 0.0, np.inf, -0.0, np.nan, -np.inf, 0.5])
+        tids = np.array([3, 9, 1, 2, 0, 8, 5])
+        for k in range(len(scores) + 2):
+            assert (
+                topk_select(scores, tids, k).tolist()
+                == lexsort_topk(scores, tids, k).tolist()
+            )
+        assert topk_select(np.array([np.nan]), np.array([4]), 1).tolist() == [4]
+
+    def test_tied_fallback_never_sorts_every_candidate(self, monkeypatch):
+        # Tied data with k < n takes the fallback, which sorts only the
+        # k survivors: no lexsort (or argsort head) sees all n scores.
+        n, k = 3 * qkernel._ARGSORT_MAX, 10
+        scores = np.repeat([0.25, 0.5, 0.75], n // 3)
+        tids = np.random.default_rng(7).permutation(n).astype(np.intp)
+        expected = lexsort_topk(scores, tids, k).tolist()
+        sorted_sizes = []
+        real_lexsort = np.lexsort
+
+        def spy(keys):
+            sorted_sizes.append(len(keys[0]))
+            return real_lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", spy)
+        assert topk_select(scores, tids, k).tolist() == expected
+        assert sorted_sizes == [k]
+
+    @settings(deadline=None, max_examples=150)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 120),
-        k=st.integers(1, 130),
-        n_values=st.integers(1, 6),
+        n=SIZES,
+        k_choice=K_CHOICES,
+        style=STYLES,
     )
-    def test_matches_lexsort_with_heavy_ties(self, seed, n, k, n_values):
-        # Scores drawn from a tiny value set force tie-handling on
-        # almost every boundary.
+    def test_matches_lexsort_with_heavy_ties(self, seed, n, k_choice, style):
+        # Few-valued scores, planted head and boundary ties and special
+        # values force the audit to fail (and the fallback to run) on
+        # both sides of the head crossover; generic scores pass it.
         rng = np.random.default_rng(seed)
-        scores = rng.choice(rng.random(n_values), size=n)
-        tids = rng.permutation(n).astype(np.intp)
+        k = pick_k(k_choice, n, rng)
+        scores = draw_scores(rng, n, style, k)
+        tids = unsorted_tids(rng, n)
         assert (
             topk_select(scores, tids, k).tolist()
             == lexsort_topk(scores, tids, k).tolist()
@@ -82,23 +168,33 @@ class TestBatchTopk:
                     == lexsort_topk(scores[row], tids, k).tolist()
                 )
 
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=80)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_queries=st.integers(1, 8),
-        n_candidates=st.integers(1, 80),
-        k=st.integers(1, 90),
-        n_values=st.integers(1, 5),
+        n_candidates=SIZES,
+        k_choice=K_CHOICES,
+        styles=st.lists(STYLES, min_size=1, max_size=4),
+        with_scratch=st.booleans(),
     )
     def test_tied_rows_fall_back_exactly(
-        self, seed, n_queries, n_candidates, k, n_values
+        self, seed, n_queries, n_candidates, k_choice, styles, with_scratch
     ):
+        # Clean and tied (or special-valued) rows share one batch: the
+        # audit must re-answer exactly the rows that need it, on the
+        # head path and (with scratch, large C) on the masked path.
         rng = np.random.default_rng(seed)
-        scores = rng.choice(
-            rng.random(n_values), size=(n_queries, n_candidates)
+        k = pick_k(k_choice, n_candidates, rng)
+        scores = np.stack(
+            [
+                draw_scores(rng, n_candidates, styles[row % len(styles)], k)
+                for row in range(n_queries)
+            ]
         )
-        tids = rng.permutation(n_candidates).astype(np.intp)
-        out = batch_topk(scores, tids, k)
+        tids = unsorted_tids(rng, n_candidates)
+        scratch = {} if with_scratch else None
+        out = batch_topk(scores, tids, k, scratch=scratch)
+        assert out.shape == (n_queries, min(max(k, 0), n_candidates))
         for row in range(n_queries):
             assert (
                 out[row].tolist()
@@ -171,25 +267,29 @@ class TestMaskedBatchTopk:
         n_queries=st.integers(1, 10),
         n_candidates=st.integers(40, 160),
         k=st.integers(1, 12),
-        n_values=st.integers(1, 6),
+        styles=st.lists(STYLES, min_size=1, max_size=4),
     )
     def test_small_probe_matches_lexsort(
-        self, seed, n_queries, n_candidates, k, n_values
+        self, seed, n_queries, n_candidates, k, styles
     ):
         # A tiny probe window pushes every case through the masked
-        # path (ties included) at property-test sizes.  The module
-        # constant is restored by hand: hypothesis re-runs the body
-        # many times per (function-scoped) monkeypatch fixture.
-        from repro.core import qkernel
-
+        # path (ties and special values included) at property-test
+        # sizes.  The module constant is restored by hand: hypothesis
+        # re-runs the body many times per (function-scoped)
+        # monkeypatch fixture.
         saved = qkernel._PROBE
         qkernel._PROBE = 16
         try:
             rng = np.random.default_rng(seed)
-            scores = rng.choice(
-                rng.random(n_values), size=(n_queries, n_candidates)
+            scores = np.stack(
+                [
+                    draw_scores(
+                        rng, n_candidates, styles[row % len(styles)], k
+                    )
+                    for row in range(n_queries)
+                ]
             )
-            tids = rng.permutation(n_candidates).astype(np.intp)
+            tids = unsorted_tids(rng, n_candidates)
             self._check(scores, tids, k, {})
         finally:
             qkernel._PROBE = saved

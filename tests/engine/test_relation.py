@@ -53,6 +53,18 @@ class TestAccess:
 
     def test_matrix_all(self, houses):
         assert houses.matrix().shape == (3, 3)
+        assert houses.matrix(None) is houses.matrix()
+
+    def test_matrix_empty_selection(self, houses):
+        # An empty selection is no attributes, not every attribute.
+        extended = houses.with_column(Attribute("layer", "int"), [1, 2, 1])
+        for rel in (houses, extended):
+            empty = rel.matrix([])
+            assert empty.shape == (3, 0)
+            assert empty.dtype == np.float64
+        ints = Relation("t", Schema([Attribute("id", "int")]), {"id": [4, 5]})
+        assert ints.float_matrix().shape == (2, 0)
+        assert extended.float_matrix().tolist() == houses.matrix().tolist()
 
     def test_row(self, houses):
         row = houses.row(1)

@@ -64,7 +64,7 @@ def old_rank_candidates(points, candidates, query, k):
 
 
 class TestRankCandidatesPartitionRegression:
-    """The argpartition prefilter must match the old full-lexsort path
+    """The head-and-audit selection must match the old full-lexsort path
     bit-for-bit, especially on tied scores at the k-th boundary."""
 
     def test_tied_scores_small_k(self, rng):
