@@ -1,28 +1,37 @@
 """Ablation: dynamic maintenance vs rebuild (extension).
 
-Quantifies how much layer tightness insert/delete streams give up, and
-the amortized cost of absorbing an update vs rebuilding.  A second
-part drives ``DynamicRobustIndex`` upsert bursts (a delete plus an
-insert each, a rebuild after every burst), checks that every patched
-serving view equals a fresh ``LayeredSlab.from_layers`` pack, and
-splits the per-upsert time into the new tuple's bound and the rest
-(view patches and maintainer bookkeeping).
+Quantifies how much layer tightness insert/delete streams on a
+``DynamicRobustIndex`` give up, and the amortized cost of absorbing an
+update vs rebuilding.  A second part drives upsert bursts (a delete
+plus an insert each, a rebuild after every burst), checks that every
+patched serving view equals a fresh ``LayeredSlab.from_layers`` pack of
+the list model in ``tests/core/dynamic_reference.py`` replaying the
+same updates, and splits the per-upsert time into the new tuple's
+bound and the rest (view patches and publishing).
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.core import dynamic
-from repro.core.dynamic import DynamicRobustLayers
 from repro.data import minmax_normalize, uniform
 from repro.experiments.report import render_table
 from repro.indexes.dynamic import DynamicRobustIndex
-from repro.indexes.robust import LayeredSlab
 
 from conftest import publish
 
-_FIELDS = ("points", "layers", "order", "offsets", "slab")
+# The list model lives in tests/core/dynamic_reference.py.
+REPO_ROOT = Path(__file__).resolve().parents[1]
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tests.core.dynamic_reference import (  # noqa: E402
+    LayeringModel,
+    assert_same_slab,
+)
 
 
 def _upsert_bursts(monkeypatch, n=2_000, bursts=6, burst=8):
@@ -30,7 +39,9 @@ def _upsert_bursts(monkeypatch, n=2_000, bursts=6, burst=8):
     bursts on an n x 3, B = 10 index (the shape of perfbench's
     ``mixed_rw``)."""
     rng = np.random.default_rng(43)
-    index = DynamicRobustIndex(rng.random((n, 3)), n_partitions=10)
+    data = rng.random((n, 3))
+    index = DynamicRobustIndex(data, n_partitions=10)
+    model = LayeringModel(data, n_partitions=10)
     bound_s = [0.0]
     real_bound = dynamic.layer_for_new_tuple
 
@@ -49,15 +60,11 @@ def _upsert_bursts(monkeypatch, n=2_000, bursts=6, burst=8):
             index.delete(position)
             index.insert(row)
             total_s += time.perf_counter() - started
-            maintainer = index._maintainer
-            fresh = LayeredSlab.from_layers(
-                maintainer.points, maintainer.layers()
-            )
-            for name in _FIELDS:
-                assert np.array_equal(
-                    getattr(index._view.slab, name), getattr(fresh, name)
-                ), name
+            model.upsert(position, row)
+            assert_same_slab(index._view.slab, model.slab())
         assert index.rebuild()
+        model.rebuild()
+        assert_same_slab(index._view.slab, model.slab())
     upserts = bursts * burst
     return total_s / upserts * 1e3, bound_s[0] / upserts * 1e3
 
@@ -66,12 +73,12 @@ def test_dynamic_maintenance(benchmark, monkeypatch):
     n = 1_000
     data = minmax_normalize(uniform(n, 3, seed=41))
     rng = np.random.default_rng(42)
-    idx = DynamicRobustLayers(data, n_partitions=8)
+    idx = DynamicRobustIndex(data, n_partitions=8)
 
     rows = []
 
     def mass(k=50):
-        return int(np.count_nonzero(idx.layers() <= k))
+        return int(np.count_nonzero(idx.layers <= k))
 
     rows.append(["initial", idx.size, mass()])
     started = time.perf_counter()
@@ -83,7 +90,7 @@ def test_dynamic_maintenance(benchmark, monkeypatch):
         idx.delete(int(rng.integers(idx.size)))
     rows.append(["after 50 deletes", idx.size, mass()])
     started = time.perf_counter()
-    idx.rebuild()
+    assert idx.rebuild() and idx.staleness == 0
     rebuild_seconds = time.perf_counter() - started
     rows.append(["after rebuild", idx.size, mass()])
 

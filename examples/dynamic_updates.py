@@ -9,23 +9,26 @@ monotonicity facts (docs/THEORY.md §6):
 * deleting a tuple lowers any minimal rank by at most one, so a global
   depth compensation keeps the layering sound.
 
+``DynamicRobustIndex`` applies both rules to the layer-packed slab it
+serves queries from, and ``rebuild`` restores tight layers.
+
 Run:  python examples/dynamic_updates.py
 """
 
 import numpy as np
 
-from repro import DynamicRobustLayers, LinearQuery, audit_layering
+from repro import DynamicRobustIndex, LinearQuery, audit_layering
 from repro.data import minmax_normalize, uniform
 
 
-def retrieval(idx: DynamicRobustLayers, k: int) -> int:
-    return int(np.count_nonzero(idx.layers() <= k))
+def retrieval(idx: DynamicRobustIndex, k: int) -> int:
+    return idx.retrieval_cost(k)
 
 
 def main() -> None:
     rng = np.random.default_rng(3)
     data = minmax_normalize(uniform(1_500, 3, seed=3))
-    idx = DynamicRobustLayers(data, n_partitions=10)
+    idx = DynamicRobustIndex(data, n_partitions=10)
     k = 25
 
     print(f"initial: {idx.size} tuples, top-{k} retrieval "
@@ -44,10 +47,11 @@ def main() -> None:
 
     # Answers stay exactly correct throughout.
     query = LinearQuery([1.0, 3.0, 2.0])
-    layers = idx.layers()
+    layers = idx.layers
     points = idx.points
     top = query.top_k(points, k)
     assert np.all(layers[top] <= k), "layering lost soundness!"
+    assert np.array_equal(idx.query(query, k).tids, top)
     print(f"\ntop-{k} under {query.weights.tolist()}: all inside the "
           f"first {k} layers — still sound")
 
@@ -55,9 +59,10 @@ def main() -> None:
                             check_exact=False)
     print(f"audit: {report.violations} violations over "
           f"{report.n_queries} probe queries")
+    assert report.sound, "audit found a violation!"
 
     before = retrieval(idx, k)
-    idx.rebuild()
+    assert idx.rebuild() and idx.staleness == 0
     print(f"rebuild: retrieval cost {before} -> {retrieval(idx, k)} "
           "(tightness restored)")
 

@@ -28,7 +28,6 @@ Quick start::
 from . import obs
 from .core.appri import appri_build, appri_layers
 from .core.exact import exact_build, exact_robust_layers, minimal_rank
-from .core.dynamic import DynamicRobustLayers
 from .core.signed import SignedRobustLayers
 from .core.validate import audit_layering
 from .indexes.base import QueryResult, RankedIndex
@@ -60,7 +59,6 @@ __all__ = [
     "ThresholdIndex",
     "RTreeIndex",
     "SignedRobustLayers",
-    "DynamicRobustLayers",
     "DynamicRobustIndex",
     "audit_layering",
     "appri_layers",

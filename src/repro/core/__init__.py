@@ -2,7 +2,7 @@
 
 from .appri import appri_layers
 from .exact import exact_robust_layers, minimal_rank, minimal_rank_sampled
-from .dynamic import DynamicRobustLayers, layer_for_new_tuple
+from .dynamic import layer_for_new_tuple
 from .signed import SignedRobustLayers
 from .validate import AuditReport, audit_layering
 
@@ -12,7 +12,6 @@ __all__ = [
     "minimal_rank",
     "minimal_rank_sampled",
     "SignedRobustLayers",
-    "DynamicRobustLayers",
     "layer_for_new_tuple",
     "audit_layering",
     "AuditReport",

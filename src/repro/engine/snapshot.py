@@ -64,12 +64,18 @@ Registered kinds
 ``exact-robust`` (:class:`~repro.indexes.robust.ExactRobustIndex`),
 ``onion`` / ``shell`` (:class:`~repro.indexes.onion.OnionIndex` /
 :class:`~repro.indexes.onion.ShellIndex`),
-``dynamic-layers`` (:class:`~repro.core.dynamic.DynamicRobustLayers`,
-including its staleness counters) and ``dynamic-robust``
-(:class:`~repro.indexes.dynamic.DynamicRobustIndex`).  Each class
-serializes itself through its public ``export_state()`` /
-``from_state(arrays, meta)`` pair; new index classes join via
-:func:`register_snapshot_kind`.
+and ``dynamic-slab``
+(:class:`~repro.indexes.dynamic.DynamicRobustIndex`, its serving slab
+plus staleness and generation).  Each class serializes itself through
+its public ``export_state()`` / ``from_state(arrays, meta)`` pair; new
+index classes join via :func:`register_snapshot_kind`.
+
+Two released tags are *restore-only*: ``dynamic-robust`` and
+``dynamic-layers`` files (written before the dynamic index kept only
+its slab, by the index and by its since-removed layer maintainer) hold
+every row inserted since the last build, an alive mask and
+uncompensated layers.  They load as a ``DynamicRobustIndex`` packed
+once from their live rows; saving always writes ``dynamic-slab``.
 
 Counters/timers: ``snapshot.saves`` / ``snapshot.loads`` /
 ``snapshot.bytes_written`` / ``snapshot.bytes_read`` and the
@@ -125,6 +131,8 @@ class SnapshotSpec:
     ``export(obj)`` returns ``(arrays, meta)`` — named numpy arrays and
     JSON-safe scalars; ``restore(arrays, meta)`` rebuilds the object
     without recomputing anything (arrays may be read-only memmaps).
+    A restore-only kind (a released tag no class writes any more) has
+    ``export=None``.
     """
 
     kind: str
@@ -143,7 +151,9 @@ def register_snapshot_kind(
 
     ``kind`` is the stable on-disk tag (never rename a released one);
     registration is by *exact* class, so subclasses register their own
-    kind (``ExactRobustIndex`` is not a ``robust`` snapshot).
+    kind (``ExactRobustIndex`` is not a ``robust`` snapshot).  A class
+    may also register restore-only kinds (``export=None``) for files
+    of older tags; it is saved under its one kind with an exporter.
     """
     if kind in _SPECS and _SPECS[kind].cls is not cls:
         raise ValueError(f"snapshot kind {kind!r} already registered")
@@ -157,7 +167,7 @@ def registered_kinds() -> dict[str, type]:
 
 def _spec_for(obj) -> SnapshotSpec:
     for spec in _SPECS.values():
-        if type(obj) is spec.cls:
+        if type(obj) is spec.cls and spec.export is not None:
             return spec
     raise SnapshotError(
         f"no snapshot support registered for {type(obj).__name__}; "
@@ -377,9 +387,9 @@ def snapshot_info(path) -> dict:
     points = buffers.get("points", {}).get("shape", (0, 0))
     offsets = buffers.get("offsets", {}).get("shape")
     if offsets is None:
-        # Maintainer snapshots carry raw layer labels, not offsets; the
-        # deepest live layer is in the meta (None for files older than
-        # that key).
+        # Restore-only dynamic files carry raw layer labels, not
+        # offsets; the deepest live layer is in the meta (None for
+        # files older than that key).
         n_layers = header["meta"].get("n_layers")
     else:
         n_layers = max(0, offsets[0] - 1)
@@ -404,7 +414,6 @@ def snapshot_info(path) -> dict:
 
 
 def _register_builtin_kinds() -> None:
-    from ..core.dynamic import DynamicRobustLayers
     from ..indexes.dynamic import DynamicRobustIndex
     from ..indexes.onion import OnionIndex, ShellIndex
     from ..indexes.robust import ExactRobustIndex, RobustIndex
@@ -414,10 +423,14 @@ def _register_builtin_kinds() -> None:
         ("exact-robust", ExactRobustIndex),
         ("onion", OnionIndex),
         ("shell", ShellIndex),
-        ("dynamic-layers", DynamicRobustLayers),
-        ("dynamic-robust", DynamicRobustIndex),
+        ("dynamic-slab", DynamicRobustIndex),
     ):
         register_snapshot_kind(kind, cls, cls.export_state, cls.from_state)
+    for kind in ("dynamic-robust", "dynamic-layers"):
+        register_snapshot_kind(
+            kind, DynamicRobustIndex, None,
+            DynamicRobustIndex.from_legacy_state,
+        )
 
 
 _register_builtin_kinds()

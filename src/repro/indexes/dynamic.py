@@ -1,17 +1,17 @@
 """A queryable robust index that absorbs updates and hot-swaps views.
 
-:class:`~repro.core.dynamic.DynamicRobustLayers` keeps a layering
-*sound* through inserts and deletes but is not itself queryable.
-:class:`DynamicRobustIndex` closes the loop: it pairs the maintainer
-with an immutable *serving view* (a
-:class:`~repro.indexes.robust.LayeredSlab`, the storage
-:class:`~repro.indexes.robust.RobustIndex` queries) and keeps that view
-equal to ``LayeredSlab.from_layers(maintainer.points,
-maintainer.layers())`` after every update, without re-sorting it:
+:class:`DynamicRobustIndex` keeps a robust layering *sound* through
+inserts and deletes (the two rules of :mod:`repro.core.dynamic`) and
+serves top-k queries from it.  Its whole state is one immutable
+*serving view*: a :class:`~repro.indexes.robust.LayeredSlab`, the
+storage :class:`~repro.indexes.robust.RobustIndex` queries, plus the
+update counters.  Every update patches that slab into the one
+``LayeredSlab.from_layers(points, layers)`` would pack for the updated
+tuples and rules, without re-sorting it:
 
-* an **insert** gets tid ``n``, the largest, so it belongs at the end
-  of its layer's run: one row goes in at ``offsets[L]`` and
-  ``offsets[L:]`` grow by one;
+* an **insert** gets tid ``n``, the largest, and its own AppRI bound
+  as its layer, so it belongs at the end of that layer's run: one row
+  goes in at ``offsets[L]`` and ``offsets[L:]`` grow by one;
 * a **delete** drops one row and shifts the larger tids down; every
   layer drops by one (floored at 1), so runs keep their order and only
   the merged layer-1 run is re-sorted by tid.
@@ -20,9 +20,10 @@ Each patch is copy-on-write — it builds new arrays and leaves the old
 view's (read-only) arrays alone — so an update costs O(n) copies plus
 the new tuple's bound.  ``insert_many`` / ``delete_many`` /
 ``upsert_many`` apply the same patches to a local slab and publish one
-view per batch, ending in the state the single calls would reach.  Only
-the constructor, a rebuild commit and a restore pack a view from
-scratch.
+view per batch, ending in the state the single calls would reach; a
+batch that fails midway publishes nothing.  Only the constructor and a
+rebuild commit pack a view from scratch; a restore adopts the stored
+slab as it is.
 
 The design rule is single-writer / lock-free readers:
 
@@ -50,8 +51,7 @@ import numpy as np
 
 from .. import obs
 from ..core import dynamic as maintenance
-from ..core.appri import _validated_points
-from ..core.dynamic import DynamicRobustLayers
+from ..core.appri import _validated_points, appri_layers
 # Not called here; perfbench/tracing.py wraps this module's
 # ``topk_select`` by name.
 from ..core.qkernel import topk_select  # noqa: F401
@@ -65,10 +65,10 @@ __all__ = ["DynamicRobustIndex"]
 class _View(NamedTuple):
     """One published generation of the index.
 
-    ``slab`` holds everything a query touches, so reads never consult
-    the mutable maintainer; ``generation`` identifies the update state
-    it was packed from; ``tight`` records whether the layers are fresh
-    from a full build (as opposed to update-compensated bounds).
+    ``slab`` holds everything a query touches; ``generation``
+    identifies the update state it describes; ``tight`` records whether
+    the layers are fresh from a full build (as opposed to
+    update-compensated bounds).
     """
 
     slab: LayeredSlab
@@ -81,9 +81,9 @@ class DynamicRobustIndex(RankedIndex):
 
     Parameters mirror :class:`~repro.indexes.robust.RobustIndex`
     (``n_partitions`` plus any :func:`~repro.core.appri.appri_layers`
-    keyword).  Tids refer to rows of the *current alive order* — the
-    matrix :attr:`points` exposes — and are re-assigned by deletions,
-    exactly like :meth:`DynamicRobustLayers.insert`'s return value.
+    keyword).  Tids refer to rows of the *current* relation — the
+    matrix :attr:`points` exposes: an insert gets the next tid, and a
+    delete shifts every larger tid down by one.
 
     Examples
     --------
@@ -106,40 +106,44 @@ class DynamicRobustIndex(RankedIndex):
 
     def __init__(self, points: np.ndarray, n_partitions: int = 10,
                  **appri_kwargs):
-        """Build tight AppRI layers over ``points`` and publish the
-        first serving view."""
-        maintainer = DynamicRobustLayers(
+        """Build tight AppRI layers over (a copy of) ``points`` and
+        publish the first serving view."""
+        points = np.array(points, dtype=float)
+        layers = appri_layers(
             points, n_partitions=n_partitions, **appri_kwargs
         )
-        self._init_from_maintainer(maintainer, generation=0, tight=True)
+        self._init(LayeredSlab.from_layers(points, layers), n_partitions,
+                   appri_kwargs, staleness=0, generation=0, tight=True)
 
-    def _init_from_maintainer(self, maintainer, generation: int,
-                              tight: bool) -> None:
-        self._maintainer = maintainer
+    def _init(self, slab: LayeredSlab, n_partitions: int, appri_kwargs: dict,
+              staleness: int, generation: int, tight: bool) -> None:
+        self._n_partitions = int(n_partitions)
+        self._appri_kwargs = dict(appri_kwargs)
         self._lock = threading.RLock()
+        self._staleness = staleness
         self._generation = generation
-        self._repack(tight)
+        self._view = _View(slab, generation, tight)
 
     # -- read side ---------------------------------------------------
 
     @property
     def points(self) -> np.ndarray:
-        """Alive tuples, in the row order tids refer to."""
+        """Current tuples, in the row order tids refer to."""
         return self._view.slab.points
 
     @property
     def layers(self) -> np.ndarray:
-        """Current sound 1-based layers (per alive tuple)."""
+        """Current sound 1-based layers (one per tuple)."""
         return self._view.slab.layers
 
     @property
     def staleness(self) -> int:
         """Updates absorbed since the last full (re)build."""
-        return self._maintainer.staleness
+        return self._staleness
 
     @property
     def generation(self) -> int:
-        """Monotone update counter (bumped by insert/delete/rebuild)."""
+        """Monotone update counter (bumped by every insert and delete)."""
         return self._generation
 
     @property
@@ -166,7 +170,7 @@ class DynamicRobustIndex(RankedIndex):
         """Maintenance state: staleness, tightness, generation."""
         return {
             "method": "dynamic-appri",
-            "n_partitions": self._maintainer.n_partitions,
+            "n_partitions": self._n_partitions,
             "staleness": self.staleness,
             "tight": self.tight,
             "generation": self._generation,
@@ -180,16 +184,16 @@ class DynamicRobustIndex(RankedIndex):
         return int(self.insert_many(np.asarray(point, dtype=float)[None])[0])
 
     def delete(self, position: int) -> None:
-        """Remove the alive tuple at ``position`` (sound, no rebuild)."""
+        """Remove the tuple at ``position`` (sound, no rebuild)."""
         self.delete_many([position])
 
     def insert_many(self, points) -> np.ndarray:
         """Add the rows of ``points`` in order and publish one view.
 
-        Returns their tids.  The result, the view and the maintainer
-        state equal those of one :meth:`insert` call per row; a NaN,
-        infinite or wrong-width row is rejected before anything
-        changes.
+        Returns their tids.  The result and the view equal those of one
+        :meth:`insert` call per row; a NaN, infinite or wrong-width row
+        is rejected before anything changes, and a failure midway
+        publishes nothing.
         """
         points = self._checked_points(points)
         with self._lock:
@@ -203,7 +207,7 @@ class DynamicRobustIndex(RankedIndex):
     def delete_many(self, positions) -> None:
         """Apply ``delete(p)`` for each ``p`` in order; one view.
 
-        Each position refers to the alive order left by the deletions
+        Each position refers to the row order left by the deletions
         before it, as with successive :meth:`delete` calls; an out of
         range position is rejected before anything changes.
         """
@@ -212,7 +216,7 @@ class DynamicRobustIndex(RankedIndex):
             slab = self._view.slab
             self._check_positions(positions, slab.points.shape[0], shrink=1)
             for position in positions:
-                slab = self._delete_from(slab, position)
+                slab = _deleted(slab, position)
             self._commit(slab, updates=len(positions))
 
     def upsert_many(self, positions, points) -> np.ndarray:
@@ -230,7 +234,7 @@ class DynamicRobustIndex(RankedIndex):
             slab = self._view.slab
             self._check_positions(positions, slab.points.shape[0], shrink=0)
             for position, point in zip(positions, points):
-                slab = self._insert_into(self._delete_from(slab, position), point)
+                slab = self._insert_into(_deleted(slab, position), point)
             self._commit(slab, updates=2 * len(points))
             return np.full(len(points), slab.points.shape[0] - 1)
 
@@ -249,27 +253,18 @@ class DynamicRobustIndex(RankedIndex):
                 raise IndexError(f"position {position} out of range")
 
     def _insert_into(self, slab: LayeredSlab, point) -> LayeredSlab:
+        # Looked up on the module at call time, so a wrapper installed
+        # there (tracing, tests) sees every bound.
         layer = maintenance.layer_for_new_tuple(
-            slab.points, point, self._maintainer.n_partitions
+            slab.points, point, self._n_partitions
         )
-        self._maintainer.append(point, layer)
         return _inserted(slab, point, layer)
-
-    def _delete_from(self, slab: LayeredSlab, position: int) -> LayeredSlab:
-        self._maintainer.delete(position)
-        return _deleted(slab, position)
 
     def _commit(self, slab: LayeredSlab, updates: int) -> None:
         if updates:
+            self._staleness += updates
             self._generation += updates
             self._view = _View(slab, self._generation, False)
-
-    def _repack(self, tight: bool) -> None:
-        # The full sort-and-pack: construction, rebuild commit, restore.
-        slab = LayeredSlab.from_layers(
-            self._maintainer.points, self._maintainer.layers()
-        )
-        self._view = _View(slab, self._generation, tight)
 
     # -- rebuild protocol (used by RebuildManager) -------------------
 
@@ -277,10 +272,12 @@ class DynamicRobustIndex(RankedIndex):
         """Full AppRI layers of ``points`` with this index's build
         settings — the build every rebuild runs, inline or in the
         background."""
-        return self._maintainer.tight_layers(points)
+        return appri_layers(
+            points, n_partitions=self._n_partitions, **self._appri_kwargs
+        )
 
     def begin_rebuild(self) -> tuple[np.ndarray, int]:
-        """Capture ``(alive points, generation)`` for an out-of-band
+        """Capture ``(points, generation)`` for an out-of-band
         tight rebuild; the expensive build then runs without any lock.
 
         The points are the serving view's read-only matrix, so the
@@ -294,14 +291,21 @@ class DynamicRobustIndex(RankedIndex):
 
         Returns ``False`` (and changes nothing) when an update landed
         after the capture — the stale result must be discarded, never
-        merged, to keep the layering sound.  On success the maintainer
-        resets (staleness 0) and the serving view swaps atomically.
+        merged, to keep the layering sound.  On success staleness resets
+        to 0 and the serving view swaps atomically to a fresh pack of a
+        copy of ``points``.
         """
         with self._lock:
             if generation != self._generation:
                 return False
-            self._maintainer.install(points, layers)
-            self._repack(tight=True)
+            points = np.array(points, dtype=float)
+            layers = np.asarray(layers)
+            if points.ndim != 2 or layers.shape != (points.shape[0],):
+                raise ValueError("layers must assign one value per point row")
+            self._staleness = 0
+            self._view = _View(
+                LayeredSlab.from_layers(points, layers), generation, True
+            )
             obs.inc("rebuild.swaps")
             return True
 
@@ -315,23 +319,66 @@ class DynamicRobustIndex(RankedIndex):
     # -- persistence (see repro.engine.snapshot) ---------------------
 
     def export_state(self) -> tuple[dict, dict]:
-        """Serializable ``(arrays, meta)`` including staleness state."""
+        """Serializable ``(arrays, meta)``: the serving slab's buffers
+        plus the build settings and the update state (staleness,
+        generation, tightness)."""
         with self._lock:
-            arrays, meta = self._maintainer.export_state()
-            meta = dict(meta)
-            meta["generation"] = self._generation
-            meta["tight"] = bool(self._view.tight)
-            return arrays, meta
+            view = self._view
+            return view.slab.arrays(), {
+                "n_partitions": self._n_partitions,
+                "appri_kwargs": dict(self._appri_kwargs),
+                "staleness": self._staleness,
+                "generation": view.generation,
+                "tight": view.tight,
+            }
 
     @classmethod
     def from_state(cls, arrays: dict, meta: dict) -> "DynamicRobustIndex":
-        """Restore from :meth:`export_state` output (repacks the view
-        from the stored sound layers — cheap, no AppRI build)."""
+        """Restore from :meth:`export_state` output: the slab buffers
+        are adopted as they are (no build, no re-sort; read-only memory
+        maps stay zero-copy until an update patches them)."""
         index = cls.__new__(cls)
-        index._init_from_maintainer(
-            DynamicRobustLayers.from_state(arrays, meta),
+        index._init(
+            LayeredSlab.from_arrays(arrays), meta["n_partitions"],
+            meta["appri_kwargs"], staleness=int(meta["staleness"]),
+            generation=int(meta["generation"]), tight=bool(meta["tight"]),
+        )
+        return index
+
+    @classmethod
+    def from_legacy_state(
+        cls, arrays: dict, meta: dict
+    ) -> "DynamicRobustIndex":
+        """Restore the ``(arrays, meta)`` of a file of the released
+        ``dynamic-robust`` or ``dynamic-layers`` kind (the snapshot
+        module's restorer for those restore-only tags).
+
+        Those files hold every row since the last build, deleted ones
+        included (``points``), an ``alive`` mask, and layers stored
+        before the deletion compensation (``raw_layers``): the live
+        layering is ``max(raw_layers - deletions, 1)`` on the alive
+        rows, packed here once.  ``dynamic-layers`` files carry no generation (0)
+        and are tight only when nothing was updated since their build.
+        """
+        points = np.asarray(arrays["points"], dtype=float)
+        raw = np.asarray(arrays["raw_layers"], dtype=np.int64)
+        alive = np.asarray(arrays["alive"], dtype=bool)
+        if raw.shape != (points.shape[0],) or alive.shape != raw.shape:
+            raise ValueError("state arrays disagree on the tuple count")
+        deletions = int(meta.get("deletions", 0))
+        staleness = deletions + int(meta.get("insertions", 0))
+        layers = np.maximum(raw - deletions, 1)[alive]
+        appri_kwargs = dict(meta.get("appri_kwargs", {}))
+        # Older files record build options that never changed the
+        # layers and that appri_layers no longer accepts.
+        for removed in ("counting", "matching", "chunk_size"):
+            appri_kwargs.pop(removed, None)
+        index = cls.__new__(cls)
+        index._init(
+            LayeredSlab.from_layers(points[alive], layers),
+            meta["n_partitions"], appri_kwargs, staleness=staleness,
             generation=int(meta.get("generation", 0)),
-            tight=bool(meta.get("tight", True)),
+            tight=bool(meta.get("tight", staleness == 0)),
         )
         return index
 
@@ -361,7 +408,7 @@ def _inserted(slab: LayeredSlab, point: np.ndarray, layer: int) -> LayeredSlab:
 def _deleted(slab: LayeredSlab, tid: int) -> LayeredSlab:
     """``slab`` without tuple ``tid``, every layer lowered by one.
 
-    That is :meth:`DynamicRobustLayers.delete`'s compensation: larger
+    That is the deletion rule of :mod:`repro.core.dynamic`: larger
     tids shift down by one and layers drop by one, floored at 1.  Layers
     1 and 2 merge, so only the new layer-1 run needs re-sorting by tid;
     every deeper run keeps its order.

@@ -1,6 +1,7 @@
-"""Reference per-level AppRI bound for one new tuple.
+"""References for dynamic maintenance: the per-level single-tuple
+bound and a list model of a layering under updates.
 
-This is the original formulation of
+:func:`reference_layer_for_new_tuple` is the original formulation of
 :func:`repro.core.dynamic.layer_for_new_tuple`, kept as the equivalence
 oracle for the subspace-bucketed single pass that replaced it: it
 stacks the tuple onto the relation and, for every complementary pair
@@ -9,12 +10,18 @@ system, builds each gamma level's transformed matrix
 subspace's (:func:`~repro.core.partitioning.subspace_transform`), then
 counts strict dominators of the tuple in that space.  On every input
 the two must return the same integer.
+
+:class:`LayeringModel` replays inserts, deletes and rebuilds on plain
+Python lists with the two soundness rules spelled out, so the dynamic
+index's patched serving slab can be checked against
+``LayeredSlab.from_layers`` of the model (:func:`assert_same_slab`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.appri import appri_layers
 from repro.core.matching import greedy_staircase_matching
 from repro.core.partitioning import (
     level_transform,
@@ -22,8 +29,15 @@ from repro.core.partitioning import (
     subspace_transform,
 )
 from repro.geometry.weights import gamma_levels
+from repro.indexes.robust import LayeredSlab
 
-__all__ = ["reference_layer_for_new_tuple"]
+__all__ = [
+    "LayeringModel",
+    "assert_same_slab",
+    "reference_layer_for_new_tuple",
+]
+
+SLAB_FIELDS = ("points", "layers", "order", "offsets", "slab")
 
 
 def reference_layer_for_new_tuple(
@@ -61,3 +75,68 @@ def reference_layer_for_new_tuple(
             greedy_staircase_matching(i_wedges[None, :], iii_wedges[None, :])[0]
         )
     return bound + 1
+
+
+class LayeringModel:
+    """A dynamic layering as two lists: rows and their 1-based layers.
+
+    * a fresh build (and :meth:`rebuild`) takes ``appri_layers``;
+    * an insert appends the row with its own bound
+      (:func:`reference_layer_for_new_tuple` against the current rows);
+    * a delete removes the row and lowers every other layer by one,
+      floored at 1.
+    """
+
+    def __init__(self, points, n_partitions: int, **appri_kwargs):
+        points = np.asarray(points, dtype=float)
+        self.width = points.shape[1]
+        self.n_partitions = n_partitions
+        self.appri_kwargs = appri_kwargs
+        self.rows = [row.copy() for row in points]
+        self.layers = []
+        self.rebuild()
+
+    @property
+    def points(self) -> np.ndarray:
+        """The rows as one ``(n, d)`` matrix."""
+        return np.array(self.rows, dtype=float).reshape(-1, self.width)
+
+    def insert(self, point) -> int:
+        """Append ``point`` on its own bound; returns its tid."""
+        point = np.asarray(point, dtype=float)
+        layer = reference_layer_for_new_tuple(
+            self.points, point, self.n_partitions
+        )
+        self.rows.append(point.copy())
+        self.layers.append(int(layer))
+        return len(self.rows) - 1
+
+    def delete(self, position: int) -> None:
+        """Drop row ``position``; every other layer drops by one."""
+        del self.rows[position]
+        del self.layers[position]
+        self.layers = [max(layer - 1, 1) for layer in self.layers]
+
+    def upsert(self, position: int, point) -> int:
+        """``delete(position)`` then ``insert(point)``."""
+        self.delete(position)
+        return self.insert(point)
+
+    def rebuild(self) -> None:
+        """Tight layers from a full AppRI build of the current rows."""
+        self.layers = appri_layers(
+            self.points, n_partitions=self.n_partitions, **self.appri_kwargs
+        ).tolist()
+
+    def slab(self) -> LayeredSlab:
+        """A from-scratch pack of the model."""
+        return LayeredSlab.from_layers(self.points, self.layers)
+
+
+def assert_same_slab(got: LayeredSlab, want: LayeredSlab) -> None:
+    """Field for field and dtype for dtype equality of two slabs."""
+    for name in SLAB_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b), name

@@ -1,4 +1,6 @@
-"""Tests for dynamic (insert/delete) maintenance of robust layers."""
+"""Tests for dynamic (insert/delete) maintenance of robust layers:
+the single-tuple bound and the two update rules as
+:class:`~repro.indexes.dynamic.DynamicRobustIndex` applies them."""
 
 import numpy as np
 import pytest
@@ -7,10 +9,11 @@ from hypothesis import strategies as st
 
 import repro.core.dynamic as dynamic_module
 from repro.core.appri import appri_layers
-from repro.core.dynamic import DynamicRobustLayers, layer_for_new_tuple
+from repro.core.dynamic import layer_for_new_tuple
 from repro.core.exact import exact_robust_layers
 from repro.core.index import violating_tids
 from repro.geometry.weights import gamma_levels
+from repro.indexes.dynamic import DynamicRobustIndex
 from repro.queries.ranking import LinearQuery
 
 from .dynamic_reference import reference_layer_for_new_tuple
@@ -139,8 +142,8 @@ class TestMatchesReference:
         every intermediate layering is identical."""
         rng = np.random.default_rng(7)
         data = rng.integers(0, 5, (40, 3)).astype(float)
-        fast = DynamicRobustLayers(data, n_partitions=4)
-        slow = DynamicRobustLayers(data, n_partitions=4)
+        fast = DynamicRobustIndex(data, n_partitions=4)
+        slow = DynamicRobustIndex(data, n_partitions=4)
         for step in range(60):
             if step % 4 == 3:
                 position = int(rng.integers(fast.size))
@@ -160,52 +163,53 @@ class TestMatchesReference:
                         reference_layer_for_new_tuple,
                     )
                     slow.insert(row)
-            assert fast.layers().tolist() == slow.layers().tolist()
+            assert fast.layers.tolist() == slow.layers.tolist()
+            assert np.array_equal(fast.points, slow.points)
 
 
 class TestDynamicIndex:
     def test_insert_keeps_soundness(self, rng):
         data = rng.random((40, 2))
-        idx = DynamicRobustLayers(data, n_partitions=5)
+        idx = DynamicRobustIndex(data, n_partitions=5)
         for i in range(10):
             idx.insert(rng.random(2))
         assert idx.size == 50
         assert idx.staleness == 10
-        assert_sound(idx.points, idx.layers(), seed=1)
+        assert_sound(idx.points, idx.layers, seed=1)
 
     def test_delete_keeps_soundness(self, rng):
         data = rng.random((40, 2))
-        idx = DynamicRobustLayers(data, n_partitions=5)
+        idx = DynamicRobustIndex(data, n_partitions=5)
         for _ in range(8):
             idx.delete(int(rng.integers(idx.size)))
         assert idx.size == 32
-        assert_sound(idx.points, idx.layers(), seed=2)
+        assert_sound(idx.points, idx.layers, seed=2)
 
     def test_mixed_workload_soundness(self, rng):
         data = rng.random((30, 3))
-        idx = DynamicRobustLayers(data, n_partitions=4)
+        idx = DynamicRobustIndex(data, n_partitions=4)
         for step in range(20):
             if step % 3 == 0 and idx.size > 5:
                 idx.delete(int(rng.integers(idx.size)))
             else:
                 idx.insert(rng.random(3))
-            assert_sound(idx.points, idx.layers(), seed=step, n_queries=3)
+            assert_sound(idx.points, idx.layers, seed=step, n_queries=3)
 
     def test_layers_never_below_one(self, rng):
         data = rng.random((10, 2))
-        idx = DynamicRobustLayers(data, n_partitions=3)
+        idx = DynamicRobustIndex(data, n_partitions=3)
         for _ in range(9):
             idx.delete(0)
-        assert idx.layers().min() >= 1
+        assert idx.layers.min() >= 1
 
     def test_rebuild_restores_tightness(self, rng):
         data = rng.random((40, 2))
-        idx = DynamicRobustLayers(data, n_partitions=5)
+        idx = DynamicRobustIndex(data, n_partitions=5)
         for _ in range(5):
             idx.delete(int(rng.integers(idx.size)))
-        loose = idx.layers()
-        idx.rebuild()
-        tight = idx.layers()
+        loose = idx.layers
+        assert idx.rebuild() is True
+        tight = idx.layers
         assert idx.staleness == 0
         assert tight.sum() >= loose.sum()  # rebuilt layers are deeper
         assert tight.tolist() == appri_layers(
@@ -213,7 +217,7 @@ class TestDynamicIndex:
         ).tolist()
 
     def test_delete_out_of_range(self, rng):
-        idx = DynamicRobustLayers(rng.random((5, 2)), n_partitions=2)
+        idx = DynamicRobustIndex(rng.random((5, 2)), n_partitions=2)
         with pytest.raises(IndexError):
             idx.delete(5)
 
@@ -221,12 +225,12 @@ class TestDynamicIndex:
     def test_non_finite_insert_is_rejected_without_state_change(
         self, rng, bad
     ):
-        idx = DynamicRobustLayers(rng.random((20, 3)), n_partitions=4)
+        idx = DynamicRobustIndex(rng.random((20, 3)), n_partitions=4)
         idx.insert(rng.random(3))
-        before = (idx.size, idx.staleness, idx.layers().tolist())
+        before = (idx.size, idx.staleness, idx.layers.tolist())
         with pytest.raises(ValueError, match="points must be finite"):
             idx.insert([bad, 0.5, 0.5])
-        assert (idx.size, idx.staleness, idx.layers().tolist()) == before
+        assert (idx.size, idx.staleness, idx.layers.tolist()) == before
         assert np.isfinite(idx.points).all()
         idx.rebuild()
         assert idx.staleness == 0
@@ -235,22 +239,22 @@ class TestDynamicIndex:
         """A tuple inserted after deletions must not get an inflated
         layer from the global deletion adjustment."""
         data = rng.random((30, 2))
-        idx = DynamicRobustLayers(data, n_partitions=4)
+        idx = DynamicRobustIndex(data, n_partitions=4)
         idx.delete(0)
         idx.delete(0)
         pos = idx.insert(np.array([-1.0, -1.0]))  # dominates everything
-        assert idx.layers()[pos] == 1
-        assert_sound(idx.points, idx.layers(), seed=9)
+        assert idx.layers[pos] == 1
+        assert_sound(idx.points, idx.layers, seed=9)
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=10, deadline=None)
     def test_property_random_update_streams(self, seed):
         rng = np.random.default_rng(seed)
-        idx = DynamicRobustLayers(rng.random((15, 2)), n_partitions=3)
+        idx = DynamicRobustIndex(rng.random((15, 2)), n_partitions=3)
         for _ in range(8):
             if rng.random() < 0.4 and idx.size > 3:
                 idx.delete(int(rng.integers(idx.size)))
             else:
                 idx.insert(rng.random(2))
         exact = exact_robust_layers(idx.points)
-        assert np.all(idx.layers() <= exact)
+        assert np.all(idx.layers <= exact)

@@ -2,12 +2,13 @@
 
 import dataclasses
 import os
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.appri import appri_layers
-from repro.core.dynamic import DynamicRobustLayers
 from repro.engine.catalog import Catalog
 from repro.engine.relation import Relation
 from repro.engine.snapshot import (
@@ -24,32 +25,82 @@ from repro.engine.snapshot import (
 from repro.engine import snapshot as snapshot_module
 from repro.indexes.dynamic import DynamicRobustIndex
 from repro.indexes.onion import OnionIndex, ShellIndex
-from repro.indexes.robust import ExactRobustIndex, RobustIndex
+from repro.indexes.robust import ExactRobustIndex, LayeredSlab, RobustIndex
 from repro.queries.ranking import LinearQuery
 from repro.queries.workload import simplex_workload
 
 
-def _save_with_edited_meta(monkeypatch, obj, path, edit):
-    """Save ``obj`` with its exported meta passed through ``edit``.
+#: Dynamic-index snapshots of the two restore-only kinds, written by
+#: the release before the dynamic index kept only its serving slab (see
+#: ``_LEGACY`` for what each holds).
+LEGACY_DIR = Path(__file__).parent / "legacy_snapshots"
 
-    Reproduces files written by earlier releases: same buffers, meta
-    keys as those releases wrote them.
+
+def _save_legacy(monkeypatch, kind, path, edit):
+    """Copy the checked-in ``kind`` file to ``path`` with its meta
+    passed through ``edit``.
+
+    Reproduces files written by earlier releases of a restore-only
+    kind: the same buffers, meta keys as those releases wrote them.
     """
-    kind = next(
-        k for k, cls in registered_kinds().items() if cls is type(obj)
+    source = LEGACY_DIR / f"{kind}.snap"
+    header = read_snapshot_header(source)
+    arrays = snapshot_module._load_buffers(
+        source, header, mmap=False, verify=True
     )
-    spec = snapshot_module._SPECS[kind]
+    meta = edit(dict(header["meta"]))
 
-    def export(target):
-        arrays, meta = spec.export(target)
-        return arrays, edit(dict(meta))
+    class Legacy:
+        pass
 
+    spec = dataclasses.replace(
+        snapshot_module._SPECS[kind], cls=Legacy,
+        export=lambda obj: (arrays, meta),
+    )
     with monkeypatch.context() as patch:
-        patch.setitem(
-            snapshot_module._SPECS, kind,
-            dataclasses.replace(spec, export=export),
-        )
-        save_snapshot(obj, path)
+        patch.setitem(snapshot_module._SPECS, kind, spec)
+        save_snapshot(Legacy(), path)
+
+
+#: What the release that wrote each ``LEGACY_DIR`` file held in memory
+#: when saving it: the live tuples (crc32 of their little-endian
+#: float64 bytes), their sound layers and the update state.  The
+#: ``dynamic-robust`` file came from ``DynamicRobustIndex(grid(40, 3),
+#: n_partitions=5, systems="families")`` after an insert, a delete, two
+#: upserts, two deletes and two inserts; the ``dynamic-layers`` file
+#: from the layer maintainer over ``grid(30, 2)`` with
+#: ``n_partitions=4`` after two inserts and two deletes (``grid`` is
+#: ``_grid`` below).  Both hold their deleted rows.
+_LEGACY = {
+    "dynamic-robust": {
+        "shape": (40, 3),
+        "points_crc32": 3850632195,
+        "layers": [
+            1, 4, 7, 11, 1, 3, 7, 10, 1, 3, 1, 2, 6, 10, 1, 2, 9, 1, 2, 1,
+            1, 5, 9, 1, 1, 5, 8, 1, 1, 1, 1, 4, 8, 1, 1, 4, 1, 1, 3, 1,
+        ],
+        "staleness": 10,
+        "generation": 10,
+        "tight": False,
+        "n_partitions": 5,
+        "appri_kwargs": {"systems": "families"},
+        "stored_rows": 45,
+    },
+    "dynamic-layers": {
+        "shape": (30, 2),
+        "points_crc32": 528499562,
+        "layers": [
+            2, 13, 5, 8, 11, 3, 6, 17, 9, 1, 4, 15, 7, 9, 1, 12, 4, 7, 1,
+            10, 2, 5, 16, 8, 1, 3, 14, 6, 1, 1,
+        ],
+        "staleness": 4,
+        "generation": 0,
+        "tight": False,
+        "n_partitions": 4,
+        "appri_kwargs": {},
+        "stored_rows": 32,
+    },
+}
 
 
 def _queryable_builders(rng):
@@ -103,35 +154,46 @@ class TestRoundTrip:
         ):
             assert list(a.tids) == list(b.tids)
 
-    def test_mmap_load_is_zero_copy(self, tmp_path, rng):
-        index = RobustIndex(rng.random((50, 3)), n_partitions=5)
-        path = tmp_path / "r.snap"
-        save_snapshot(index, path)
-        loaded = load_snapshot(path, mmap=True)
-        assert isinstance(loaded.layered.slab, np.memmap)
-        # points passes through LayeredSlab.from_arrays' asarray, which
-        # reclasses the memmap as a plain ndarray *view* — still
-        # zero-copy: it owns no data and maps the file read-only.
-        assert not loaded.points.flags["OWNDATA"]
-        assert not loaded.points.flags["WRITEABLE"]
-        assert isinstance(loaded.points.base, np.memmap)
+    def test_mmap_load_is_zero_copy(self, tmp_path, rng, monkeypatch):
+        data = rng.random((50, 3))
+        dynamic = DynamicRobustIndex(data, n_partitions=5)
+        dynamic.upsert_many([4], rng.random((1, 3)))
+        for index in (RobustIndex(data, n_partitions=5), dynamic):
+            path = tmp_path / f"{type(index).__name__}.snap"
+            save_snapshot(index, path)
+            # Adopting the buffers must not sort or pack anything.
+            with monkeypatch.context() as patch:
+                patch.delattr(LayeredSlab, "from_layers")
+                loaded = load_snapshot(path, mmap=True)
+            slab = (
+                loaded._view.slab if index is dynamic else loaded.layered
+            )
+            for name in ("layers", "order", "offsets", "slab"):
+                assert isinstance(getattr(slab, name), np.memmap), name
+            # points passes through LayeredSlab.from_arrays' asarray,
+            # which reclasses the memmap as a plain ndarray *view* —
+            # still zero-copy: it owns no data and maps the file
+            # read-only.
+            assert not loaded.points.flags["OWNDATA"]
+            assert not loaded.points.flags["WRITEABLE"]
+            assert isinstance(loaded.points.base, np.memmap)
 
     def test_maintainer_staleness_state_round_trips(self, tmp_path, rng):
-        layers = DynamicRobustLayers(rng.random((50, 3)), n_partitions=5)
-        for row in rng.random((4, 3)):
-            layers.insert(row)
-        layers.delete(2)
-        assert layers.staleness == 5
-        path = tmp_path / "m.snap"
-        save_snapshot(layers, path)
-        loaded = load_snapshot(path)
-        assert loaded.staleness == 5
-        assert np.array_equal(loaded.points, layers.points)
-        assert np.array_equal(loaded.layers(), layers.layers())
-        # The restored maintainer must stay mutable (alive mask is
-        # copied out of the read-only mapping).
+        # A layer maintainer's file (dead rows included) restores as a
+        # dynamic index that keeps its staleness and takes updates.
+        loaded = load_snapshot(LEGACY_DIR / "dynamic-layers.snap")
+        assert loaded.staleness == 4
+        assert loaded.size == 30
         loaded.delete(0)
+        loaded.insert(rng.random(2))
         assert loaded.staleness == 6
+        path = tmp_path / "m.snap"
+        save_snapshot(loaded, path)
+        assert read_snapshot_header(path)["kind"] == "dynamic-slab"
+        again = load_snapshot(path)
+        assert again.staleness == 6
+        assert np.array_equal(again.points, loaded.points)
+        assert np.array_equal(again.layers, loaded.layers)
 
     def test_dynamic_index_staleness_and_generation_round_trip(
         self, tmp_path, rng
@@ -149,16 +211,12 @@ class TestRoundTrip:
         assert loaded.staleness == 0
 
     def test_removed_build_options_are_dropped_on_restore(
-        self, tmp_path, rng, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         # Earlier releases recorded counting / matching / chunk_size in
         # appri_kwargs; none changed the layers and appri_layers no
         # longer accepts them, so a rebuild after restore must not pass
         # them on.
-        data = rng.random((50, 3))
-        index = DynamicRobustIndex(data, n_partitions=5, systems="families")
-        index.insert(rng.random(3))
-
         def old_writer(meta):
             meta["appri_kwargs"] = {
                 **meta["appri_kwargs"],
@@ -168,23 +226,20 @@ class TestRoundTrip:
             }
             return meta
 
-        path = tmp_path / "old.snap"
-        _save_with_edited_meta(monkeypatch, index, path, old_writer)
-        assert set(read_snapshot_header(path)["meta"]["appri_kwargs"]) == {
-            "systems", "counting", "matching", "chunk_size"
-        }
-        loaded = load_snapshot(path)
-        assert loaded._maintainer._appri_kwargs == {"systems": "families"}
-        assert loaded.rebuild() is True
-        fresh = appri_layers(
-            loaded.points, n_partitions=5, systems="families"
-        )
-        assert np.array_equal(loaded.layers, fresh)
-
-        arrays, meta = index._maintainer.export_state()
-        maintainer = DynamicRobustLayers.from_state(arrays, old_writer(meta))
-        maintainer.rebuild()
-        assert np.array_equal(maintainer.layers(), fresh)
+        for kind, expected in _LEGACY.items():
+            path = tmp_path / f"old-{kind}.snap"
+            _save_legacy(monkeypatch, kind, path, old_writer)
+            kept = expected["appri_kwargs"]
+            written = read_snapshot_header(path)["meta"]["appri_kwargs"]
+            removed = {"counting", "matching", "chunk_size"}
+            assert set(written) == {*kept, *removed}
+            loaded = load_snapshot(path)
+            assert loaded.export_state()[1]["appri_kwargs"] == kept
+            assert loaded.rebuild() is True
+            fresh = appri_layers(
+                loaded.points, n_partitions=expected["n_partitions"], **kept
+            )
+            assert np.array_equal(loaded.layers, fresh)
 
     def test_robust_parameters_survive(self, tmp_path, rng):
         index = RobustIndex(rng.random((40, 3)), n_partitions=7, workers=2)
@@ -213,6 +268,68 @@ class TestRoundTrip:
         header = read_snapshot_header(path)
         assert header["meta"]["table"] == "t"
         assert header["meta"]["note"] == 1
+
+
+class TestLegacyDynamicFiles:
+    """Files of the restore-only ``dynamic-robust`` / ``dynamic-layers``
+    kinds, as the earlier release wrote them."""
+
+    @pytest.mark.parametrize("kind", sorted(_LEGACY))
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_loads_the_state_that_was_saved(self, kind, mmap):
+        expected = _LEGACY[kind]
+        path = LEGACY_DIR / f"{kind}.snap"
+        header = read_snapshot_header(path)
+        assert header["kind"] == kind
+        assert header["buffers"][0]["shape"][0] == expected["stored_rows"]
+        loaded = load_snapshot(path, mmap=mmap)
+        assert type(loaded) is DynamicRobustIndex
+        points = np.ascontiguousarray(loaded.points, dtype="<f8")
+        assert points.shape == expected["shape"]
+        assert zlib.crc32(points.tobytes()) == expected["points_crc32"]
+        assert loaded.layers.tolist() == expected["layers"]
+        assert loaded.staleness == expected["staleness"]
+        assert loaded.generation == expected["generation"]
+        assert loaded.tight is expected["tight"]
+        info = loaded.build_info()
+        assert info["n_partitions"] == expected["n_partitions"]
+        assert info["n_layers"] == max(expected["layers"])
+        assert snapshot_info(path)["n_layers"] == max(expected["layers"])
+
+    @pytest.mark.parametrize("kind", sorted(_LEGACY))
+    def test_answers_equal_brute_force_through_updates(self, kind, rng):
+        loaded = load_snapshot(LEGACY_DIR / f"{kind}.snap")
+        d = loaded.dimensions
+        for step in range(3):
+            for k in (1, 5, loaded.size + 1):
+                for query in simplex_workload(d, 4, seed=step):
+                    assert np.array_equal(
+                        loaded.query(query, k).tids,
+                        query.top_k(loaded.points, k),
+                    )
+            loaded.upsert_many([2], rng.random((1, d)))
+
+    def test_layers_file_without_updates_is_tight(self, tmp_path, monkeypatch):
+        def no_updates(meta):
+            meta["deletions"] = meta["insertions"] = 0
+            return meta
+
+        path = tmp_path / "fresh.snap"
+        _save_legacy(monkeypatch, "dynamic-layers", path, no_updates)
+        loaded = load_snapshot(path)
+        assert loaded.tight is True
+        assert (loaded.staleness, loaded.generation) == (0, 0)
+
+    def test_mismatched_buffers_are_rejected(self, tmp_path, monkeypatch):
+        source = LEGACY_DIR / "dynamic-robust.snap"
+        arrays = snapshot_module._load_buffers(
+            source, read_snapshot_header(source), mmap=False, verify=True
+        )
+        arrays["alive"] = arrays["alive"][:-1]
+        with pytest.raises(ValueError, match="disagree"):
+            snapshot_module._SPECS["dynamic-robust"].restore(
+                arrays, read_snapshot_header(source)["meta"]
+            )
 
 
 class TestRejection:
@@ -331,8 +448,12 @@ class TestAtomicityAndInfo:
         assert kinds["exact-robust"] is ExactRobustIndex
         assert kinds["onion"] is OnionIndex
         assert kinds["shell"] is ShellIndex
-        assert kinds["dynamic-layers"] is DynamicRobustLayers
+        assert kinds["dynamic-slab"] is DynamicRobustIndex
+        # Released tags that only restore, as the dynamic index.
+        assert kinds["dynamic-layers"] is DynamicRobustIndex
         assert kinds["dynamic-robust"] is DynamicRobustIndex
+        for kind in ("dynamic-layers", "dynamic-robust"):
+            assert snapshot_module._SPECS[kind].export is None
 
     def test_snapshot_info_summarizes_header(self, tmp_path, rng):
         index = RobustIndex(rng.random((50, 3)), n_partitions=5)
@@ -350,17 +471,20 @@ class TestAtomicityAndInfo:
             "points", "layers", "order", "offsets", "slab"
         }
 
-    @pytest.mark.parametrize("cls", [DynamicRobustIndex, DynamicRobustLayers])
+    @pytest.mark.parametrize(
+        "writer", ["DynamicRobustIndex", "DynamicRobustLayers"]
+    )
     def test_snapshot_info_reports_dynamic_layers(
-        self, tmp_path, rng, monkeypatch, cls
+        self, tmp_path, rng, monkeypatch, writer
     ):
-        index = cls(rng.random((50, 3)), n_partitions=5)
-        index.insert(rng.random(3))
-        index.delete(0)
-        layers = index.layers() if cls is DynamicRobustLayers else index.layers
-        path = tmp_path / "d.snap"
-        save_snapshot(index, path)
-        assert snapshot_info(path)["n_layers"] == int(layers.max()) > 1
+        # Files of the kind the class named ``writer`` wrote carry the
+        # deepest live layer in their meta (they have no offsets).
+        kind = {"DynamicRobustIndex": "dynamic-robust",
+                "DynamicRobustLayers": "dynamic-layers"}[writer]
+        legacy = LEGACY_DIR / f"{kind}.snap"
+        expected = max(_LEGACY[kind]["layers"])
+        assert snapshot_info(legacy)["n_layers"] == expected > 1
+        assert int(load_snapshot(legacy).layers.max()) == expected
 
         # Files written before the key existed: unknown, not zero.
         def old_writer(meta):
@@ -368,8 +492,16 @@ class TestAtomicityAndInfo:
             return meta
 
         old = tmp_path / "old.snap"
-        _save_with_edited_meta(monkeypatch, index, old, old_writer)
+        _save_legacy(monkeypatch, kind, old, old_writer)
         assert snapshot_info(old)["n_layers"] is None
+
+        # Today's dynamic files read it off the slab's offsets.
+        index = DynamicRobustIndex(rng.random((50, 3)), n_partitions=5)
+        index.insert(rng.random(3))
+        index.delete(0)
+        path = tmp_path / "d.snap"
+        save_snapshot(index, path)
+        assert snapshot_info(path)["n_layers"] == int(index.layers.max()) > 1
 
     def test_magic_is_stable(self):
         assert MAGIC == b"RPSNAP01"
@@ -483,10 +615,15 @@ _GOLDEN_BUFFERS = {
         ("offsets", "<i8", (18,), 2124263190),
         ("slab", "<f8", (48, 3), 3964077109),
     ],
-    "dynamic-robust": [
-        ("points", "<f8", (41, 3), 163016107),
-        ("raw_layers", "<i8", (41,), 4187771820),
-        ("alive", "|b1", (41,), 3556922883),
+    # The earlier release served this index from these exact five
+    # arrays but saved "dynamic-robust" files (points, raw_layers,
+    # alive), which now only restore (TestLegacyDynamicFiles).
+    "dynamic-slab": [
+        ("points", "<f8", (40, 3), 2884897284),
+        ("layers", "<i8", (40,), 1322286882),
+        ("order", "<i8", (40,), 1911175936),
+        ("offsets", "<i8", (16,), 1885094016),
+        ("slab", "<f8", (40, 3), 2673039161),
     ],
 }
 

@@ -6,12 +6,14 @@ import threading
 import numpy as np
 import pytest
 
+import repro.core.dynamic as dynamic_module
 from repro.core.validate import audit_layering
 from repro.engine.snapshot import load_snapshot, save_snapshot
 from repro.indexes.dynamic import DynamicRobustIndex
-from repro.indexes.robust import LayeredSlab
 from repro.queries.ranking import LinearQuery
 from repro.queries.workload import simplex_workload
+
+from ..core.dynamic_reference import LayeringModel, assert_same_slab
 
 
 @pytest.fixture
@@ -121,15 +123,10 @@ class TestValidation:
 _FIELDS = ("points", "layers", "order", "offsets", "slab")
 
 
-def _assert_view_is_fresh_pack(index):
-    """The patched view equals a from-scratch sort of the maintainer."""
-    maintainer = index._maintainer
-    fresh = LayeredSlab.from_layers(maintainer.points, maintainer.layers())
-    view = index._view.slab
-    for name in _FIELDS:
-        got, want = getattr(view, name), getattr(fresh, name)
-        assert got.dtype == want.dtype, name
-        assert np.array_equal(got, want), name
+def _assert_view_is_fresh_pack(index, model):
+    """The patched view equals a from-scratch pack of the list model
+    that replayed the same updates."""
+    assert_same_slab(index._view.slab, model.slab())
 
 
 def _state(index):
@@ -148,36 +145,54 @@ def _assert_same_state(left, right):
 class TestPatchedView:
     def test_every_update_matches_a_fresh_pack(self, rng):
         # Ties on a coarse grid put many tuples on shared layers.
-        index = DynamicRobustIndex(np.round(rng.random((60, 3)), 1), 4)
+        data = np.round(rng.random((60, 3)), 1)
+        index = DynamicRobustIndex(data, 4)
+        model = LayeringModel(data, 4)
         for step in range(150):
             if index.size and rng.random() < 0.5:
-                index.delete(int(rng.integers(index.size)))
+                position = int(rng.integers(index.size))
+                index.delete(position)
+                model.delete(position)
             else:
-                index.insert(np.round(rng.random(3), 1))
-            _assert_view_is_fresh_pack(index)
+                row = np.round(rng.random(3), 1)
+                assert index.insert(row) == model.insert(row)
+            _assert_view_is_fresh_pack(index, model)
             if step % 50 == 49:
                 index.rebuild()
-                _assert_view_is_fresh_pack(index)
+                model.rebuild()
+                _assert_view_is_fresh_pack(index, model)
 
     def test_delete_to_empty_then_reinsert(self, rng):
-        index = DynamicRobustIndex(rng.random((5, 2)), n_partitions=3)
+        data = rng.random((5, 2))
+        index = DynamicRobustIndex(data, n_partitions=3)
+        model = LayeringModel(data, 3)
         while index.size:
             index.delete(index.size - 1)
-            _assert_view_is_fresh_pack(index)
+            model.delete(model.points.shape[0] - 1)
+            _assert_view_is_fresh_pack(index, model)
         assert index._view.slab.n_layers == 0
-        index.insert_many(rng.random((4, 2)))
-        _assert_view_is_fresh_pack(index)
+        rows = rng.random((4, 2))
+        index.insert_many(rows)
+        for row in rows:
+            model.insert(row)
+        _assert_view_is_fresh_pack(index, model)
         _assert_exact(index, k=3)
 
     def test_restored_index_keeps_patching(self, index, rng, tmp_path):
-        index.insert(rng.random(3))
+        model = LayeringModel(index.points, 5)
+        row = rng.random(3)
+        index.insert(row)
+        model.insert(row)
         index.delete(7)
+        model.delete(7)
         save_snapshot(index, tmp_path / "dyn.snap")
         restored = load_snapshot(tmp_path / "dyn.snap")  # memory-mapped
         rows = rng.random((2, 3))
         for target in (index, restored):
             target.upsert_many([3, 11], rows)
-        _assert_view_is_fresh_pack(restored)
+        model.upsert(3, rows[0])
+        model.upsert(11, rows[1])
+        _assert_view_is_fresh_pack(restored, model)
         _assert_same_state(_state(index), _state(restored))
 
 
@@ -187,28 +202,31 @@ class TestBatchedWrites:
         return (
             DynamicRobustIndex(data, n_partitions=5),
             DynamicRobustIndex(data, n_partitions=5),
+            LayeringModel(data, 5),
         )
 
     def test_insert_many_equals_single_inserts(self, rng):
-        batched, single = self._twins(rng)
+        batched, single, model = self._twins(rng)
         rows = rng.random((6, 3))
         tids = batched.insert_many(rows)
         assert tids.tolist() == [single.insert(row) for row in rows]
-        _assert_view_is_fresh_pack(batched)
+        assert tids.tolist() == [model.insert(row) for row in rows]
+        _assert_view_is_fresh_pack(batched, model)
         _assert_same_state(_state(batched), _state(single))
         assert batched.generation == single.generation == 6
 
     def test_delete_many_equals_single_deletes(self, rng):
-        batched, single = self._twins(rng)
+        batched, single, model = self._twins(rng)
         positions = [69, 0, 30, 30, 5]
         batched.delete_many(positions)
         for position in positions:
             single.delete(position)
-        _assert_view_is_fresh_pack(batched)
+            model.delete(position)
+        _assert_view_is_fresh_pack(batched, model)
         _assert_same_state(_state(batched), _state(single))
 
     def test_upsert_many_equals_single_calls(self, rng):
-        batched, single = self._twins(rng)
+        batched, single, model = self._twins(rng)
         positions = rng.integers(70, size=8)
         rows = rng.random((8, 3))
         tids = batched.upsert_many(positions, rows)
@@ -216,8 +234,9 @@ class TestBatchedWrites:
         for position, row in zip(positions, rows):
             single.delete(int(position))
             expected.append(single.insert(row))
+            assert model.upsert(int(position), row) == expected[-1]
         assert tids.tolist() == expected
-        _assert_view_is_fresh_pack(batched)
+        _assert_view_is_fresh_pack(batched, model)
         _assert_same_state(_state(batched), _state(single))
         assert batched.staleness == 16
         _assert_exact(batched)
@@ -254,6 +273,44 @@ class TestBatchedWrites:
         assert index._view is view
         _assert_same_state(_state(index), before)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ix, rows: ix.insert_many(rows),
+            lambda ix, rows: ix.upsert_many([4, 9, 2], rows),
+        ],
+        ids=["insert_many", "upsert_many"],
+    )
+    def test_a_batch_failing_midway_changes_nothing(
+        self, index, rng, monkeypatch, call
+    ):
+        index.upsert_many([0], rng.random((1, 3)))
+        before = (
+            np.array(index.points), np.array(index.layers),
+            index.staleness, index.generation, _state(index),
+        )
+        view = index._view
+        bound = dynamic_module.layer_for_new_tuple
+        calls = []
+
+        def fail_on_second_row(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("injected bound failure")
+            return bound(*args)
+
+        monkeypatch.setattr(
+            dynamic_module, "layer_for_new_tuple", fail_on_second_row
+        )
+        with pytest.raises(RuntimeError, match="injected"):
+            call(index, rng.random((3, 3)))
+        assert len(calls) == 2
+        assert index._view is view
+        assert np.array_equal(index.points, before[0])
+        assert np.array_equal(index.layers, before[1])
+        assert (index.staleness, index.generation) == before[2:4]
+        _assert_same_state(_state(index), before[4])
+
 
 class TestReadOnlyView:
     @pytest.mark.parametrize("name", _FIELDS)
@@ -276,7 +333,7 @@ class TestReadOnlyView:
         assert generation == index.generation
         layers = index.tight_layers(points)
         assert index.commit_rebuild(points, layers, generation)
-        _assert_view_is_fresh_pack(index)
+        _assert_view_is_fresh_pack(index, LayeringModel(points, 5))
         assert index.tight and index.staleness == 0
 
 
@@ -285,7 +342,9 @@ class TestReadersDuringWrites:
         """More readers than cores grab slabs while a writer streams
         single and batched updates: a held slab never changes, and its
         prefix answer equals brute force over its own points."""
-        index = DynamicRobustIndex(rng.random((120, 3)), n_partitions=5)
+        data = rng.random((120, 3))
+        index = DynamicRobustIndex(data, n_partitions=5)
+        model = LayeringModel(data, 5)
         query = LinearQuery([1.0, 2.0, 3.0])
         errors = []
         stop = threading.Event()
@@ -313,11 +372,17 @@ class TestReadersDuringWrites:
                 thread.start()
             writes = np.random.default_rng(9)
             for _ in range(40):
-                index.upsert_many(
-                    writes.integers(index.size, size=3), writes.random((3, 3))
-                )
-                index.delete(int(writes.integers(index.size)))
-                index.insert(writes.random(3))
+                positions = writes.integers(index.size, size=3)
+                rows = writes.random((3, 3))
+                index.upsert_many(positions, rows)
+                position = int(writes.integers(index.size))
+                index.delete(position)
+                row = writes.random(3)
+                index.insert(row)
+                for p, r in zip(positions, rows):
+                    model.upsert(int(p), r)
+                model.delete(position)
+                model.insert(row)
         finally:
             stop.set()
             for thread in readers:
@@ -325,4 +390,4 @@ class TestReadersDuringWrites:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in readers)
         assert errors == []
-        _assert_view_is_fresh_pack(index)
+        _assert_view_is_fresh_pack(index, model)

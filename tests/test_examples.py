@@ -1,6 +1,6 @@
 """Smoke tests for the runnable examples.
 
-The two fastest examples run end-to-end in a subprocess; the rest are
+The fastest examples run end-to-end in a subprocess; the rest are
 compile-checked so a refactor cannot silently break them (the full
 scripts run in the benchmark stage of CI, not here).
 """
@@ -32,7 +32,9 @@ def test_examples_compile(path):
     py_compile.compile(str(path), doraise=True)
 
 
-@pytest.mark.parametrize("name", ["quickstart.py", "house_search.py"])
+@pytest.mark.parametrize(
+    "name", ["quickstart.py", "house_search.py", "dynamic_updates.py"]
+)
 def test_example_runs(name):
     completed = subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / name)],
