@@ -35,6 +35,15 @@ Q-query monotone top-k workload against one robust index:
 ``loop_mixed_k``
     That per-row ``index.query(q, k_q)`` check loop, timed: the
     single-query path over the mixed-k workload, with p50/p99.
+``sql``
+    The statement path on the same index: ``SQL_BATCHES`` batches of
+    ``SQL_BATCH`` ranked SQL statements (``SELECT TOP k FROM items
+    USING INDEX appri ORDER BY ...``, k from ``MIXED_KS``), answered by
+    ``TopKExecutor.execute_many`` on the text (``text``), on the same
+    statements parsed beforehand (``parsed``) and, for the kernel it
+    feeds, ``index.query_batch`` on their weights and ks
+    (``query_batch``).  Reported as statements/s; every answer must
+    equal brute force and the three paths must agree (asserted).
 
 The first four must return identical tids for every query, and
 ``index.query`` must equal the full-lexsort ``loop_seed`` ranking for
@@ -78,6 +87,8 @@ N_QUERIES = 256
 K = 20
 MIXED_KS = (10, 20, 50, 100)
 SEED = 0
+SQL_BATCH = 64
+SQL_BATCHES = 32
 
 
 def _percentile_ms(latencies: list[float], pct: float) -> float:
@@ -260,6 +271,7 @@ def bench_config(
         ),
         "exact": exact,
     }
+    record["sql"] = bench_sql(index)
     record["loop"]["speedup_vs_seed_loop"] = round(
         seed_seconds / loop_seconds, 2
     )
@@ -276,6 +288,77 @@ def bench_config(
         loop_seconds / cache_seconds, 2
     )
     return record
+
+
+def bench_sql(index) -> dict:
+    """Statements/s through ``execute_many`` (text and pre-parsed) and
+    ``query_batch`` alone, on the same batches (see the module
+    docstring); asserts every answer equals brute force."""
+    from repro.engine.catalog import Catalog
+    from repro.engine.executor import TopKExecutor
+    from repro.engine.relation import Relation
+    from repro.engine.sql import parse
+    from repro.queries.ranking import LinearQuery
+
+    n, d = index.points.shape
+    names = [f"a{j}" for j in range(d)]
+    catalog = Catalog()
+    catalog.create_table(Relation.from_matrix("items", names, index.points))
+    catalog.attach_index("items", "appri", index)
+    executor = TopKExecutor(catalog)
+    rng = np.random.default_rng(SEED + 3)
+    count = SQL_BATCH * SQL_BATCHES
+    # Six decimals, as a client would print them; the weights are read
+    # back from the text so every path ranks with the same floats.
+    weights = np.array(
+        [[float(f"{w:.6f}") for w in row]
+         for row in np.clip(rng.dirichlet(np.ones(d), size=count), 1e-6, None)]
+    )
+    ks = rng.choice(MIXED_KS, size=count)
+    texts = [
+        f"SELECT TOP {k} FROM items USING INDEX appri ORDER BY "
+        + " + ".join(f"{w:.6f}*{name}" for w, name in zip(row, names))
+        for row, k in zip(weights.tolist(), ks.tolist())
+    ]
+    cuts = range(0, count, SQL_BATCH)
+    text_batches = [texts[i:i + SQL_BATCH] for i in cuts]
+    parsed_batches = [[parse(t) for t in batch] for batch in text_batches]
+    weight_batches = [weights[i:i + SQL_BATCH] for i in cuts]
+    k_batches = [ks[i:i + SQL_BATCH] for i in cuts]
+
+    def best_of_three(fn, batches, *more):
+        seconds, answers = float("inf"), None
+        for _ in range(3):
+            started = time.perf_counter()
+            out = [fn(*args) for args in zip(batches, *more)]
+            seconds = min(seconds, time.perf_counter() - started)
+            answers = [a.tids.tolist() for batch in out for a in batch]
+        return seconds, answers
+
+    text_s, text_tids = best_of_three(executor.execute_many, text_batches)
+    parsed_s, parsed_tids = best_of_three(
+        executor.execute_many, parsed_batches
+    )
+    kernel_s, kernel_tids = best_of_three(
+        index.query_batch, weight_batches, k_batches
+    )
+    for j in range(count):
+        expected = LinearQuery(weights[j]).top_k(index.points, int(ks[j]))
+        if not (
+            text_tids[j] == parsed_tids[j] == kernel_tids[j]
+            == expected.tolist()
+        ):
+            raise AssertionError(
+                f"n={n} d={d}: statement {texts[j]!r} answered "
+                "differently from brute force"
+            )
+    return {
+        "batch": SQL_BATCH,
+        "statements": count,
+        "text": _rates(text_s, None, count),
+        "parsed": _rates(parsed_s, None, count),
+        "query_batch": _rates(kernel_s, None, count),
+    }
 
 
 def render(records: list[dict]) -> str:
@@ -303,6 +386,20 @@ def render(records: list[dict]) -> str:
             f"{r['cache_warm']['speedup_vs_seed_loop']:>7.1f}x | "
             f"{r['mixed_k']['qps']:>11,.0f} {r['per_k']['qps']:>9,.0f} "
             f"{r['loop_mixed_k']['qps']:>11,.0f}"
+        )
+    lines += [
+        "",
+        f"ranked SQL — statements/s in execute_many batches of {SQL_BATCH}",
+        "(text: execute_many on SQL text; parsed: on the same statements",
+        " parsed beforehand; query_batch: the index alone on their weights)",
+        "",
+        f"{'n':>7} {'d':>3} | {'text':>9} {'parsed':>9} {'query_batch':>11}",
+    ]
+    for r in records:
+        sql = r["sql"]
+        lines.append(
+            f"{r['n']:>7} {r['d']:>3} | {sql['text']['qps']:>9,.0f} "
+            f"{sql['parsed']['qps']:>9,.0f} {sql['query_batch']['qps']:>11,.0f}"
         )
     return "\n".join(lines)
 

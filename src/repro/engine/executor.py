@@ -35,13 +35,62 @@ from .sql import ParsedQuery, parse
 
 __all__ = ["ExecutionResult", "TopKExecutor", "materialize_layers"]
 
+_new_result = object.__new__
+
+
+class _LazyRows:
+    """``ExecutionResult.rows``: a field whose value may be gathered on
+    first read.
+
+    A result built by :meth:`TopKExecutor.execute_many`'s batch path
+    holds ``(gather, j)`` instead of a :class:`Relation`: the first read
+    of any such result gathers every answer of its batch at once (one
+    gather per column) and each result keeps its own slice.  A data
+    descriptor, so the frozen dataclass's ``__init__`` (and therefore
+    :func:`dataclasses.replace`) store through it like any field.
+    """
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            raise AttributeError("rows")  # the field has no default
+        rows = result.__dict__["_rows"]
+        if type(rows) is tuple:
+            gather, j = rows
+            rows = result.__dict__["_rows"] = gather.rows(j)
+        return rows
+
+    def __set__(self, result, rows) -> None:
+        result.__dict__["_rows"] = rows
+
+
+class _Gather:
+    """The rows of one batch's answers, gathered together on demand."""
+
+    __slots__ = ("relation", "tids", "gathered")
+
+    def __init__(self, relation: Relation, tids: list):
+        self.relation = relation
+        self.tids = tids
+        self.gathered = None
+
+    def rows(self, j: int) -> Relation:
+        """Answer ``j``'s rows (gathering the whole batch on the first
+        call)."""
+        if self.gathered is None:
+            self.gathered = self.relation.take_many(self.tids)
+        return self.gathered[j]
+
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    """Answer plus the cost accounting the experiments report."""
+    """Answer plus the cost accounting the experiments report.
+
+    ``rows`` are the answer's rows in rank order; results of a batched
+    :meth:`TopKExecutor.execute_many` group gather them on first read.
+    """
 
     tids: np.ndarray
-    rows: Relation
+    rows: Relation = _LazyRows()
     retrieved: int
     blocks_read: int
     plan: str
@@ -218,13 +267,15 @@ class TopKExecutor:
         INDEX`` hint or, resolved once per ``(table, k)`` per call,
         the planner — are grouped by (table, index), whatever their k.
         Each group is answered with array operations: one ``(m, d)``
-        weight matrix built from the ``ORDER BY`` dicts, one vectorized
-        validity check, one key normalization shared by the batched
-        result-cache probe and store, one ``query_batch`` call for the
-        misses, handed the weight matrix and the per-row k (for a
-        layered index, one GEMM per distinct k through
-        :meth:`~repro.indexes.robust.LayeredSlab.query_batch`), and one
-        gather per column for every answer's rows.
+        weight matrix (one scatter of the ``ORDER BY`` values per
+        attribute tuple), one vectorized validity check, one key
+        normalization shared by the batched result-cache probe and
+        store, one ``query_batch`` call for the misses, handed the
+        weight matrix and the per-row k (for a layered index, one GEMM
+        per distinct k through
+        :meth:`~repro.indexes.robust.LayeredSlab.query_batch`), and, on
+        the first read of any answer's ``rows``, one gather per column
+        for the whole group.
         Everything else — ``EXPLAIN``, ``layer <=``
         predicates, planner scans, and group rows with negative, zero,
         non-finite or non-indexed weights — goes through
@@ -263,30 +314,38 @@ class TopKExecutor:
         """``(m, d)`` index weights for ``queries`` plus a mask of the
         rows a monotone index can serve.
 
-        A row is servable when every attribute it ranks is indexed and
-        its weights are finite, non-negative and not all zero.
+        Statements ranking the same attributes in the same order (one
+        statement shape) share one tuple of column slots, so each such
+        run of rows is one scatter of their ``ORDER BY`` values.  A row
+        is servable when every attribute it ranks is indexed and its
+        weights are finite, non-negative and not all zero.
         """
         position = _index_columns(relation)
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        unmapped: list[int] = []
+        m, d = len(queries), len(position)
+        # Attribute tuple -> [rows, values]; one entry per shape.
+        shapes: dict[tuple, list] = {}
         for r, query in enumerate(queries):
-            try:
-                cols.extend([position[name] for name in query.order_by])
-            except KeyError:
-                unmapped.append(r)
-                continue
-            rows.extend([r] * len(query.order_by))
-            vals.extend(query.order_by.values())
-        weights = np.zeros((len(queries), len(position)))
-        weights[rows, cols] = vals
-        servable = (
-            np.isfinite(weights).all(axis=1)
-            & (weights >= 0).all(axis=1)
-            & (weights != 0).any(axis=1)
+            order_by = query.order_by
+            names = tuple(order_by)
+            entry = shapes.get(names)
+            if entry is None:
+                entry = shapes[names] = [[], []]
+            entry[0].append(r)
+            entry[1] += order_by.values()
+        servable = np.ones(m, dtype=bool)
+        weights = np.zeros((m, d))
+        for names, (rows, values) in shapes.items():
+            if not all(name in position for name in names):
+                servable[rows] = False
+            elif names:
+                columns = [position[name] for name in names]
+                weights[np.array(rows)[:, None], columns] = np.array(
+                    values, dtype=float
+                ).reshape(len(rows), len(names))
+        servable &= (
+            ((weights >= 0) & (weights < np.inf)).all(axis=1)
+            & weights.any(axis=1)
         )
-        servable[unmapped] = False
         return weights, servable
 
     def _execute_index_batch(
@@ -309,18 +368,20 @@ class TopKExecutor:
         if not members:
             return
         m = len(members)
+        cache = self.cache
         local = obs.Metrics()
         with obs.collect(local):
             started = time.perf_counter()
             # Per row: tids (None until answered), tuples read, layers
             # scanned.  Cache hits read nothing.
-            if self.cache is not None:
+            if cache is not None:
                 scope = self._cache_scope(table, index_name)
                 keys = canonical_weight_keys(weights)
-                tids = self.cache.lookup_keys(scope, keys, ks)
+                tids = cache.lookup_keys(scope, keys, ks)
+                misses = [j for j, hit in enumerate(tids) if hit is None]
             else:
                 tids = [None] * m
-            misses = [j for j, hit in enumerate(tids) if hit is None]
+                misses = list(range(m))
             retrieved = [0] * m
             layers = [0] * m
             if misses:
@@ -329,12 +390,12 @@ class TopKExecutor:
                     tids[j] = answer.tids
                     retrieved[j] = answer.retrieved
                     layers[j] = answer.layers_scanned
-                if self.cache is not None:
-                    self.cache.store_keys(
+                if cache is not None:
+                    cache.store_keys(
                         scope,
                         [keys[j] for j in misses],
                         ks[misses],
-                        [a.tids for a in answers],
+                        [tids[j] for j in misses],
                     )
             blocks = [self._blocks(r) for r in retrieved]
             local.add_time("query.index", time.perf_counter() - started)
@@ -345,19 +406,26 @@ class TopKExecutor:
         self.metrics.merge(local)
         snapshot = local.as_dict()
         plan = f"index({index_name})"
-        missed_rows = set(misses)
-        rows = relation.take_many(tids)
+        gather = _Gather(relation, tids)
+        if cache is not None:
+            state = ["hit"] * m
+            for j in misses:
+                state[j] = "miss"
+        new = _new_result
         for j, i in enumerate(members):
             extra = {
                 "layers_scanned": layers[j],
                 "metrics": snapshot,
                 "batch_size": m,
             }
-            if self.cache is not None:
-                extra["cache"] = "miss" if j in missed_rows else "hit"
-            results[i] = ExecutionResult(
+            if cache is not None:
+                extra["cache"] = state[j]
+            # ExecutionResult's fields without its frozen __init__;
+            # rows stay pending until read (see _LazyRows).
+            result = results[i] = new(ExecutionResult)
+            result.__dict__.update(
                 tids=tids[j],
-                rows=rows[j],
+                _rows=(gather, j),
                 retrieved=retrieved[j],
                 blocks_read=blocks[j],
                 plan=plan,

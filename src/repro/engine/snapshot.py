@@ -47,9 +47,10 @@ snapshot — never a torn one.
 Zero-copy warm start
 --------------------
 
-With ``mmap=True`` (the default) every buffer — including the
-layer-packed query slab — is an :class:`numpy.memmap` view of the
-file, opened read-only.  Nothing is materialized up front; the first
+With ``mmap=True`` (the default) the file is mapped once, read-only,
+and every buffer — including the layer-packed query slab — is a typed
+:class:`numpy.memmap` view of its slice (one mapping per file, not
+one per buffer).  Nothing is materialized up front; the first
 query faults in exactly the slab prefix it scans.  Restorers bypass
 ``__init__`` (no rebuild, no re-sort, no slab re-pack), which is what
 makes warm start O(header) instead of O(build): the layered kinds'
@@ -326,13 +327,17 @@ def _load_buffers(path: Path, header: dict, mmap: bool, verify: bool) -> dict:
             f"({actual} bytes on disk, {header['file_size']} recorded)"
         )
     arrays: dict[str, np.ndarray] = {}
+    # One read-only mapping of the whole file; every buffer is a typed
+    # view of its slice (offsets are 64-byte aligned).
+    mapped = np.memmap(path, dtype=np.uint8, mode="r") if mmap else None
     for desc in header["buffers"]:
         dtype = np.dtype(desc["dtype"])
         shape = tuple(desc["shape"])
         offset = data_start + int(desc["offset"])
         if mmap:
-            array = np.memmap(
-                path, dtype=dtype, mode="r", offset=offset, shape=shape
+            nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+            array = (
+                mapped[offset:offset + nbytes].view(dtype).reshape(shape)
             )
         else:
             with open(path, "rb") as fh:

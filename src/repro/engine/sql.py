@@ -19,15 +19,40 @@ instead of the rows.
 where the linear expression is a ``+``/``-`` combination of optionally
 scaled attributes, e.g. ``2*price + distance - 0.5*age``.
 
-Parsing is one compiled regex over the whole clause skeleton plus one
-``findall`` over the expression's terms — no per-token Python.  Keywords
-are case-insensitive, ``3 a`` means ``3*a``, and repeated attributes
-add up.  A rejected statement is scanned once more to report its first
+Keywords are case-insensitive, ``3 a`` means ``3*a``, and repeated
+attributes add up.
+
+Parsing is by statement *shape*.  One regex split cuts a statement at
+its numeric literals: every maximal run of ASCII digits that is not
+part of an identifier (``a0`` and ``TOP5`` keep theirs).  The text
+between the runs is the shape; it keeps every dot, so each literal's
+lexical class (``5``, ``5.``, ``5.5``, ``.5``) is part of it and
+``TOP 5.5`` never shares a shape with ``TOP 5``.  A bounded,
+thread-safe table (an LRU of 1024 shapes) maps a shape to its
+template: the table, hint and ``EXPLAIN`` flag, the terms in order,
+and a regex of the shape's text with one group per literal.  A
+statement fullmatches that regex exactly when it has the shape, so the
+template of the previous statement is tried first and a stream of
+one shape skips the split and the table.  The literals fill in ``k``,
+the layer bound and the weights with the full parse's ``int`` /
+``float`` conversions and its term-order accumulation
+(``weights.get(a, 0.0) + sign * coefficient``), so the two give equal
+:class:`ParsedQuery` values bit for bit — ``-0*a`` and repeated
+attributes included.
+
+A new shape is parsed in full once: one compiled regex over the whole
+clause skeleton plus one ``findall`` over the expression's terms, run
+on the shape with every digit run set to ``1``.  Which statements
+match, and where their literals sit, depends only on the shape, so
+that parse yields the template.  A shape that does not parse gets no
+template; its statements always take the full parse, which raises the
+error: a rejected statement is scanned once more to report its first
 stray character (``unexpected character ... at position N``).
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -130,17 +155,8 @@ def _reject(text: str) -> SqlError:
     return SqlError(f"malformed statement {text!r}; expected {_SHAPE}")
 
 
-def parse(statement: str) -> ParsedQuery:
-    """Parse one ranked top-k statement.
-
-    Examples
-    --------
-    >>> q = parse("SELECT TOP 5 FROM houses ORDER BY 2*price + distance")
-    >>> q.k, q.table, sorted(q.order_by.items())
-    (5, 'houses', [('distance', 1.0), ('price', 2.0)])
-    >>> parse("SELECT TOP 3 FROM d WHERE layer <= 3 ORDER BY a").layer_bound
-    3
-    """
+def _parse_text(statement: str) -> ParsedQuery:
+    """The full regex parse of one statement (raises :class:`SqlError`)."""
     match = _STATEMENT_RE.fullmatch(statement)
     if match is None:
         raise _reject(statement)
@@ -158,3 +174,137 @@ def parse(statement: str) -> ParsedQuery:
         layer_bound=None if bound is None else int(bound),
         explain=match["explain"] is not None,
     )
+
+
+#: A statement's numeric literals: maximal ASCII digit runs not preceded
+#: by an identifier character (a run after one is part of that
+#: identifier, or of the run).  ``split`` interleaves the shape's text
+#: pieces (even positions) with the runs (odd positions).  The pattern
+#: opens with the digit, not the look-behind, so the engine can skip
+#: straight to candidate digits.
+_DIGITS_RE = re.compile(r"([0-9](?<=(?<![A-Za-z_0-9])[0-9])[0-9]*)")
+
+#: Shapes the template table keeps (least recently used out).
+_TEMPLATES = 1024
+
+#: A literal's pattern in a template regex, by its spelling in the
+#: shape's canonical text (every digit run set to ``1``).
+_LITERAL = {
+    "1": r"([0-9]+)",
+    "1.": r"([0-9]+\.)",
+    ".1": r"(\.[0-9]+)",
+    "1.1": r"([0-9]+\.[0-9]+)",
+}
+
+
+@functools.lru_cache(maxsize=_TEMPLATES)
+def _template(shape: tuple[str, ...]):
+    """The template of a statement shape, or ``None`` when statements
+    of that shape do not parse (or hold a literal the shape cannot
+    rebuild, such as one with a non-ASCII digit).
+
+    A template is ``(regex, k, bound, table, index_hint, explain,
+    terms)``.  ``regex`` is the shape's text with each literal a
+    group of its spelling, so a statement fullmatches it exactly when
+    it has this shape; ``k`` and ``bound`` index its groups (``bound``
+    is ``None`` without a layer predicate) and each term is
+    ``(attribute, sign, group)`` (``group`` is ``None`` for an
+    unscaled attribute).
+    """
+    text = "1".join(shape)
+    match = _STATEMENT_RE.fullmatch(text)
+    if match is None:
+        return None
+    spans = [match.span("k")]
+    if match["bound"] is not None:
+        spans.append(match.span("bound"))
+    base = match.start("expr")
+    terms = []
+    for term in _TERM_RE.finditer(match["expr"]):
+        group = None
+        if term[2]:
+            group = len(spans)
+            spans.append((base + term.start(2), base + term.end(2)))
+        terms.append((term[3], -1.0 if term[1] == "-" else 1.0, group))
+    order = sorted(range(len(spans)), key=spans.__getitem__)
+    pieces = []
+    end = 0
+    for i in order:
+        start, stop = spans[i]
+        pattern = _LITERAL.get(text[start:stop])
+        if pattern is None:
+            return None
+        pieces += [re.escape(text[end:start]), pattern]
+        end = stop
+    pieces.append(re.escape(text[end:]))
+    if "".join(text[a:b] for a, b in spans).count("1") != len(shape) - 1:
+        return None  # a digit run outside every literal
+    # Groups number the literals in text order.
+    group_of = {i: g for g, i in enumerate(order)}
+    return (
+        re.compile("".join(pieces)),
+        group_of[0],
+        group_of[1] if match["bound"] is not None else None,
+        match["table"],
+        match["index"],
+        match["explain"] is not None,
+        tuple(
+            (attribute, sign, None if group is None else group_of[group])
+            for attribute, sign, group in terms
+        ),
+    )
+
+
+#: The template of the last statement parsed: a statement of the same
+#: shape fullmatches its regex and skips the split and the table.
+#: Threads may overwrite each other's; a stale one costs one failed
+#: match.
+_last_template = None
+
+_new_query = object.__new__
+
+
+def parse(statement: str) -> ParsedQuery:
+    """Parse one ranked top-k statement.
+
+    A statement of a shape seen before is filled into that shape's
+    cached template; the result equals the full parse's (see the
+    module docstring).
+
+    Examples
+    --------
+    >>> q = parse("SELECT TOP 5 FROM houses ORDER BY 2*price + distance")
+    >>> q.k, q.table, sorted(q.order_by.items())
+    (5, 'houses', [('distance', 1.0), ('price', 2.0)])
+    >>> parse("SELECT TOP 3 FROM d WHERE layer <= 3 ORDER BY a").layer_bound
+    3
+    """
+    global _last_template
+    template = _last_template
+    match = None if template is None else template[0].fullmatch(statement)
+    if match is None:
+        template = _template(tuple(_DIGITS_RE.split(statement)[0::2]))
+        if template is None:
+            return _parse_text(statement)
+        match = template[0].fullmatch(statement)
+        _last_template = template
+    _, k, bound, table, index_hint, explain, terms = template
+    literals = match.groups()
+    weights: dict[str, float] = {}
+    for attribute, sign, group in terms:
+        coefficient = 1.0 if group is None else float(literals[group])
+        weights[attribute] = weights.get(attribute, 0.0) + sign * coefficient
+    # The fields __init__ would set, without its per-field
+    # object.__setattr__ (a frozen dataclass's __init__ costs about as
+    # much as the rest of this fill).
+    query = _new_query(ParsedQuery)
+    query.__dict__.update(
+        k=int(literals[k]),
+        table=table,
+        order_by=weights,
+        index_hint=index_hint,
+        layer_bound=None if bound is None else int(literals[bound]),
+        explain=explain,
+        extra={},
+    )
+    return query

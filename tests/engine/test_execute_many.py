@@ -1,5 +1,7 @@
 """Batched execution: execute_many == per-statement execution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -368,3 +370,158 @@ class TestErrorParity:
             executor.execute(statement)
         with pytest.raises(ValueError, match=message):
             executor.execute_many([statement])
+
+
+#: One statement of each kind ``execute_many`` routes, on the
+#: ``two_tables`` catalog (120 rows).  Every index-plan statement ranks
+#: its own direction, so no two share a result-cache entry (answers then
+#: do not depend on whether a batch looks up before it stores).
+MIXED_STREAM = [
+    HINT.format(k=6, expr="x + 2*y + z"),
+    HINT.format(k=0, expr="3*x + y"),  # k = 0
+    HINT.format(k=500, expr="y + 4*z"),  # k > n
+    HINT.format(k=9, expr="0*x + y"),  # a zero weight
+    "SELECT TOP 8 FROM t ORDER BY x + 3*z",  # planner -> index
+    "SELECT TOP 130 FROM t ORDER BY 2*x + 5*y",  # planner at k > n
+    "SELECT TOP 8 FROM t ORDER BY x - y",  # negative weight: scan
+    "SELECT TOP 4 FROM t ORDER BY -0*x + y + 2*z",  # -0*x is servable
+    "EXPLAIN SELECT TOP 5 FROM t ORDER BY x + y",
+    "SELECT TOP 10 FROM u WHERE layer <= 10 ORDER BY x + y",
+    "SELECT TOP 7 FROM u ORDER BY x + y + z",  # planner -> layer-prefix
+    "SELECT TOP 7 FROM u ORDER BY 2*x - z",  # scan with a layer column
+]
+
+#: Statements no plan can serve; each must raise in ``execute_many``
+#: exactly what it raises alone.
+FAILING = [
+    HINT.format(k=5, expr="x + nope"),  # unknown attribute
+    "SELECT TOP 5 FROM t ORDER BY nope",
+    HINT.format(k=5, expr="0*x"),  # all-zero weights
+    "SELECT TOP 5 FROM t ORDER BY 0*x + 0*y",
+    HINT.format(k=5, expr="x - y"),  # hinted negative weights
+    HINT.format(k=5, expr="1" + "0" * 400 + "*x + y"),  # infinite weight
+    "SELECT TOP 5 FROM t ORDER BY " + "1" + "0" * 400 + "*x",
+    "SELECT TOP 5 FROM u USING INDEX ri ORDER BY x + layer",
+    "SELECT TOP 5 FROM nowhere ORDER BY x",
+]
+
+
+def _columns(relation):
+    return {
+        name: relation.column(name).tolist()
+        for name in relation.schema.names
+    }
+
+
+def _same_result(batched, single, statement):
+    assert batched.tids.dtype == single.tids.dtype, statement
+    assert batched.tids.tolist() == single.tids.tolist(), statement
+    assert batched.retrieved == single.retrieved, statement
+    assert batched.blocks_read == single.blocks_read, statement
+    assert batched.plan == single.plan, statement
+    assert batched.extra.get("cache") == single.extra.get("cache"), statement
+    assert batched.rows.schema.names == single.rows.schema.names, statement
+    assert _columns(batched.rows) == _columns(single.rows), statement
+    if batched.plan == "explain":
+        assert batched.extra["text"] == single.extra["text"]
+
+
+class TestMixedStreamEquivalence:
+    @pytest.fixture
+    def catalog(self, two_tables):
+        catalog = two_tables
+        # ``u`` also carries the index, for the non-float-attribute error.
+        catalog.attach_index("u", "ri", catalog.index("t", "ri"))
+        return catalog
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("cache_size", [0, 8])
+    def test_every_result_equals_execute_auto(self, catalog, cache_size):
+        batched = TopKExecutor(catalog, cache_size=cache_size)
+        single = TopKExecutor(catalog, cache_size=cache_size)
+        for _ in range(2):  # cold, then (with a cache) warm
+            results = batched.execute_many(MIXED_STREAM)
+            for statement, result in zip(MIXED_STREAM, results):
+                _same_result(result, single.execute_auto(statement), statement)
+        states = [r.extra.get("cache") for r in results]
+        assert results[5].plan == "scan"  # k > n: the scan costs no more
+        if cache_size:
+            assert states.count("hit") == 6
+        else:
+            assert states == [None] * len(MIXED_STREAM)
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["{a}*x + {b}*y + {c}*z", "{c}*z + {a}*x + {b}*y", "{a}*y + {b}*x"],
+    )
+    def test_one_shape_batches(self, catalog, rng, expr):
+        """A batch of one statement shape (one scatter of its values),
+        in column order or not."""
+        statements = [
+            HINT.format(
+                k=int(k),
+                expr=expr.format(**dict(zip("abc", np.round(w, 4).tolist()))),
+            )
+            for k, w in zip(
+                rng.integers(0, 30, size=12), rng.random((12, 3)) + 0.01
+            )
+        ]
+        results = TopKExecutor(catalog).execute_many(statements)
+        single = TopKExecutor(catalog)
+        for statement, result in zip(statements, results):
+            _same_result(result, single.execute_auto(statement), statement)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("cache_size", [0, 8])
+    @pytest.mark.parametrize("statement", FAILING)
+    def test_errors_are_execute_autos(self, catalog, cache_size, statement):
+        with pytest.raises(Exception) as single:
+            TopKExecutor(catalog, cache_size=cache_size).execute_auto(
+                statement
+            )
+        with pytest.raises(Exception) as batched:
+            TopKExecutor(catalog, cache_size=cache_size).execute_many(
+                MIXED_STREAM[:3] + [statement]
+            )
+        assert type(batched.value) is type(single.value)
+        assert batched.value.args == single.value.args
+
+
+class TestLazyRows:
+    def test_rows_are_gathered_once_on_first_read(self, setup, monkeypatch):
+        catalog, data = setup
+        gathers = []
+        take_many = Relation.take_many
+
+        def counting(self, tid_arrays):
+            gathers.append(len(tid_arrays))
+            return take_many(self, tid_arrays)
+
+        monkeypatch.setattr(Relation, "take_many", counting)
+        monkeypatch.setattr(Relation, "take", lambda *a: pytest.fail("take"))
+        results = TopKExecutor(catalog).execute_many(WORKLOAD)
+        assert gathers == []
+        first = results[2].rows
+        assert gathers == [len(WORKLOAD)]
+        assert results[2].rows is first
+        for result in results:
+            assert result.rows.matrix().tolist() == (
+                data[result.tids].tolist()
+            )
+        assert gathers == [len(WORKLOAD)]
+
+    def test_replace_keeps_rows_and_fields(self, setup):
+        catalog, _ = setup
+        result = TopKExecutor(catalog).execute_many(WORKLOAD)[1]
+        copy = dataclasses.replace(result, extra={"note": 1})
+        assert copy.extra == {"note": 1}
+        assert copy.tids is result.tids
+        assert copy.rows is result.rows
+        assert (copy.retrieved, copy.blocks_read, copy.plan) == (
+            result.retrieved, result.blocks_read, result.plan,
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.rows = copy.rows
+        assert [f.name for f in dataclasses.fields(result)] == [
+            "tids", "rows", "retrieved", "blocks_read", "plan", "extra",
+        ]

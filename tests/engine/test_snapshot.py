@@ -178,6 +178,29 @@ class TestRoundTrip:
             assert not loaded.points.flags["WRITEABLE"]
             assert isinstance(loaded.points.base, np.memmap)
 
+    def test_mmap_load_maps_the_file_once(self, tmp_path, rng, monkeypatch):
+        """Every buffer is a view of one mapping of the file."""
+        data = rng.random((60, 3))
+        index = RobustIndex(data, n_partitions=5)
+        path = tmp_path / "one-map.snap"
+        save_snapshot(index, path)
+        opened = []
+
+        class CountingMemmap(np.memmap):
+            def __new__(cls, *args, **kwargs):
+                opened.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(np, "memmap", CountingMemmap)
+        loaded = load_snapshot(path, mmap=True)
+        assert len(opened) == 1
+        assert len(read_snapshot_header(path)["buffers"]) == 5
+        workload = simplex_workload(3, 8, seed=4)
+        for a, b in zip(
+            index.query_batch(workload, 6), loaded.query_batch(workload, 6)
+        ):
+            assert a.tids.tolist() == b.tids.tolist()
+
     def test_maintainer_staleness_state_round_trips(self, tmp_path, rng):
         # A layer maintainer's file (dead rows included) restores as a
         # dynamic index that keeps its staleness and takes updates.

@@ -1,9 +1,14 @@
 """Tests for the ranked-query SQL dialect."""
 
+import itertools
+import re
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import sql
 from repro.engine.sql import SqlError, parse
 
 from .sql_reference import reference_parse
@@ -154,26 +159,83 @@ def _statements(draw):
     return text
 
 
-def _outcome(fn, text):
+def _outcome(fn, text, messages=False):
+    """What ``fn`` makes of ``text``: the parsed fields, with weights as
+    exact bit patterns (so ``-0.0`` differs from ``0.0``), or the error.
+    Error messages are compared only for stray characters, or for every
+    error with ``messages`` (the two regex paths must agree on all)."""
     try:
         q = fn(text)
     except SqlError as exc:
         message = str(exc)
-        if message.startswith("unexpected character"):
-            return ("stray", message)
+        if messages or message.startswith("unexpected character"):
+            return ("error", message)
         return ("error", None)
     return (
         "ok",
-        (q.k, q.table, list(q.order_by.items()), q.index_hint,
-         q.layer_bound, q.explain, q.extra),
+        (q.k, q.table, [(a, w.hex()) for a, w in q.order_by.items()],
+         q.index_hint, q.layer_bound, q.explain, q.extra),
     )
+
+
+#: A number token as the reference tokenizer sees it; identifiers are
+#: matched first so their digits (``a0``, ``TOP5``) are never literals.
+_NUMBER_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|(\d+\.\d*|\.\d+|\d+)")
+_ANY_LITERAL = st.sampled_from(
+    ["0", "7", "12", "007", "3.", "2.5", ".5", "0.125", "10", "٣"]
+)
+
+
+def _redrawn(text, literals):
+    """``text`` with its number tokens replaced, in order, by
+    ``literals`` (cycled)."""
+    pieces, end, i = [], 0, 0
+    for match in _NUMBER_TOKEN.finditer(text):
+        if match[1] is not None:
+            pieces += [text[end:match.start()], literals[i % len(literals)]]
+            end = match.end()
+            i += 1
+    pieces.append(text[end:])
+    return "".join(pieces)
+
+
+def _same_class(text, digits):
+    """``text`` with every ASCII digit run of its number tokens redrawn
+    from ``digits`` (cycled): the same shape, other values."""
+    runs = itertools.cycle(digits)
+    tokens = [m[1] for m in _NUMBER_TOKEN.finditer(text) if m[1] is not None]
+    return _redrawn(
+        text, [re.sub(r"[0-9]+", lambda _: next(runs), t) for t in tokens]
+    )
+
+
+def _assert_parses_like_reference(*texts):
+    """Each text, parsed after the ones before it (so a repeated shape
+    is filled from the template cache), equals the reference parser's
+    outcome and the full regex parse's, error messages included."""
+    for text in texts:
+        assert _outcome(parse, text) == _outcome(reference_parse, text), text
+        assert _outcome(parse, text, messages=True) == _outcome(
+            sql._parse_text, text, messages=True
+        ), text
 
 
 class TestReferenceEquivalence:
     @settings(max_examples=600, deadline=None)
-    @given(_statements())
-    def test_matches_reference_parser(self, text):
-        assert _outcome(parse, text) == _outcome(reference_parse, text)
+    @given(
+        _statements(),
+        st.lists(_ANY_LITERAL, min_size=1, max_size=4),
+        st.lists(
+            st.text("0123456789", min_size=1, max_size=4), min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_matches_reference_parser(self, text, literals, digits):
+        # Twice (the second a template hit), then a sibling of the same
+        # shape and one with literals of any class.
+        _assert_parses_like_reference(
+            text, text, _same_class(text, digits), _redrawn(text, literals)
+        )
 
     @pytest.mark.parametrize(
         "text",
@@ -194,11 +256,112 @@ class TestReferenceEquivalence:
             "SELECT TOP 5 FROM order ORDER BY select + from",
             "SELECT TOP 5 FROM t ORDER BY a (b)",
             "SELECT TOP 5 FROM t ORDER BY a + 0*a - a",
+            "SELECT TOP 5 FROM t ORDER BY -0*a",
+            "SELECT TOP 5 FROM t ORDER BY -0*a + b - 0.0*b",
+            "SELECT TOP 5 FROM t ORDER BY a0 + 2*a1 + .5*a0 - 2.*a1",
+            "SELECT TOP 5 FROM t ORDER BY .5*a + 2.*b + 2.5 c",
+            "EXPLAIN SELECT TOP 5 FROM t ORDER BY a",
+            "SELECT TOP 5 FROM t USING INDEX i2 ORDER BY 3*x",
+            "SELECT TOP 5 FROM t WHERE layer <= 12 ORDER BY 3*x",
+            "SELECT TOP 5 FROM t USING INDEX i WHERE layer<=4 ORDER BY a",
+            "SELECT TOP 5.5 FROM t ORDER BY a",
+            "SELECT TOP .5 FROM t ORDER BY a",
+            "SELECT TOP 5 FROM t WHERE layer <= 2. ORDER BY a",
+            "SELECT TOP 5 FROM t ORDER BY 2..5*a",
+            "SELECT TOP 5 FROM t ORDER BY 2.5.5*a",
+            "SELECT TOP 5 FROM t ORDER BY 5 # a",
+            "SELECT TOP ٣5 FROM t ORDER BY a",
+            "SELECT TOP 5 FROM t ORDER BY ٣*a",
             "",
         ],
     )
     def test_edge_cases(self, text):
-        assert _outcome(parse, text) == _outcome(reference_parse, text)
+        siblings = [
+            _same_class(text, ["9", "40", "0"]),
+            _redrawn(text, ["2.5", "0"]),
+            _redrawn(text, [".25", "3", "1."]),
+        ]
+        _assert_parses_like_reference(text, text, *siblings)
+
+    def test_literal_class_is_part_of_the_shape(self):
+        # A template built from "TOP 5" must not serve "TOP 5.5".
+        assert parse("SELECT TOP 5 FROM t ORDER BY a").k == 5
+        with pytest.raises(SqlError):
+            parse("SELECT TOP 5.5 FROM t ORDER BY a")
+        q = parse("SELECT TOP 5 FROM t ORDER BY 2*a")
+        assert q.order_by == {"a": 2.0}
+        assert parse("SELECT TOP 5 FROM t ORDER BY .5*a").order_by == {
+            "a": 0.5
+        }
+        assert parse("SELECT TOP 5 FROM t ORDER BY 2.*a").order_by == {
+            "a": 2.0
+        }
+
+    def test_negative_zero_term_matches_bit_for_bit(self):
+        for _ in range(2):
+            q = parse("SELECT TOP 1 FROM t ORDER BY -0*a - 0.0*b + c - 0*c")
+            assert [w.hex() for w in q.order_by.values()] == [
+                w.hex()
+                for w in reference_parse(
+                    "SELECT TOP 1 FROM t ORDER BY -0*a - 0.0*b + c - 0*c"
+                ).order_by.values()
+            ]
+
+    def test_template_table_is_bounded(self):
+        info = sql._template.cache_info()
+        assert info.maxsize == sql._TEMPLATES
+        for i in range(sql._TEMPLATES + 5):
+            parse(f"SELECT TOP 1 FROM t ORDER BY a{i} + 2*b")
+        assert sql._template.cache_info().currsize <= sql._TEMPLATES
+
+    def test_valid_statements_are_filled_from_templates(self, monkeypatch):
+        """A statement that parses has a template: the full parse only
+        runs to raise errors."""
+        monkeypatch.setattr(
+            sql, "_parse_text", lambda text: pytest.fail(f"full parse {text!r}")
+        )
+        for k, a, b in [(5, "0.25", "2"), (50, "0.125", "3"), (7, ".5", "2.")]:
+            q = parse(
+                f"SELECT TOP {k} FROM t USING INDEX i1 WHERE layer <= {k} "
+                f"ORDER BY {a}*a0 + a1 - {b} a2"
+            )
+            assert q == reference_parse(
+                f"SELECT TOP {k} FROM t USING INDEX i1 WHERE layer <= {k} "
+                f"ORDER BY {a}*a0 + a1 - {b} a2"
+            )
+
+    def test_concurrent_callers_get_their_own_answers(self):
+        """Threads interleaving shapes (and so overwriting each other's
+        last template) still parse every statement exactly."""
+        shapes = [
+            "SELECT TOP {} FROM t ORDER BY {}*a + 2*b",
+            "SELECT TOP {} FROM t USING INDEX i ORDER BY a - {}*b",
+            "SELECT TOP {} FROM t WHERE layer <= 9 ORDER BY .{}*c",
+            "EXPLAIN SELECT TOP {} FROM u ORDER BY {}.5*a0 + a1",
+        ]
+        texts = [
+            shape.format(i % 97, i % 13 + 1)
+            for i in range(400)
+            for shape in shapes
+        ]
+        expected = [_outcome(reference_parse, text) for text in texts]
+
+        def work(offset):
+            order = texts[offset:] + texts[:offset]
+            return [_outcome(parse, text) for text in order], offset
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for outcomes, offset in pool.map(work, [0, 1, 2, 3]):
+                assert outcomes == expected[offset:] + expected[:offset]
+
+    def test_identifier_digits_are_not_literals(self):
+        a = parse("SELECT TOP 5 FROM t ORDER BY 2*a0 + 3*a1")
+        b = parse("SELECT TOP 7 FROM t ORDER BY 4*a1 + 5*a0")
+        assert a.order_by == {"a0": 2.0, "a1": 3.0}
+        assert b.order_by == {"a1": 4.0, "a0": 5.0}
+        assert parse("SELECT TOP 5FROM t ORDER BY a").k == 5
+        with pytest.raises(SqlError):
+            parse("SELECT TOP5 FROM t ORDER BY a")
 
     def test_stray_character_position(self):
         with pytest.raises(SqlError, match="'@' at position 20"):
