@@ -15,6 +15,8 @@ from repro.indexes.linear_scan import LinearScanIndex
 from repro.indexes.robust import RobustIndex
 from repro.queries.ranking import LinearQuery
 
+from .sql_reference import reference_parse
+
 
 @pytest.fixture
 def setup(rng):
@@ -485,6 +487,108 @@ class TestMixedStreamEquivalence:
             )
         assert type(batched.value) is type(single.value)
         assert batched.value.args == single.value.args
+
+
+#: The plan of each ``MIXED_STREAM`` statement under ``execute`` (no
+#: planner: unhinted statements scan) and under ``execute_auto`` /
+#: ``execute_many`` (the planner routes unhinted monotone statements).
+MIXED_STREAM_PLANS = [
+    ("index(ri)", "index(ri)"),
+    ("index(ri)", "index(ri)"),
+    ("index(ri)", "index(ri)"),
+    ("index(ri)", "index(ri)"),
+    ("scan", "index(ri)"),
+    ("scan", "scan"),
+    ("scan", "scan"),
+    ("scan", "index(ri)"),
+    ("explain", "explain"),
+    ("layer-prefix(<= 10)", "layer-prefix(<= 10)"),
+    ("scan", "layer-prefix(<= 7)"),
+    ("scan", "scan"),
+]
+
+#: What each ``FAILING`` statement raises, whichever entry point runs it.
+FAILING_RAISES = [
+    (KeyError, ("ORDER BY references unknown attribute 'nope' on table 't'",)),
+    (KeyError, ("ORDER BY references unknown attribute 'nope' on table 't'",)),
+    (ValueError, ("at least one weight must be non-zero",)),
+    (ValueError, ("at least one weight must be non-zero",)),
+    (
+        ValueError,
+        (
+            "monotone layered indexes cannot serve negative weights; "
+            "drop the USING INDEX hint to fall back to a scan",
+        ),
+    ),
+    (ValueError, ("weights must be finite",)),
+    (ValueError, ("weights must be finite",)),
+    (ValueError, ("index 'ri' does not cover ['layer']",)),
+    (KeyError, ("no table 'nowhere'; known: ['t', 'u']",)),
+]
+
+
+def _brute_force_tids(catalog, statement):
+    """The statement's answer by a full ``(score, tid)`` lexsort over the
+    relation's columns (rows past a ``WHERE layer <= c`` bound dropped),
+    parsed by the reference parser."""
+    query = reference_parse(statement)
+    if query.explain:
+        return []
+    relation = catalog.table(query.table)
+    scores = np.zeros(relation.n_rows)
+    for name, weight in query.order_by.items():
+        scores += weight * relation.column(name)
+    tids = np.arange(relation.n_rows)
+    if query.layer_bound is not None:
+        tids = tids[relation.column("layer") <= query.layer_bound]
+    order = np.lexsort((tids, scores[tids]))
+    return tids[order][: query.k].tolist()
+
+
+class TestPinnedExpectations:
+    """Plans, answers and errors of every entry point against literal
+    expectations and brute force, not against another entry point."""
+
+    @pytest.fixture
+    def catalog(self, two_tables):
+        catalog = two_tables
+        catalog.attach_index("u", "ri", catalog.index("t", "ri"))
+        return catalog
+
+    @pytest.mark.parametrize("cache_size", [0, 8])
+    @pytest.mark.parametrize("entry", ["execute", "execute_auto", "execute_many"])
+    def test_mixed_stream_plans_and_tids(self, catalog, cache_size, entry):
+        executor = TopKExecutor(catalog, cache_size=cache_size)
+        plans = [
+            solo if entry == "execute" else planned
+            for solo, planned in MIXED_STREAM_PLANS
+        ]
+        expected = [_brute_force_tids(catalog, s) for s in MIXED_STREAM]
+        for _ in range(2):  # cold, then (with a cache) warm
+            if entry == "execute_many":
+                results = executor.execute_many(MIXED_STREAM)
+            else:
+                run = getattr(executor, entry)
+                results = [run(statement) for statement in MIXED_STREAM]
+            assert [r.plan for r in results] == plans
+            for statement, result, tids in zip(MIXED_STREAM, results, expected):
+                assert result.tids.tolist() == tids, statement
+                assert result.rows.n_rows == len(tids), statement
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("cache_size", [0, 8])
+    @pytest.mark.parametrize("entry", ["execute", "execute_auto", "execute_many"])
+    @pytest.mark.parametrize(
+        "statement, raises", list(zip(FAILING, FAILING_RAISES))
+    )
+    def test_failing_statements_raise_literally(
+        self, catalog, cache_size, entry, statement, raises
+    ):
+        executor = TopKExecutor(catalog, cache_size=cache_size)
+        run = getattr(executor, entry)
+        with pytest.raises(Exception) as caught:
+            run([statement] if entry == "execute_many" else statement)
+        assert (type(caught.value), caught.value.args) == raises
 
 
 class TestLazyRows:
