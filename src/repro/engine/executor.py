@@ -19,7 +19,7 @@ Three physical plans, mirroring the paper's deployment story:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,10 +42,10 @@ class _LazyRows:
     """``ExecutionResult.rows``: a field whose value may be gathered on
     first read.
 
-    A result built by :meth:`TopKExecutor.execute_many`'s batch path
-    holds ``(gather, j)`` instead of a :class:`Relation`: the first read
-    of any such result gathers every answer of its batch at once (one
-    gather per column) and each result keeps its own slice.  A data
+    An index-plan result holds ``(gather, j)`` instead of a
+    :class:`Relation`: the first read of any such result gathers every
+    answer of its index group at once (one gather per column) and each
+    result keeps its own slice.  A data
     descriptor, so the frozen dataclass's ``__init__`` (and therefore
     :func:`dataclasses.replace`) store through it like any field.
     """
@@ -85,8 +85,8 @@ class _Gather:
 class ExecutionResult:
     """Answer plus the cost accounting the experiments report.
 
-    ``rows`` are the answer's rows in rank order; results of a batched
-    :meth:`TopKExecutor.execute_many` group gather them on first read.
+    ``rows`` are the answer's rows in rank order; index-plan results
+    gather them, for their whole index group, on first read.
     """
 
     tids: np.ndarray
@@ -188,6 +188,15 @@ class TopKExecutor:
         query = parse(statement) if isinstance(statement, str) else statement
         return self.planner.explain(query.table, query.k)
 
+    def execute(self, statement: str | ParsedQuery) -> ExecutionResult:
+        """Execute one statement as written.
+
+        ``USING INDEX`` and ``layer <=`` are honoured; any other
+        statement scans.  An index plan is a one-row group of
+        :meth:`execute_many`'s index path.
+        """
+        return self._route([statement], planned=False)[0]
+
     def execute_auto(self, statement: str | ParsedQuery) -> ExecutionResult:
         """Execute with cost-based plan selection.
 
@@ -197,111 +206,57 @@ class TopKExecutor:
         ORDER BY, or one on a non-float attribute, always scans
         (layered plans cannot serve it).
         """
-        query = parse(statement) if isinstance(statement, str) else statement
-        if query.explain:
-            return self._explain_result(query)
-        if query.index_hint is not None or query.layer_bound is not None:
-            return self.execute(query)
-        weights = np.array(list(query.order_by.values()))
-        covered = _index_columns(self._catalog.table(query.table))
-        if np.any(weights < 0) or not query.order_by.keys() <= covered.keys():
-            return self.execute(query)
-        chosen = self.planner.choose(query.table, query.k)
-        if chosen.kind == "layer-prefix":
-            query = ParsedQuery(
-                k=query.k,
-                table=query.table,
-                order_by=query.order_by,
-                layer_bound=query.k,
-            )
-        elif chosen.kind == "index":
-            query = ParsedQuery(
-                k=query.k,
-                table=query.table,
-                order_by=query.order_by,
-                index_hint=chosen.index_name,
-            )
-        return self.execute(query)
-
-    def _explain_result(self, query: ParsedQuery) -> ExecutionResult:
-        relation = self._catalog.table(query.table)
-        text = self.planner.explain(query.table, query.k)
-        return ExecutionResult(
-            tids=np.zeros(0, dtype=np.intp),
-            rows=relation.take(np.zeros(0, dtype=np.intp)),
-            retrieved=0,
-            blocks_read=0,
-            plan="explain",
-            extra={"text": text},
-        )
-
-    def execute(self, statement: str | ParsedQuery) -> ExecutionResult:
-        query = parse(statement) if isinstance(statement, str) else statement
-        if query.explain:
-            return self._explain_result(query)
-        local = obs.Metrics()
-        with obs.collect(local):
-            started = time.perf_counter()
-            result = self._execute_parsed(query)
-            elapsed = time.perf_counter() - started
-            plan_kind = result.plan.split("(", 1)[0]
-            local.add_time(f"query.{plan_kind}", elapsed)
-            local.inc("query.count")
-            local.inc("query.retrieved", result.retrieved)
-            local.inc("query.blocks_read", result.blocks_read)
-        self.metrics.merge(local)
-        extra = dict(result.extra)
-        extra["metrics"] = local.as_dict()
-        return replace(result, extra=extra)
-
-    def _planned_index(self, table: str, k: int) -> str | None:
-        """The index the planner routes an unhinted monotone top-k on
-        ``table`` to, or ``None`` when it prefers another plan."""
-        chosen = self.planner.choose(table, k)
-        return chosen.index_name if chosen.kind == "index" else None
+        return self._route([statement], planned=True)[0]
 
     def execute_many(self, statements) -> list[ExecutionResult]:
         """Answer many statements, set at a time where the engine can.
 
-        Statements that route to an index plan — through a ``USING
-        INDEX`` hint or, resolved once per ``(table, k)`` per call,
-        the planner — are grouped by (table, index), whatever their k.
-        Each group is answered with array operations: one ``(m, d)``
-        weight matrix (one scatter of the ``ORDER BY`` values per
-        attribute tuple), one vectorized validity check, one key
-        normalization shared by the batched result-cache probe and
-        store, one ``query_batch`` call for the misses, handed the
-        weight matrix and the per-row k (for a layered index, one GEMM
-        per distinct k through
-        :meth:`~repro.indexes.robust.LayeredSlab.query_batch`), and, on
-        the first read of any answer's ``rows``, one gather per column
-        for the whole group.
-        Everything else — ``EXPLAIN``, ``layer <=``
-        predicates, planner scans, and group rows with negative, zero,
-        non-finite or non-indexed weights — goes through
-        :meth:`execute_auto` per statement, so errors and answers are
-        exactly those of single-statement execution.  Results come
-        back in input order; each batched result carries its group's
-        ``query.*`` / ``cache.*`` metrics snapshot and ``batch_size``
-        (the group's row count) in ``extra``.
+        Statements are routed as :meth:`execute_auto` routes them, the
+        planner asked once per ``(table, k)`` per call, and index-plan
+        statements answered per (table, index) group, whatever their k
+        (see :meth:`_execute_index_batch`).  Results come back in input
+        order, with the answers and errors of single-statement
+        execution.
         """
-        parsed = [
-            parse(s) if isinstance(s, str) else s for s in statements
-        ]
+        return self._route(statements, planned=True)
+
+    def _route(self, statements, planned: bool) -> list[ExecutionResult]:
+        """The one router behind :meth:`execute`, :meth:`execute_auto`
+        and :meth:`execute_many`.
+
+        ``EXPLAIN`` explains.  ``USING INDEX`` joins that index's group
+        (a ``layer <=`` beside it is ignored) and ``layer <=`` reads the
+        layer prefix.  Any other statement scans unless ``planned``;
+        then the planner's choice for its ``(table, k)``, made once per
+        call, routes it: an index's group, the layer prefix ``layer <=
+        k`` if the statement is one an index could serve (else a scan,
+        which raises for what no plan serves), or a scan.  Statements
+        answered alone run in input order as they are routed, then each
+        index group runs.
+        """
+        parsed = [parse(s) if isinstance(s, str) else s for s in statements]
         results: list[ExecutionResult | None] = [None] * len(parsed)
-        routes: dict[tuple, str | None] = {}
+        routes: dict[tuple, object] = {}
         groups: dict[tuple, list[int]] = {}
         for i, query in enumerate(parsed):
-            index_name = None
-            if not query.explain and query.layer_bound is None:
-                index_name = query.index_hint
-                if index_name is None:
-                    route = (query.table, query.k)
-                    if route not in routes:
-                        routes[route] = self._planned_index(*route)
-                    index_name = routes[route]
+            if query.explain:
+                results[i] = self._explain_result(query)
+                continue
+            index_name = query.index_hint
+            bound = query.layer_bound
+            if index_name is None and bound is None and planned:
+                route = (query.table, query.k)
+                chosen = routes.get(route)
+                if chosen is None:
+                    chosen = routes[route] = self.planner.choose(*route)
+                if chosen.kind == "index":
+                    index_name = chosen.index_name
+                elif chosen.kind == "layer-prefix" and self._weight_matrix(
+                    self._catalog.table(query.table), [query]
+                )[1][0]:
+                    bound = query.k
             if index_name is None:
-                results[i] = self.execute_auto(query)
+                results[i] = self._execute_single(query, bound)
             else:
                 groups.setdefault((query.table, index_name), []).append(i)
         for (table, index_name), members in groups.items():
@@ -309,6 +264,12 @@ class TopKExecutor:
                 table, index_name, members, parsed, results
             )
         return results
+
+    def _explain_result(self, query: ParsedQuery) -> ExecutionResult:
+        none = np.zeros(0, dtype=np.intp)
+        rows = self._catalog.table(query.table).take(none)
+        text = self.planner.explain(query.table, query.k)
+        return ExecutionResult(none, rows, 0, 0, "explain", {"text": text})
 
     def _weight_matrix(self, relation, queries):
         """``(m, d)`` index weights for ``queries`` plus a mask of the
@@ -351,22 +312,32 @@ class TopKExecutor:
     def _execute_index_batch(
         self, table, index_name, members, parsed, results
     ) -> None:
+        """Answer the index group ``members`` (rows of ``parsed``) into
+        ``results``; rows it cannot serve go through :meth:`_unserved`.
+
+        Array operations throughout: one ``(m, d)`` weight matrix, one
+        validity check, one key normalization shared by the result-cache
+        probe and store, one ``query_batch`` call for the misses (the
+        weight matrix and per-row k; for a layered index one GEMM per
+        distinct k) and, on the first read of any answer's ``rows``, one
+        gather per column.  Every result carries the group's ``query.*``
+        / ``cache.*`` metrics snapshot and ``batch_size`` (its row
+        count) in ``extra``.
+        """
         relation = self._catalog.table(table)
-        index = self._catalog.index(table, index_name)
         queries = [parsed[i] for i in members]
         weights, servable = self._weight_matrix(relation, queries)
         ks = np.array([query.k for query in queries], dtype=np.intp)
         servable &= ks >= 0
         if not servable.all():
-            # Single-statement semantics: a scan for negative weights,
-            # or execute()'s own error for what no plan can serve.
             for r in np.flatnonzero(~servable).tolist():
-                results[members[r]] = self.execute_auto(parsed[members[r]])
+                results[members[r]] = self._unserved(parsed[members[r]])
             members = [i for i, ok in zip(members, servable.tolist()) if ok]
             weights = weights[servable]
             ks = ks[servable]
         if not members:
             return
+        index = self._catalog.index(table, index_name)
         m = len(members)
         cache = self.cache
         local = obs.Metrics()
@@ -375,7 +346,7 @@ class TopKExecutor:
             # Per row: tids (None until answered), tuples read, layers
             # scanned.  Cache hits read nothing.
             if cache is not None:
-                scope = self._cache_scope(table, index_name)
+                scope = (table, index_name, self._catalog.table_version(table))
                 keys = canonical_weight_keys(weights)
                 tids = cache.lookup_keys(scope, keys, ks)
                 misses = [j for j, hit in enumerate(tids) if hit is None]
@@ -432,112 +403,91 @@ class TopKExecutor:
                 extra=extra,
             )
 
-    def _execute_parsed(self, query: ParsedQuery) -> ExecutionResult:
+    def _unserved(self, query: ParsedQuery) -> ExecutionResult:
+        """A statement its index or layer-prefix plan cannot serve.
+
+        An unhinted one scans (a negative weight or a non-indexed
+        attribute; the scan raises for what no plan serves).  A hinted
+        one raises what the index plan raises alone: the checks of
+        :meth:`_ranking`, then a negative weight, an unknown index or a
+        non-indexed attribute.
+        """
+        if query.index_hint is None:
+            return self._execute_single(query, None)
         relation = self._catalog.table(query.table)
+        if np.any(self._ranking(query, relation).weights < 0):
+            raise ValueError(
+                "monotone layered indexes cannot serve negative weights; "
+                "drop the USING INDEX hint to fall back to a scan"
+            )
+        self._catalog.index(query.table, query.index_hint)
+        _check_covered(relation, query, f"index {query.index_hint!r}")
+        raise AssertionError(f"an index can serve {query}")
+
+    def _ranking(self, query: ParsedQuery, relation) -> LinearQuery:
+        """The statement's ``ORDER BY`` as a (not necessarily monotone)
+        :class:`LinearQuery`; raises for a negative k, an unknown
+        attribute, or weights that are not finite or all zero."""
         if query.k < 0:
             raise ValueError("k must be non-negative")
-
-        ranked_attrs = list(query.order_by)
-        for attr in ranked_attrs:
+        for attr in query.order_by:
             if attr not in relation.schema:
                 raise KeyError(
                     f"ORDER BY references unknown attribute {attr!r} "
                     f"on table {query.table!r}"
                 )
-        weights = np.array([query.order_by[a] for a in ranked_attrs])
-        linear = LinearQuery(weights, require_monotone=False)
-
-        if query.index_hint is not None:
-            if not np.all(weights >= 0):
-                raise ValueError(
-                    "monotone layered indexes cannot serve negative weights; "
-                    "drop the USING INDEX hint to fall back to a scan"
-                )
-            return self._execute_with_index(query, relation)
-        if query.layer_bound is not None:
-            return self._execute_layer_prefix(query, relation)
-        return self._execute_scan(query, relation, linear, ranked_attrs)
-
-    def _index_weights(
-        self, relation, plan: str, order_by: dict
-    ) -> np.ndarray:
-        """``order_by`` as one weight per float attribute, in schema
-        order — the columns an index or layering covers; ``plan`` names
-        the plan in the error for any other attribute."""
-        position = _index_columns(relation)
-        unknown = [a for a in order_by if a not in position]
-        if unknown:
-            raise ValueError(f"{plan} does not cover {unknown}")
-        weights = np.zeros(len(position))
-        for name, weight in order_by.items():
-            weights[position[name]] = weight
-        return weights
-
-    def _cache_scope(self, table: str, index_name: str) -> tuple:
-        return (table, index_name, self._catalog.table_version(table))
-
-    def _execute_with_index(self, query, relation) -> ExecutionResult:
-        index = self._catalog.index(query.table, query.index_hint)
-        full = self._index_weights(
-            relation, f"index {query.index_hint!r}", query.order_by
-        )
-        if self.cache is not None:
-            scope = self._cache_scope(query.table, query.index_hint)
-            hit = self.cache.lookup(scope, full, query.k)
-            if hit is not None:
-                return ExecutionResult(
-                    tids=hit,
-                    rows=relation.take(hit),
-                    retrieved=0,
-                    blocks_read=0,
-                    plan=f"index({query.index_hint})",
-                    extra={"cache": "hit"},
-                )
-        result = index.query(LinearQuery(full), query.k)
-        if self.cache is not None:
-            self.cache.store(scope, full, query.k, result.tids)
-        extra = {"layers_scanned": result.layers_scanned}
-        if self.cache is not None:
-            extra["cache"] = "miss"
-        return ExecutionResult(
-            tids=result.tids,
-            rows=relation.take(result.tids),
-            retrieved=result.retrieved,
-            blocks_read=self._blocks(result.retrieved),
-            plan=f"index({query.index_hint})",
-            extra=extra,
+        return LinearQuery(
+            list(query.order_by.values()), require_monotone=False
         )
 
-    def _execute_layer_prefix(self, query, relation) -> ExecutionResult:
-        slab = self._catalog.layering(query.table)
-        if slab is None:
-            raise KeyError(
-                f"table {query.table!r} has no materialized {LAYER_COLUMN!r} "
-                "column; call materialize_layers first"
+    def _execute_single(self, query: ParsedQuery, bound) -> ExecutionResult:
+        """A scan (``bound`` is ``None``) or a read of the layer prefix
+        ``layer <= bound``, with its own ``query.*`` metrics."""
+        local = obs.Metrics()
+        with obs.collect(local):
+            started = time.perf_counter()
+            relation = self._catalog.table(query.table)
+            linear = self._ranking(query, relation)
+            if bound is None:
+                plan = kind = "scan"
+                data = relation.matrix(list(query.order_by))
+                candidates = np.arange(relation.n_rows)
+                scores = linear.scores(data)
+            else:
+                plan, kind = f"layer-prefix(<= {bound})", "layer-prefix"
+                slab = self._catalog.layering(query.table)
+                if slab is None:
+                    raise KeyError(
+                        f"table {query.table!r} has no materialized "
+                        f"{LAYER_COLUMN!r} column; call materialize_layers "
+                        "first"
+                    )
+                _check_covered(relation, query, "the layer prefix")
+                weights = self._weight_matrix(relation, [query])[0][0]
+                # Layer-ordered storage: the rows with layer <= c are
+                # exactly the slab's first offsets[c].
+                rows, candidates, _ = slab.prefix(bound)
+                scores = rows @ weights
+            tids = topk_select(scores, candidates, query.k)
+            retrieved = candidates.size
+            result = ExecutionResult(
+                tids, relation.take(tids), retrieved,
+                self._blocks(retrieved), plan,
             )
-        weights = self._index_weights(
-            relation, "the layer prefix", query.order_by
-        )
-        # Layer-ordered storage: the rows with layer <= c are exactly
-        # the slab's first offsets[c].
-        rows, candidates, _ = slab.prefix(query.layer_bound)
-        tids = topk_select(rows @ weights, candidates, query.k)
-        return ExecutionResult(
-            tids=tids,
-            rows=relation.take(tids),
-            retrieved=candidates.size,
-            blocks_read=self._blocks(candidates.size),
-            plan=f"layer-prefix(<= {query.layer_bound})",
-        )
+            local.add_time(f"query.{kind}", time.perf_counter() - started)
+            local.inc("query.count")
+            local.inc("query.retrieved", result.retrieved)
+            local.inc("query.blocks_read", result.blocks_read)
+        self.metrics.merge(local)
+        result.extra["metrics"] = local.as_dict()
+        return result
 
-    def _execute_scan(self, query, relation, linear, ranked_attrs):
-        n = relation.n_rows
-        data = relation.matrix(ranked_attrs)
-        tids = topk_select(linear.scores(data), np.arange(n), query.k)
-        return ExecutionResult(
-            tids=tids,
-            rows=relation.take(tids),
-            retrieved=n,
-            blocks_read=self._blocks(n),
-            plan="scan",
-        )
+
+def _check_covered(relation: Relation, query: ParsedQuery, plan: str) -> None:
+    """Raise ``ValueError`` naming ``plan`` when ``query`` ranks an
+    attribute its indexes and layering do not cover (the table's float
+    attributes)."""
+    position = _index_columns(relation)
+    unknown = [a for a in query.order_by if a not in position]
+    if unknown:
+        raise ValueError(f"{plan} does not cover {unknown}")

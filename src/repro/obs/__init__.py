@@ -37,7 +37,8 @@ Metric names are dotted paths; the prefixes in use:
     The exact robust-layer solvers.
 ``query.*``
     Executor query path (per-plan time, tuples retrieved, blocks;
-    ``query.batches`` counts :meth:`execute_many` index groups).
+    ``query.batches`` counts index groups, one per index plan of
+    ``execute`` and ``execute_auto``).
 ``index.*``
     Index-level query counters; ``index.batch.*`` covers the
     vectorized ``query_batch`` path.

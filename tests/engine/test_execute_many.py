@@ -9,6 +9,7 @@ from repro.core.appri import appri_layers
 from repro.engine.cache import ResultCache
 from repro.engine.catalog import Catalog
 from repro.engine.executor import TopKExecutor, materialize_layers
+from repro.engine.planner import CostBasedPlanner
 from repro.engine.relation import Relation
 from repro.engine.sql import parse
 from repro.indexes.linear_scan import LinearScanIndex
@@ -589,6 +590,64 @@ class TestPinnedExpectations:
         with pytest.raises(Exception) as caught:
             run([statement] if entry == "execute_many" else statement)
         assert (type(caught.value), caught.value.args) == raises
+
+
+class TestRouting:
+    def test_planner_is_asked_once_per_table_and_k(self, two_tables, monkeypatch):
+        calls = []
+        choose = CostBasedPlanner.choose
+
+        def counting(self, table_name, k):
+            calls.append((table_name, k))
+            return choose(self, table_name, k)
+
+        monkeypatch.setattr(CostBasedPlanner, "choose", counting)
+        statements = [
+            "SELECT TOP 8 FROM t ORDER BY x + 3*z",  # index
+            "SELECT TOP 8 FROM t ORDER BY y + z",
+            "SELECT TOP 8 FROM t ORDER BY x - y",  # index route, scanned
+            "SELECT TOP 130 FROM t ORDER BY x",  # scan
+            "SELECT TOP 130 FROM t ORDER BY y",
+            "SELECT TOP 7 FROM u ORDER BY x + y + z",  # layer prefix
+            "SELECT TOP 7 FROM u ORDER BY 2*x - z",  # layer route, scanned
+            "SELECT TOP 7 FROM u ORDER BY y",
+            HINT.format(k=8, expr="x + y"),
+            "SELECT TOP 7 FROM u WHERE layer <= 7 ORDER BY x",
+            "EXPLAIN SELECT TOP 8 FROM t ORDER BY x",
+        ]
+        executor = TopKExecutor(two_tables)
+        results = executor.execute_many(statements)
+        assert [r.plan for r in results] == [
+            "index(ri)", "index(ri)", "scan", "scan", "scan",
+            "layer-prefix(<= 7)", "scan", "layer-prefix(<= 7)",
+            "index(ri)", "layer-prefix(<= 7)", "explain",
+        ]
+        assert sorted(calls) == [("t", 8), ("t", 130), ("u", 7)]
+        calls.clear()
+        for statement in statements:
+            executor.execute_auto(statement)
+        assert len(calls) == 8  # one per unhinted statement
+        calls.clear()
+        for statement in statements:
+            executor.execute(statement)
+        assert calls == []
+
+    def test_index_hint_wins_over_layer_bound(self, two_tables):
+        catalog = two_tables
+        catalog.attach_index("u", "ri", catalog.index("t", "ri"))
+        statement = (
+            "SELECT TOP 5 FROM u USING INDEX ri WHERE layer <= 2 ORDER BY x + y"
+        )
+        executor = TopKExecutor(catalog)
+        for result in (
+            executor.execute(statement),
+            executor.execute_auto(statement),
+            executor.execute_many([statement])[0],
+        ):
+            assert result.plan == "index(ri)"
+            assert result.tids.tolist() == _brute_force_tids(
+                catalog, "SELECT TOP 5 FROM u ORDER BY x + y"
+            )
 
 
 class TestLazyRows:

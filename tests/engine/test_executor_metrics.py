@@ -47,8 +47,8 @@ class TestExecutionResultMetrics:
         counters = result.metrics["counters"]
         assert result.plan == "index(ri)"
         assert "query.index" in result.metrics["timers"]
-        assert counters["index.queries"] == 1
-        assert counters["index.candidates"] == result.retrieved
+        assert counters["index.batch.queries"] == 1
+        assert counters["index.batch.candidates"] == result.retrieved
 
     def test_layer_prefix_plan_timer(self, setup):
         catalog, data = setup
