@@ -34,14 +34,17 @@ The selection rule (both kernels):
 :func:`batch_topk` applies it row-parallel to a ``(Q, C)`` score
 matrix — one argsort (or argpartition plus head argsort) across the
 batch, an O(Q k) audit — and sends only the rows that fail the audit
-through the fallback.  With a caller-held ``scratch`` dict
-and a large candidate set it instead runs a *masked* schedule that
-sidesteps the per-row partition: each row's k-th score over a small
-probe window bounds the true k-th score from above, a boolean
-threshold mask shrinks the problem to the few candidates at or below
-that bound, and one composite-key argsort orders every survivor of
-every row at once.  ``scratch`` persists the working buffers across
-calls, so repeated batches touch warm, already-faulted memory.
+through the fallback.  That is the only batch schedule.  A schedule
+that bounded each row's k-th score from a probe window and sorted the
+survivors of a threshold mask won only for batches of 128 or more rows
+at k <= 20 (by about a quarter) and lost up to 2x on the ~14-row
+groups per k an executor batch makes, so it is gone.
+
+A caller whose batch scores only approximate the scores that rank (a
+GEMM rounds unlike the per-query GEMV) passes each row's error bound
+and a way to compute its exact scores: the audit then also demands a
+margin of twice the bound between head scores, and rows without it
+are answered from their exact scores.
 """
 
 from __future__ import annotations
@@ -61,14 +64,6 @@ __all__ = ["topk_select", "batch_topk"]
 #: breaks even between C = 320 and 450, and at C = 1024 the partition
 #: head wins 10-11 us to 16-19 us.  One crossover serves both kernels.
 _ARGSORT_MAX = 256
-
-#: Leading score columns used by the masked batch path to bound each
-#: row's k-th score.  Because candidate columns arrive in layer order
-#: (best tuples first), the k-th smallest of this window is a tight
-#: upper bound on the true k-th score, and the threshold mask keeps
-#: only a few multiples of k survivors per row.
-_PROBE = 256
-
 
 def topk_select(scores: np.ndarray, tids: np.ndarray, k: int) -> np.ndarray:
     """Top-k ``tids`` by ascending ``(score, tid)``.
@@ -115,136 +110,31 @@ def _tied_topk(
     return tids[sel][np.lexsort((tids[sel], scores[sel]))]
 
 
-def _scratch_buffer(scratch: dict, name: str, size: int, dtype) -> np.ndarray:
-    """A flat reusable array of at least ``size`` entries of ``dtype``.
-
-    Grown (never shrunk) in ``scratch`` so repeated batches of similar
-    shape touch warm, already-faulted memory instead of paying the
-    allocator's page-fault tax on every multi-megabyte temporary.
-    """
-    buf = scratch.get(name)
-    if buf is None or buf.size < size or buf.dtype != dtype:
-        buf = np.empty(max(size, 1), dtype=dtype)
-        scratch[name] = buf
-    return buf[:size]
-
-
-def _masked_batch_topk(
-    scores: np.ndarray, tids: np.ndarray, k: int, scratch: dict
-) -> np.ndarray:
-    """The large-C batch path: threshold mask + one composite argsort.
-
-    Exactness argument, step by step:
-
-    * ``tau[q]`` is the k-th smallest score among the first ``_PROBE``
-      columns — the k-th order statistic of a subset, hence an upper
-      bound on row q's true k-th score.
-    * The mask ``scores <= tau`` therefore contains the whole true
-      top k *including every candidate tied at the k-th score* (those
-      sit exactly at the true k-th value, which is ``<= tau``), and at
-      least k entries per row (the probe window's own k smallest).
-    * Survivors are ordered by a composite key
-      ``row + 0.5 * rescale(score)``: a per-row monotone
-      non-decreasing float map, so sorting keys sorts scores — the
-      only risk is *collapses* (distinct scores rounding to one key)
-      and genuine score ties, both of which surface as equal adjacent
-      keys and route that row to the exact scalar kernel.
-    * A row whose bound is not finite (NaN or ``+inf`` among its probe
-      head) or whose survivors hold ``-inf`` has no finite rescale; it
-      is split off to the scalar kernel before the key sort, so it
-      cannot disturb the other rows' key ranges.
-    """
-    n_queries, n_candidates = scores.shape
-    probe = _PROBE
-    # Per-row score bound from the probe window (in-place partition on
-    # a reused buffer).
-    pbuf = _scratch_buffer(
-        scratch, "probe", n_queries * probe, np.float64
-    ).reshape(n_queries, probe)
-    np.copyto(pbuf, scores[:, :probe])
-    pbuf.partition(k - 1, axis=1)
-    tau = pbuf[:, k - 1]
-    odd = ~np.isfinite(tau)
-    if odd.any():
-        return _split_batch_topk(scores, tids, k, scratch, odd)
-    # Threshold mask, padded to a whole number of 64-bit words so the
-    # survivor scan can test 64 candidates per comparison.
-    size = n_queries * n_candidates
-    padded = size + (-size) % 8
-    mbuf = _scratch_buffer(scratch, "mask", padded, np.bool_)
-    mbuf[size:] = False
-    mask = mbuf[:size].reshape(n_queries, n_candidates)
-    np.less_equal(scores, tau[:, None], out=mask)
-    words = np.flatnonzero(mbuf.view(np.uint64))
-    sub = np.flatnonzero(mbuf.reshape(-1, 8)[words])
-    flat = words[sub >> 3] * 8 + (sub & 7)
-    rows = flat // n_candidates
-    svals = scores.ravel()[flat]
-    counts = np.bincount(rows, minlength=n_queries)
-    starts = np.zeros(n_queries, dtype=np.intp)
-    np.cumsum(counts[:-1], out=starts[1:])
-    # Composite key: integer row index plus the row-rescaled score in
-    # [0, 0.5].  One quicksort over all survivors replaces a per-row
-    # (or 3-key lexsort) ordering pass.
-    rowmin = np.minimum.reduceat(svals, starts)
-    span = np.maximum.reduceat(svals, starts) - rowmin
-    odd = ~np.isfinite(span)
-    if odd.any():
-        return _split_batch_topk(scores, tids, k, scratch, odd)
-    span[span == 0] = 1.0
-    key = rows + (svals - rowmin[rows]) / span[rows] * 0.5
-    order = np.argsort(key)
-    flat_sorted = flat[order]
-    key_sorted = key[order]
-    take = starts[:, None] + np.arange(k)
-    head_keys = key_sorted[take]
-    out = tids[flat_sorted[take] % n_candidates]
-    # Ambiguity audit: equal adjacent keys inside a row's top k, or a
-    # row whose k-th key equals its (k+1)-th (a tie straddling the
-    # cut), mean the quicksort's arbitrary order may disagree with the
-    # tid tie rule — re-answer those rows exactly.
-    suspect = (head_keys[:, 1:] == head_keys[:, :-1]).any(axis=1)
-    over = counts > k
-    if over.any():
-        boundary = key_sorted[np.where(over, starts + k, starts)]
-        suspect |= over & (boundary == head_keys[:, -1])
-    for row in np.flatnonzero(suspect):
-        out[row] = topk_select(scores[row], tids, k)
-    return out
-
-
-def _split_batch_topk(
-    scores: np.ndarray, tids: np.ndarray, k: int, scratch: dict, odd
-) -> np.ndarray:
-    """The masked path over the rows outside ``odd``; the ``odd`` rows
-    (no finite rescale) through :func:`topk_select`."""
-    out = np.empty((scores.shape[0], k), dtype=np.intp)
-    for row in np.flatnonzero(odd):
-        out[row] = topk_select(scores[row], tids, k)
-    rest = np.flatnonzero(~odd)
-    if rest.size:
-        out[rest] = _masked_batch_topk(scores[rest], tids, k, scratch)
-    return out
-
-
 def batch_topk(
     scores: np.ndarray,
     tids: np.ndarray,
     k: int,
-    scratch: dict | None = None,
+    slack: np.ndarray | None = None,
+    rescore=None,
 ) -> np.ndarray:
     """Row-wise top-k over a ``(Q, C)`` score matrix.
 
     ``scores[q, c]`` is query q's score for candidate ``tids[c]``; the
     result is a ``(Q, k)`` matrix whose row q equals
-    ``topk_select(scores[q], tids, k)``.  All heavy passes run across
-    the whole batch inside numpy; rows that fail the head audit take
-    the tie-exact fallback.
+    ``topk_select(scores[q], tids, k)``.  The head of every row comes
+    from one argsort (or argpartition plus head argsort) across the
+    batch and is audited at once; rows that fail the audit take the
+    tie-exact fallback.
 
-    Passing a ``scratch`` dict (the same one on every call) enables
-    the masked large-C path and persists its working buffers between
-    batches; the dict is owned by the caller and is not thread-safe —
-    concurrent callers should each hold their own.
+    ``slack`` and ``rescore`` are given together when ``scores`` only
+    approximate the scores that rank: row q of the exact scores is
+    ``rescore(q)`` (a ``(C,)`` vector) and differs from ``scores[q]``
+    by at most ``slack[q]`` anywhere.  A row then passes the audit only
+    if its head scores climb by more than ``2 * slack[q]`` at every
+    step — no rounding within the slack can reorder such a head or let
+    another candidate into it — and any other row (every row whose
+    slack is NaN) is answered by ``topk_select(rescore(q), tids, k)``,
+    so every row equals the exact scores' answer.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2:
@@ -258,26 +148,29 @@ def batch_topk(
     if k <= 0 or n_candidates == 0:
         return np.zeros((n_queries, 0), dtype=np.intp)
     k = min(int(k), n_candidates)
-    # The masked schedule pays off when the probe window's bound leaves
-    # few survivors per row: a large candidate set and k well below it.
-    if (
-        scratch is not None
-        and k <= _PROBE
-        and n_candidates >= 2 * _PROBE
-        and 4 * k < n_candidates
-    ):
-        if not scores.flags.c_contiguous:
-            scores = np.ascontiguousarray(scores)
-        return _masked_batch_topk(scores, tids, k, scratch)
+    # Gathers by flat index (row offset plus column): cheaper than
+    # take_along_axis or 2-D fancy indexing at these sizes.
+    rows = np.arange(n_queries)[:, None]
     if n_candidates <= _ARGSORT_MAX or k == n_candidates:
-        head = np.argsort(scores, axis=1)[:, : k + 1]
+        head = scores.argsort(axis=1)[:, : k + 1]
+        ordered = scores.take(head + rows * n_candidates)
     else:
-        head = np.argpartition(scores, k, axis=1)[:, : k + 1]
-        by_score = np.take_along_axis(scores, head, axis=1).argsort(axis=1)
-        head = np.take_along_axis(head, by_score, axis=1)
-    ordered = np.take_along_axis(scores, head, axis=1)
-    clean = (ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
+        head = scores.argpartition(k, axis=1)[:, : k + 1]
+        ordered = scores.take(head + rows * n_candidates)
+        by_score = ordered.argsort(axis=1)
+        by_score += rows * (k + 1)
+        head = head.take(by_score)
+        ordered = ordered.take(by_score)
+    below = ordered[:, :-1]
+    if slack is not None:  # NaN slack: no row passes
+        below = below + 2 * np.asarray(slack)[:, None]
+    clean = (ordered[:, 1:] > below).all(axis=1)
     out = tids[head[:, :k]]
-    for row in np.flatnonzero(~clean):
-        out[row] = _tied_topk(scores[row], tids, k, ordered[row, k - 1])
+    if clean.all():
+        return out
+    for row in np.flatnonzero(~clean).tolist():
+        if rescore is None:
+            out[row] = _tied_topk(scores[row], tids, k, ordered[row, k - 1])
+        else:
+            out[row] = topk_select(rescore(row), tids, k)
     return out

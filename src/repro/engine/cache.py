@@ -240,29 +240,34 @@ class ResultCache:
 
     def store_keys(self, scope, keys, k, tids) -> None:
         """:meth:`store_many` for rows whose :func:`canonical_weight_keys`
-        the caller already holds."""
+        the caller already holds.
+
+        The answers are copied once, into one block, and each stored
+        entry is a view of its rows: the cache never shares memory with
+        the caller, whatever the caller later writes.
+        """
         if len(tids) != len(keys):
             raise ValueError(
                 f"{len(tids)} answers for {len(keys)} weight rows"
             )
         depths = check_batch_k(k, len(keys)).tolist()
-        if self._capacity == 0:
+        if self._capacity == 0 or not keys:
             return
+        sizes = [len(answer) for answer in tids]
+        block = np.concatenate(tids, dtype=np.intp, casting="unsafe")
         entries = self._entries
-        insertions = evictions = 0
-        for digest, depth, answer in zip(keys, depths, tids):
-            answer = np.asarray(answer, dtype=np.intp)
+        insertions = evictions = stop = 0
+        for digest, depth, size in zip(keys, depths, sizes):
+            start, stop = stop, stop + size
             key = (scope, digest)
             existing = entries.get(key)
-            if existing is not None and (
-                existing[1] or existing[0].size >= answer.size
-            ):
+            if existing is not None:
                 entries.move_to_end(key)
-                continue
-            entries[key] = (answer.copy(), answer.size < depth)
-            entries.move_to_end(key)
+                if existing[1] or existing[0].size >= size:
+                    continue
+            entries[key] = (block[start:stop], size < depth)
             insertions += 1
-            while len(entries) > self._capacity:
+            if len(entries) > self._capacity:
                 entries.popitem(last=False)
                 evictions += 1
         self._count("cache.insertions", insertions)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .. import obs
 from ..core.qkernel import topk_select
+from ..indexes.base import K_MAX
 from ..indexes.robust import LayeredSlab
 from ..queries.ranking import LinearQuery
 from .cache import ResultCache, canonical_weight_keys
@@ -319,15 +320,17 @@ class TopKExecutor:
         validity check, one key normalization shared by the result-cache
         probe and store, one ``query_batch`` call for the misses (the
         weight matrix and per-row k; for a layered index one GEMM per
-        distinct k) and, on the first read of any answer's ``rows``, one
-        gather per column.  Every result carries the group's ``query.*``
-        / ``cache.*`` metrics snapshot and ``batch_size`` (its row
-        count) in ``extra``.
+        distinct k), one cache store of the misses (one copy of their
+        answers) and, on the first read of any answer's ``rows``, one
+        gather per column.  Every result carries the group's
+        ``query.*`` / ``cache.*`` metrics snapshot and ``batch_size``
+        (its row count) in ``extra``.
         """
         relation = self._catalog.table(table)
         queries = [parsed[i] for i in members]
         weights, servable = self._weight_matrix(relation, queries)
-        ks = np.array([query.k for query in queries], dtype=np.intp)
+        # A TOP beyond the intp range asks for the full ranking: K_MAX.
+        ks = np.array([min(query.k, K_MAX) for query in queries], dtype=np.intp)
         servable &= ks >= 0
         if not servable.all():
             for r in np.flatnonzero(~servable).tolist():
@@ -442,45 +445,55 @@ class TopKExecutor:
 
     def _execute_single(self, query: ParsedQuery, bound) -> ExecutionResult:
         """A scan (``bound`` is ``None``) or a read of the layer prefix
-        ``layer <= bound``, with its own ``query.*`` metrics."""
-        local = obs.Metrics()
-        with obs.collect(local):
-            started = time.perf_counter()
-            relation = self._catalog.table(query.table)
-            linear = self._ranking(query, relation)
-            if bound is None:
-                plan = kind = "scan"
-                data = relation.matrix(list(query.order_by))
-                candidates = np.arange(relation.n_rows)
-                scores = linear.scores(data)
-            else:
-                plan, kind = f"layer-prefix(<= {bound})", "layer-prefix"
-                slab = self._catalog.layering(query.table)
-                if slab is None:
-                    raise KeyError(
-                        f"table {query.table!r} has no materialized "
-                        f"{LAYER_COLUMN!r} column; call materialize_layers "
-                        "first"
-                    )
-                _check_covered(relation, query, "the layer prefix")
-                weights = self._weight_matrix(relation, [query])[0][0]
-                # Layer-ordered storage: the rows with layer <= c are
-                # exactly the slab's first offsets[c].
-                rows, candidates, _ = slab.prefix(bound)
-                scores = rows @ weights
-            tids = topk_select(scores, candidates, query.k)
-            retrieved = candidates.size
-            result = ExecutionResult(
-                tids, relation.take(tids), retrieved,
-                self._blocks(retrieved), plan,
-            )
-            local.add_time(f"query.{kind}", time.perf_counter() - started)
-            local.inc("query.count")
-            local.inc("query.retrieved", result.retrieved)
-            local.inc("query.blocks_read", result.blocks_read)
-        self.metrics.merge(local)
-        result.extra["metrics"] = local.as_dict()
-        return result
+        ``layer <= bound``, with its own ``query.*`` metrics.
+
+        Nothing inside emits metrics, so they are built once, as the
+        result's snapshot, and merged into :attr:`metrics` and any
+        active collector (no collector of its own).
+        """
+        started = time.perf_counter()
+        relation = self._catalog.table(query.table)
+        linear = self._ranking(query, relation)
+        if bound is None:
+            plan = kind = "scan"
+            data = relation.matrix(list(query.order_by))
+            candidates = relation.tids()
+            # The scores LinearQuery.top_k ranks by (``data @ w``).
+            scores = linear.scores(data)
+        else:
+            plan, kind = f"layer-prefix(<= {bound})", "layer-prefix"
+            slab = self._catalog.layering(query.table)
+            if slab is None:
+                raise KeyError(
+                    f"table {query.table!r} has no materialized "
+                    f"{LAYER_COLUMN!r} column; call materialize_layers "
+                    "first"
+                )
+            _check_covered(relation, query, "the layer prefix")
+            weights = self._weight_matrix(relation, [query])[0][0]
+            # Layer-ordered storage: the rows with layer <= c are
+            # exactly the slab's first offsets[c].
+            rows, candidates, _ = slab.prefix(bound)
+            scores = rows @ weights
+        tids = topk_select(scores, candidates, query.k)
+        retrieved = candidates.size
+        blocks = self._blocks(retrieved)
+        answer = relation.take(tids)
+        snapshot = {
+            "counters": {
+                "query.count": 1,
+                "query.retrieved": retrieved,
+                "query.blocks_read": blocks,
+            },
+            "timers": {f"query.{kind}": time.perf_counter() - started},
+        }
+        self.metrics.merge(snapshot)
+        outer = obs.active_metrics()
+        if outer is not None:
+            outer.merge(snapshot)
+        return ExecutionResult(
+            tids, answer, retrieved, blocks, plan, {"metrics": snapshot}
+        )
 
 
 def _check_covered(relation: Relation, query: ParsedQuery, plan: str) -> None:

@@ -46,6 +46,7 @@ class Relation:
         self._n_rows = next(iter(lengths.values())) if lengths else 0
         # The (n, d) matrix the columns view, when built from one.
         self._matrix = None
+        self._tids = None  # arange(n_rows), built on first use
 
     @classmethod
     def _trusted(
@@ -60,6 +61,7 @@ class Relation:
         relation._columns = columns
         relation._n_rows = n_rows
         relation._matrix = None
+        relation._tids = None
         return relation
 
     @classmethod
@@ -91,6 +93,15 @@ class Relation:
     @property
     def n_rows(self) -> int:
         return self._n_rows
+
+    def tids(self) -> np.ndarray:
+        """Every tid in order (``arange(n_rows)``, read-only), built
+        once per relation: a scan's candidate list."""
+        if self._tids is None:
+            tids = np.arange(self._n_rows)
+            tids.flags.writeable = False
+            self._tids = tids
+        return self._tids
 
     def column(self, name: str) -> np.ndarray:
         """Read-only view of one column."""

@@ -17,12 +17,17 @@ from ..core.qkernel import topk_select
 from ..queries.ranking import LinearQuery
 
 __all__ = [
+    "K_MAX",
     "QueryResult",
     "RankedIndex",
     "check_batch_k",
     "check_query",
     "rank_candidates",
 ]
+
+#: The deepest k a batch carries per row (the ``intp`` maximum); a
+#: larger ``TOP`` literal asks for the same full ranking.
+K_MAX = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,6 +52,35 @@ class QueryResult:
 
     def __post_init__(self):
         object.__setattr__(self, "tids", np.asarray(self.tids, dtype=np.intp))
+
+
+_new_result = object.__new__
+_set_tids, _set_retrieved, _set_layers, _set_extra = (
+    QueryResult.__dict__[name].__set__
+    for name in ("tids", "retrieved", "layers_scanned", "extra")
+)
+
+
+def prefix_results(
+    top, retrieved: int, layers_scanned: int
+) -> list[QueryResult]:
+    """One :class:`QueryResult` per answer in ``top`` (rows of intp
+    tids, e.g. a kernel's ``(q, k)`` block), all read from one prefix.
+
+    The results are built through their slots, without ``__init__``
+    and ``__post_init__`` (a third of the cost per row).  Each holds
+    its own copy of its row, so a caller keeping one answer does not
+    keep the whole block alive.
+    """
+    results = []
+    for tids in top:
+        result = _new_result(QueryResult)
+        _set_tids(result, tids.copy())
+        _set_retrieved(result, retrieved)
+        _set_layers(result, layers_scanned)
+        _set_extra(result, {})
+        results.append(result)
+    return results
 
 
 class RankedIndex(ABC):
@@ -125,12 +159,14 @@ def check_batch_k(k, rows: int) -> np.ndarray:
 
     ``k`` is one integer for every row or one per row.  Raises
     ``ValueError`` for a wrong length, a non-integer dtype or a
-    negative entry.
+    negative entry.  One integer beyond the ``intp`` range is clamped
+    to its maximum: no relation holds that many tuples, so either way
+    the answer is the full ranking.
     """
     if isinstance(k, (int, np.integer)):
         if k < 0:
             raise ValueError("k must be non-negative")
-        return np.full(rows, k, dtype=np.intp)
+        return np.full(rows, min(k, K_MAX), dtype=np.intp)
     ks = np.asarray(k)
     if ks.dtype.kind not in "iu":
         raise ValueError(f"k must be an integer or integer array; got {k!r}")

@@ -17,6 +17,7 @@ routine, which the AppRI, exact and dynamic indexes hand both calls to.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -27,17 +28,32 @@ from .. import obs
 from ..core.appri import appri_build
 from ..core.exact import exact_build
 from ..core.index import layer_offsets, layer_order
-from ..core.qkernel import _scratch_buffer, batch_topk, topk_select
+from ..core.qkernel import batch_topk, topk_select
 from ..queries.ranking import LinearQuery, check_weights
-from .base import QueryResult, RankedIndex, check_batch_k, check_query
+from .base import (
+    QueryResult,
+    RankedIndex,
+    check_batch_k,
+    check_query,
+    prefix_results,
+)
 
 __all__ = ["LayeredSlab", "RobustIndex", "ExactRobustIndex"]
 
 
-#: Batch working memory (GEMM output, kernel buffers): its ``__dict__``
-#: is one dict per thread, as :func:`batch_topk` scratch must not be
-#: shared by concurrent calls.
+#: Per-thread GEMM output of batch queries, grown (never shrunk) so
+#: repeated batches write warm memory: a fresh (64, 2368) float matrix
+#: per batch costs page faults that can double the time of the GEMM
+#: plus selection.
 _SCRATCH = threading.local()
+
+
+def _score_buffer(size: int) -> np.ndarray:
+    """This thread's flat float64 scratch of at least ``size`` entries."""
+    buf = getattr(_SCRATCH, "scores", None)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH.scores = np.empty(max(size, 1))
+    return buf[:size]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -194,52 +210,111 @@ class LayeredSlab:
             for q in queries:
                 check_query(q, 0, self.points.shape)  # width; k below
             weights = np.array([q.weights for q in queries]).reshape(-1, d)
-        # Row numbers per distinct k (clamped to n), in input order.
-        runs: dict[int, list[int]] = {}
-        for j, depth in enumerate(check_batch_k(k, len(weights)).tolist()):
-            runs.setdefault(min(depth, n), []).append(j)
-        results: list = [None] * len(weights)
-        for j in runs.pop(0, ()):
-            results[j] = QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
-        if not runs:
-            return results
+        depths = np.minimum(check_batch_k(k, len(weights)), n)
+        empty = np.zeros(0, dtype=np.intp)
+        if not depths.any():
+            return [QueryResult(empty, 0, 0) for _ in depths]
+        if len(depths) == 1 or depths.min() == depths.max():
+            # One k for every row: no grouping.
+            order, cuts = None, []
+        else:
+            # Rows grouped by k in one pass: a stable sort keeps each
+            # group's rows in input order.
+            order = depths.argsort(kind="stable")
+            depths = depths[order]
+            cuts = (np.flatnonzero(depths[1:] != depths[:-1]) + 1).tolist()
+        results = []
         answered = candidates = 0
+        magnitude = None
         with obs.timed("index.batch"):
-            for depth in sorted(runs):
-                rows = runs[depth]
+            for start, stop in zip([0, *cuts], [*cuts, depths.size]):
+                depth = int(depths[start])
+                if depth == 0:
+                    results += [
+                        QueryResult(empty, 0, 0) for _ in range(stop - start)
+                    ]
+                    continue
+                if magnitude is None and stop - start > 1:
+                    # The deepest prefix's bound serves every group.
+                    magnitude = _magnitude(self.prefix(int(depths[-1]))[0])
                 top, retrieved, layers_scanned = self._ranked(
-                    weights[rows], depth
+                    weights if order is None else weights[order[start:stop]],
+                    depth,
+                    magnitude,
                 )
-                answered += len(rows)
-                candidates += retrieved * len(rows)
-                for j, tids in zip(rows, top):
-                    results[j] = QueryResult(tids, retrieved, layers_scanned)
+                answered += stop - start
+                candidates += retrieved * (stop - start)
+                results += prefix_results(top, retrieved, layers_scanned)
         obs.inc("index.batch.count")
         obs.inc("index.batch.queries", answered)
         obs.inc("index.batch.candidates", candidates)
-        return results
+        if order is None:
+            return results
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.size)
+        return [results[i] for i in inverse.tolist()]
 
-    def _ranked(self, weights, k: int):
+    def _ranked(self, weights, k: int, magnitude=None):
         """``(top, retrieved, layers_scanned)`` for ``k >= 1``.
 
         ``weights`` holds q >= 1 weight vectors; ``top[j]`` is vector
         j's top-k tids under the ``(score, tid)`` tie rule.  One vector
         is a GEMV plus :func:`topk_select`.  More share one GEMM over
         the prefix, written C-order into this thread's grow-only
-        scratch (row passes stay contiguous, no per-batch allocation),
-        and :func:`batch_topk` selects every row at once.
+        scratch, and :func:`batch_topk` selects every row at once.
+
+        The GEMM rounds differently from the GEMV (and differently at
+        different output positions, so even twin tuples may not tie).
+        :func:`_slack` bounds the two products' difference from the
+        prefix's largest ``|attribute|`` (``magnitude``, computed here
+        unless given); :func:`batch_topk` keeps a GEMM row only where
+        its head climbs by more than twice that, so both rank alike,
+        and re-scores any other row with the GEMV: every row equals
+        the one-vector answer.
         """
         rows, candidates, layers_scanned = self.prefix(k)
         if len(weights) == 1:
             top = [topk_select(rows @ weights[0], candidates, k)]
         else:
-            scratch = _SCRATCH.__dict__
-            scores = _scratch_buffer(
-                scratch, "scores", len(weights) * candidates.size, np.float64
-            ).reshape(len(weights), candidates.size)
+            scores = _score_buffer(len(weights) * candidates.size).reshape(
+                len(weights), candidates.size
+            )
             np.matmul(weights, rows.T, out=scores)
-            top = batch_topk(scores, candidates, k, scratch=scratch)
+            if magnitude is None:
+                magnitude = _magnitude(rows)
+            top = batch_topk(
+                scores,
+                candidates,
+                k,
+                slack=_slack(weights, magnitude),
+                rescore=lambda j: rows @ weights[j],
+            )
         return top, candidates.size, layers_scanned
+
+
+def _magnitude(rows: np.ndarray) -> float:
+    """The largest ``|attribute|`` in ``rows``, or NaN if that is not
+    finite: its NaN slack re-scores every batch row."""
+    magnitude = float(np.abs(rows).max(initial=0.0))
+    return magnitude if magnitude < math.inf else math.nan
+
+
+def _slack(weights: np.ndarray, magnitude: float) -> np.ndarray:
+    """Per row of ``weights``, a bound on how far two ways of rounding
+    one score over attributes of at most ``magnitude`` (any order of
+    the d products and sums, fused or not) can differ.
+
+    Each lies within ``gamma_d * sum |w_i x_i|`` of the exact value
+    (``gamma_d = d u / (1 - d u)``, u the unit roundoff), and
+    ``|x_i| <= magnitude``; an underflow term covers subnormal
+    products.  The bound is doubled once more as headroom for the
+    rounding of the audit's own sums.
+    """
+    d = weights.shape[1]
+    unit = 2.0**-53  # float64 unit roundoff
+    gamma = d * unit / (1 - d * unit)
+    tiny = d * 5e-324  # the smallest subnormal float64
+    return np.abs(weights).sum(axis=1) * (4 * gamma * magnitude) + 4 * tiny
 
 
 class RobustIndex(RankedIndex):

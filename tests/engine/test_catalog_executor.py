@@ -7,7 +7,7 @@ from repro.core.appri import appri_layers
 from repro.engine.catalog import Catalog
 from repro.engine.executor import TopKExecutor, materialize_layers
 from repro.engine.relation import Relation
-from repro.engine.sql import ParsedQuery
+from repro.engine.sql import ParsedQuery, parse
 from repro.indexes.robust import RobustIndex
 from repro.queries.ranking import LinearQuery
 
@@ -138,6 +138,51 @@ class TestScanPlan:
         query = ParsedQuery(k=-1, table="houses", order_by={"price": 1.0})
         with pytest.raises(ValueError, match="non-negative"):
             executor.execute(query)
+
+
+class TestScanTies:
+    """Scan answers equal ``LinearQuery.top_k`` over the ranked columns
+    on tied and duplicate-column data: same ``data @ w`` product, same
+    ``(score, tid)`` order."""
+
+    STATEMENTS = [
+        "ORDER BY a + b + c",
+        "ORDER BY a - b + c",  # a == b: only c ranks, ties by tid
+        "ORDER BY b - a",  # every score 0: the tids in order
+        "ORDER BY 0.1*a + 0.2*b - 0.3*c",
+        "ORDER BY c - 2*a",
+        "ORDER BY 3*c",
+    ]
+
+    @pytest.fixture
+    def tied(self, rng):
+        # Few distinct values per column, and column b duplicates a.
+        data = rng.integers(0, 4, (300, 3)).astype(float)
+        data[:, 1] = data[:, 0]
+        catalog = Catalog()
+        catalog.create_table(Relation.from_matrix("t", ["a", "b", "c"], data))
+        return catalog, data
+
+    @pytest.mark.parametrize("order_by", STATEMENTS)
+    @pytest.mark.parametrize("k", [1, 7, 64, 299, 300, 1000])
+    def test_scan_matches_top_k(self, tied, order_by, k):
+        catalog, data = tied
+        statement = f"SELECT TOP {k} FROM t {order_by}"
+        result = TopKExecutor(catalog).execute(statement)
+        ranking = parse(statement).order_by
+        expected = LinearQuery(
+            list(ranking.values()), require_monotone=False
+        ).top_k(catalog.table("t").matrix(list(ranking)), k)
+        assert result.plan == "scan"
+        assert result.tids.tolist() == expected.tolist()
+        assert result.retrieved == len(data)
+
+    def test_scans_share_one_tid_range(self, tied):
+        catalog, _ = tied
+        relation = catalog.table("t")
+        assert relation.tids() is relation.tids()
+        assert relation.tids().tolist() == list(range(relation.n_rows))
+        assert not relation.tids().flags.writeable
 
 
 class TestIndexPlan:

@@ -688,3 +688,60 @@ class TestLazyRows:
         assert [f.name for f in dataclasses.fields(result)] == [
             "tids", "rows", "retrieved", "blocks_read", "plan", "extra",
         ]
+
+
+#: A TOP literal beyond the int64 range.
+HUGE = 10**20
+
+
+class TestHugeTop:
+    """``TOP`` beyond int64 answers the full ranking on every entry
+    point, as ``RobustIndex.query`` and the scan do, and is cached."""
+
+    @pytest.mark.parametrize("cache_size", [0, 8])
+    @pytest.mark.parametrize("entry", ["execute", "execute_auto", "execute_many"])
+    @pytest.mark.parametrize(
+        "statement, plan",
+        [
+            (f"SELECT TOP {HUGE} FROM t USING INDEX ri ORDER BY x + 2*y", "index(ri)"),
+            (f"SELECT TOP {HUGE} FROM t ORDER BY x + 2*y", "scan"),
+        ],
+    )
+    def test_entry_points_answer_the_full_ranking(
+        self, setup, cache_size, entry, statement, plan
+    ):
+        catalog, data = setup
+        executor = TopKExecutor(catalog, cache_size=cache_size)
+        expected = LinearQuery([1.0, 2.0, 0.0]).top_k(data, len(data)).tolist()
+        run = getattr(executor, entry)
+        for attempt in ("cold", "warm"):
+            if entry == "execute_many":
+                (result,) = run([statement])
+            else:
+                result = run(statement)
+            assert result.plan == plan
+            assert result.tids.tolist() == expected
+            assert result.rows.n_rows == len(data)
+            if cache_size and plan != "scan":
+                assert result.extra["cache"] == (
+                    "miss" if attempt == "cold" else "hit"
+                )
+
+    def test_index_and_cache_calls(self, setup):
+        catalog, data = setup
+        index = catalog.index("t", "ri")
+        weights = np.array([[1.0, 2.0, 0.5], [0.5, 0.5, 3.0]])
+        full = [index.query(LinearQuery(w), HUGE).tids.tolist() for w in weights]
+        assert all(len(tids) == len(data) for tids in full)
+        batch = index.query_batch(weights, HUGE)
+        assert [r.tids.tolist() for r in batch] == full
+        assert [r.retrieved for r in batch] == [len(data)] * 2
+
+        cache = ResultCache(8)
+        cache.store("s", weights[0], HUGE, np.array(full[0]))
+        assert cache.lookup("s", weights[0], HUGE).tolist() == full[0]
+        assert cache.lookup_many("s", weights, HUGE)[1] is None
+        cache.store_many("s", weights, HUGE, [np.array(t) for t in full])
+        hits = cache.lookup_many("s", weights, HUGE)
+        assert [tids.tolist() for tids in hits] == full
+        assert cache.lookup("s", weights[1], 5).tolist() == full[1][:5]

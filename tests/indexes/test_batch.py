@@ -14,7 +14,7 @@ from repro.experiments.harness import INDEX_BUILDERS
 from repro.indexes.dynamic import DynamicRobustIndex
 from repro.indexes.linear_scan import LinearScanIndex
 from repro.indexes.onion import ShellIndex
-from repro.indexes.robust import ExactRobustIndex, RobustIndex
+from repro.indexes.robust import ExactRobustIndex, LayeredSlab, RobustIndex
 from repro.queries.ranking import LinearQuery
 from repro.queries.workload import grid_weight_workload, simplex_workload
 
@@ -362,3 +362,75 @@ class TestPerRowK:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors[0]
+
+
+def _serving_slab(rng, style: str, layer_size: int) -> LayeredSlab:
+    """A slab of 120 layers of ``layer_size`` tuples (random layering)
+    over d = 3 data of one ``style``."""
+    n = 120 * layer_size
+    if style == "few":  # integer-valued: heavy score ties
+        points = rng.integers(0, 4, (n, 3)).astype(float)
+    elif style == "duplicate_columns":  # a1 == a0: ties across weights
+        points = rng.random((n, 3))
+        points[:, 1] = points[:, 0]
+    elif style == "duplicate_rows":  # every tuple has a twin
+        points = np.repeat(rng.random((n // 2, 3)), 2, axis=0)
+    else:
+        points = rng.random((n, 3))
+    layers = 1 + rng.permutation(n) // layer_size
+    return LayeredSlab.from_layers(points, layers)
+
+
+class TestServingShapes:
+    """``LayeredSlab.query_batch`` at the shapes an executor batch
+    sends: 1, 2, 14 or 64 rows, per-row k from {10, 20, 50, 100},
+    prefixes on both sides of the kernel's argsort crossover."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.sampled_from((1, 2, 14, 64)),
+        layer_size=st.sampled_from((2, 5, 13, 26, 40)),
+        style=st.sampled_from(
+            ("distinct", "few", "duplicate_columns", "duplicate_rows")
+        ),
+        one_k=st.booleans(),
+    )
+    def test_matches_query_and_lexsort(
+        self, seed, rows, layer_size, style, one_k
+    ):
+        rng = np.random.default_rng(seed)
+        slab = _serving_slab(rng, style, layer_size)
+        weights = rng.dirichlet(np.ones(3), size=rows)
+        # Equal weights and weights on one of the twin columns make
+        # whole score vectors tie on duplicate-column data.
+        weights[rng.random(rows) < 0.2] = [0.5, 0.5, 0.0]
+        weights[rng.random(rows) < 0.2] = [0.0, 1.0, 0.0]
+        ks = rng.choice([10, 20, 50, 100], size=rows)
+        if one_k:
+            ks[:] = ks[0]
+        batch = slab.query_batch(weights, ks)
+        assert len(batch) == rows
+        for w, k, result in zip(weights, ks.tolist(), batch):
+            single = slab.query(LinearQuery(w), k)
+            rows_k, tids, layers_scanned = slab.prefix(k)
+            order = np.lexsort((tids, rows_k @ w))
+            assert result.tids.tolist() == tids[order[:k]].tolist()
+            assert result.tids.tolist() == single.tids.tolist()
+            assert result.retrieved == single.retrieved == tids.size
+            assert result.layers_scanned == layers_scanned
+            assert single.layers_scanned == layers_scanned
+
+    def test_float_twins_tie_in_batches(self):
+        # Twin tuples score alike in one GEMV, but a GEMM may round
+        # their scores apart (depending on their output positions); a
+        # batch row must still rank twins by tid, as ``query`` does.
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            slab = _serving_slab(rng, "duplicate_rows", 5)
+            weights = rng.dirichlet(np.ones(3), size=64)
+            ks = rng.choice([10, 20, 50, 100], size=64)
+            batch = slab.query_batch(weights, ks)
+            for w, k, result in zip(weights, ks.tolist(), batch):
+                single = slab.query(LinearQuery(w), k)
+                assert result.tids.tolist() == single.tids.tolist()
