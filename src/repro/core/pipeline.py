@@ -29,12 +29,21 @@ the counts are **identical** for every schedule on any input (the
 id-range property in ``tests/properties`` locks this in).  There is
 no floating-point re-derivation to reconcile: the kernel compares the
 exact transformed values of the paper's per-level passes.
+
+The module also owns the *build worker*: one persistent process that
+runs every background re-tightening build of a dynamic index
+(:func:`appri_layers_in_worker`), so a rebuild uses a core of its own
+instead of the serving process's interpreter.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.util
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -44,6 +53,7 @@ from .kernels import systems_level_data
 from .partitioning import pair_systems
 
 __all__ = [
+    "appri_layers_in_worker",
     "build_level_data",
     "run_exact_refine",
     "POOL_MIN_N",
@@ -294,3 +304,117 @@ def run_exact_refine(
         for _, block_metrics in results:
             active.merge(block_metrics)
     return np.concatenate([ranks for ranks, _ in results])
+
+
+# ---------------------------------------------------------------------------
+# The build worker: one persistent process for background rebuilds
+# ---------------------------------------------------------------------------
+
+_BUILD_WORKER: "ProcessPoolExecutor | None" = None
+_BUILD_WORKER_LOCK = threading.Lock()
+
+
+def _build_worker() -> ProcessPoolExecutor:
+    """The build worker's executor, started on first use.
+
+    The process is *spawned* (a fresh interpreter, no ``fork()`` of a
+    serving process whose other threads may hold locks), so a script
+    that rebuilds needs the usual ``if __name__ == "__main__":`` guard.
+    It inherits the CPU affinity of the thread that starts it.
+    """
+    global _BUILD_WORKER
+    with _BUILD_WORKER_LOCK:
+        if _BUILD_WORKER is None:
+            _BUILD_WORKER = ProcessPoolExecutor(
+                max_workers=1,
+                mp_context=multiprocessing.get_context("spawn"),
+                initializer=_init_build_worker,
+            )
+            # multiprocessing's exit handler joins every child process
+            # after running the finalizers of priority >= 0: without
+            # this one, a program running in a multiprocessing child
+            # would wait for the worker forever.  It must run before
+            # the executor's own queues close (their priority is 10).
+            multiprocessing.util.Finalize(
+                _BUILD_WORKER, _BUILD_WORKER.shutdown, exitpriority=20
+            )
+        return _BUILD_WORKER
+
+
+def _init_build_worker() -> None:
+    """Make the build worker exit when the process that started it
+    dies (killed, say): its task queue never reports that, so it would
+    wait on it forever."""
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with, args=(parent,), daemon=True
+        ).start()
+
+
+def _exit_with(parent) -> None:
+    parent.join()  # returns once the parent's end of its pipe closes
+    os._exit(1)
+
+
+def _forget_build_worker() -> None:
+    """In a forked child: the parent's executor (its threads are not
+    copied) and lock (another thread may have held it) are unusable,
+    so the child starts its own worker if it rebuilds."""
+    global _BUILD_WORKER, _BUILD_WORKER_LOCK
+    _BUILD_WORKER = None
+    _BUILD_WORKER_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_forget_build_worker)
+
+
+def _discard_build_worker(executor: ProcessPoolExecutor) -> None:
+    """Forget a broken executor so the next build starts a new one."""
+    global _BUILD_WORKER
+    with _BUILD_WORKER_LOCK:
+        if _BUILD_WORKER is executor:
+            _BUILD_WORKER = None
+    executor.shutdown(wait=False)
+
+
+def _run_appri_layers(points, n_partitions, appri_kwargs):
+    """:func:`~repro.core.appri.appri_layers` in the build worker;
+    returns ``(layers, metrics dict)``."""
+    from .appri import appri_layers  # appri imports this module
+
+    local = obs.Metrics()
+    with obs.collect(local, propagate=False):
+        layers = appri_layers(
+            points, n_partitions=n_partitions, **appri_kwargs
+        )
+    return layers, local.as_dict()
+
+
+def appri_layers_in_worker(
+    points: np.ndarray, n_partitions: int, appri_kwargs: dict
+) -> np.ndarray:
+    """``appri_layers(points, n_partitions=..., **appri_kwargs)``, run in
+    the build worker process.
+
+    The layers are the inline call's, bit for bit (the same build on
+    the same input); the worker's ``build.*`` / ``counting.*`` metrics
+    are merged into the caller's active collector, as pooled build
+    tasks' are.  The calling thread waits in ``future.result()``
+    without holding the GIL.  An exception raised by the build reaches
+    the caller with its own type; if the worker process died instead
+    (``BrokenProcessPool``), the next call starts a new one.
+    """
+    executor = _build_worker()
+    try:
+        layers, metrics = executor.submit(
+            _run_appri_layers, points, n_partitions, appri_kwargs
+        ).result()
+    except BrokenProcessPool:
+        _discard_build_worker(executor)
+        raise
+    active = obs.active_metrics()
+    if active is not None:
+        active.merge(metrics)
+    return layers

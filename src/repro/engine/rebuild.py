@@ -11,8 +11,11 @@ tightness in a background worker, without ever blocking readers:
    the serving view's read-only points and the current update
    ``generation``;
 2. **build** — run the full AppRI build on those points with *no*
-   lock held; concurrent queries keep being served by the old view and
-   concurrent updates keep landing;
+   lock held, in the build worker process
+   (:func:`repro.core.pipeline.appri_layers_in_worker`): the waiting
+   thread does not hold the GIL, so concurrent queries keep being
+   served by the old view at full speed and concurrent updates keep
+   landing;
 3. **commit** — under the lock again, install the tight layering and
    atomically swap the serving view *iff* the generation is unchanged.
    If any update raced the build, the result is **discarded** (merging
@@ -118,11 +121,16 @@ class RebuildManager:
         return self
 
     def stop(self, timeout: float | None = 10.0) -> None:
-        """Signal the worker to exit and join it."""
+        """Signal the worker to exit and join it.
+
+        If the join times out (a build still running), the thread is
+        kept: :attr:`running` stays ``True`` until it has exited.
+        """
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout)
-            self._thread = None
+            if not self._thread.is_alive():
+                self._thread = None
 
     def __enter__(self) -> "RebuildManager":
         return self.start()

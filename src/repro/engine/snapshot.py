@@ -49,8 +49,10 @@ Zero-copy warm start
 
 With ``mmap=True`` (the default) the file is mapped once, read-only,
 and every buffer — including the layer-packed query slab — is a typed
-:class:`numpy.memmap` view of its slice (one mapping per file, not
-one per buffer).  Nothing is materialized up front; the first
+read-only ``ndarray`` view of its slice of that one
+:class:`numpy.memmap` (one mapping per file, not one per buffer;
+plain views, so a query's slices skip the memmap subclass's Python
+hooks).  Nothing is materialized up front; the first
 query faults in exactly the slab prefix it scans.  Restorers bypass
 ``__init__`` (no rebuild, no re-sort, no slab re-pack), which is what
 makes warm start O(header) instead of O(build): the layered kinds'
@@ -131,7 +133,8 @@ class SnapshotSpec:
 
     ``export(obj)`` returns ``(arrays, meta)`` — named numpy arrays and
     JSON-safe scalars; ``restore(arrays, meta)`` rebuilds the object
-    without recomputing anything (arrays may be read-only memmaps).
+    without recomputing anything (arrays may be read-only views of a
+    file mapping).
     A restore-only kind (a released tag no class writes any more) has
     ``export=None``.
     """
@@ -328,8 +331,14 @@ def _load_buffers(path: Path, header: dict, mmap: bool, verify: bool) -> dict:
         )
     arrays: dict[str, np.ndarray] = {}
     # One read-only mapping of the whole file; every buffer is a typed
-    # view of its slice (offsets are 64-byte aligned).
-    mapped = np.memmap(path, dtype=np.uint8, mode="r") if mmap else None
+    # plain-ndarray view of its slice (offsets are 64-byte aligned).
+    # Plain views keep np.memmap's Python-level __getitem__ /
+    # __array_finalize__ off every slice a query takes.
+    mapped = (
+        np.memmap(path, dtype=np.uint8, mode="r").view(np.ndarray)
+        if mmap
+        else None
+    )
     for desc in header["buffers"]:
         dtype = np.dtype(desc["dtype"])
         shape = tuple(desc["shape"])

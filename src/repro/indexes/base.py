@@ -61,26 +61,35 @@ _set_tids, _set_retrieved, _set_layers, _set_extra = (
 )
 
 
+def kernel_result(
+    tids: np.ndarray, retrieved: int, layers_scanned: int
+) -> QueryResult:
+    """A :class:`QueryResult` holding ``tids`` (an intp array a kernel
+    returned) as it is.
+
+    Built through the slots, without ``__init__`` and
+    ``__post_init__`` (a third of the cost of a serving-sized answer).
+    """
+    result = _new_result(QueryResult)
+    _set_tids(result, tids)
+    _set_retrieved(result, retrieved)
+    _set_layers(result, layers_scanned)
+    _set_extra(result, {})
+    return result
+
+
 def prefix_results(
     top, retrieved: int, layers_scanned: int
 ) -> list[QueryResult]:
     """One :class:`QueryResult` per answer in ``top`` (rows of intp
     tids, e.g. a kernel's ``(q, k)`` block), all read from one prefix.
 
-    The results are built through their slots, without ``__init__``
-    and ``__post_init__`` (a third of the cost per row).  Each holds
-    its own copy of its row, so a caller keeping one answer does not
-    keep the whole block alive.
+    Each holds its own copy of its row (:func:`kernel_result`), so a
+    caller keeping one answer does not keep the whole block alive.
     """
-    results = []
-    for tids in top:
-        result = _new_result(QueryResult)
-        _set_tids(result, tids.copy())
-        _set_retrieved(result, retrieved)
-        _set_layers(result, layers_scanned)
-        _set_extra(result, {})
-        results.append(result)
-    return results
+    return [
+        kernel_result(tids.copy(), retrieved, layers_scanned) for tids in top
+    ]
 
 
 class RankedIndex(ABC):

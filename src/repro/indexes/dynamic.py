@@ -52,6 +52,7 @@ import numpy as np
 from .. import obs
 from ..core import dynamic as maintenance
 from ..core.appri import _validated_points, appri_layers
+from ..core.pipeline import appri_layers_in_worker
 # Not called here; perfbench/tracing.py wraps this module's
 # ``topk_select`` by name.
 from ..core.qkernel import topk_select  # noqa: F401
@@ -271,9 +272,16 @@ class DynamicRobustIndex(RankedIndex):
     def tight_layers(self, points: np.ndarray) -> np.ndarray:
         """Full AppRI layers of ``points`` with this index's build
         settings — the build every rebuild runs, inline or in the
-        background."""
-        return appri_layers(
-            points, n_partitions=self._n_partitions, **self._appri_kwargs
+        background.
+
+        It runs in the build worker process
+        (:func:`repro.core.pipeline.appri_layers_in_worker`), so the
+        serving process keeps its interpreter while the calling thread
+        waits; the layers and the ``build.*`` metrics are those of an
+        inline :func:`~repro.core.appri.appri_layers` call.
+        """
+        return appri_layers_in_worker(
+            points, self._n_partitions, self._appri_kwargs
         )
 
     def begin_rebuild(self) -> tuple[np.ndarray, int]:

@@ -10,9 +10,11 @@ That storage decision lives in one value, :class:`LayeredSlab`.  Every
 layered index (AppRI, exact, Onion/Shell, the dynamic index's serving
 view) holds one, built from ``(points, layers)`` or adopted from
 snapshot buffers, and reads the candidates of a top-k query through
-:meth:`LayeredSlab.prefix`.  The slab also ranks that prefix itself:
-:meth:`LayeredSlab.query` and :meth:`LayeredSlab.query_batch` share one
-routine, which the AppRI, exact and dynamic indexes hand both calls to.
+:meth:`LayeredSlab.prefix`.  The slab also ranks that prefix itself,
+and the AppRI, exact and dynamic indexes hand both calls to it:
+:meth:`LayeredSlab.query_batch` ranks through one routine, and
+:meth:`LayeredSlab.query` is that routine's one-vector case written
+out (the single-query serving path).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .base import (
     RankedIndex,
     check_batch_k,
     check_query,
+    kernel_result,
     prefix_results,
 )
 
@@ -167,18 +170,42 @@ class LayeredSlab:
         """Exact top-k of one query from the first k layers.
 
         ``query`` was validated when it was built; only its width and
-        ``k`` are checked.  Emits ``index.query`` plus ``index.queries``
-        / ``.candidates`` / ``.layers_scanned``.
+        ``k`` are checked (as :func:`~repro.indexes.base.check_query`
+        does).  Under an active collector emits ``index.query`` plus
+        ``index.queries`` / ``.candidates`` / ``.layers_scanned``.
+
+        This is the single-query serving path, so it is
+        :meth:`_ranked`'s one-vector case written out: a GEMV over the
+        prefix and :func:`topk_select`, with no per-call bookkeeping
+        beyond one read of the active collector.
         """
-        k = check_query(query, k, self.points.shape)
+        weights = query.weights
+        n, d = self.points.shape
+        if weights.size != d:
+            raise ValueError(
+                f"query has {query.dimensions} weights; "
+                f"index covers {d} attributes"
+            )
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        if k > n:
+            k = n
         if k == 0:
             return QueryResult(np.zeros(0, dtype=np.intp), 0, 0)
-        with obs.timed("index.query"):
-            top, retrieved, layers_scanned = self._ranked((query.weights,), k)
-        obs.inc("index.queries")
-        obs.inc("index.candidates", retrieved)
-        obs.inc("index.layers_scanned", layers_scanned)
-        return QueryResult(top[0], retrieved, layers_scanned)
+        metrics = obs.active_metrics()
+        if metrics is not None:
+            started = time.perf_counter()
+        offsets = self.offsets
+        retrieved = int(offsets[min(k, offsets.size - 1)])
+        tids = self.order[:retrieved]
+        top = topk_select(self.slab[:retrieved] @ weights, tids, k)
+        layers_scanned = int(self.layers[tids[-1]]) if retrieved else 0
+        if metrics is not None:
+            metrics.add_time("index.query", time.perf_counter() - started)
+            metrics.inc("index.queries")
+            metrics.inc("index.candidates", retrieved)
+            metrics.inc("index.layers_scanned", layers_scanned)
+        return kernel_result(top, retrieved, layers_scanned)
 
     def query_batch(self, queries, k) -> list[QueryResult]:
         """Exact top-k of many queries; row j equals

@@ -118,6 +118,35 @@ class TestBackgroundWorker:
         manager.stop()
         assert not manager.running
 
+    def test_stop_that_times_out_keeps_reporting_the_worker(
+        self, index, rng, monkeypatch
+    ):
+        """A build outliving ``stop``'s join leaves ``running`` True
+        until the worker has really exited."""
+        entered, release = threading.Event(), threading.Event()
+        real_build = index.tight_layers
+
+        def blocked_build(points):
+            entered.set()
+            release.wait(10.0)
+            return real_build(points)
+
+        monkeypatch.setattr(index, "tight_layers", blocked_build)
+        index.insert(rng.random(3))
+        manager = RebuildManager(index, threshold=1, poll_interval=0.01)
+        manager.start()
+        try:
+            assert entered.wait(10.0)
+            manager.stop(timeout=0.05)
+            assert manager.running
+        finally:
+            release.set()
+        assert _wait_until(lambda: not manager.running)
+        manager.stop()
+        assert not manager.running
+        assert manager.last_error is None
+        assert index.staleness == 0
+
     def test_on_swap_hook_fires_after_commit(self, index, rng):
         swapped = []
         manager = RebuildManager(

@@ -115,6 +115,13 @@ def _queryable_builders(rng):
     ]
 
 
+def _mapping_of(array):
+    """The np.memmap at the end of ``array``'s base chain, or None."""
+    while array is not None and not isinstance(array, np.memmap):
+        array = getattr(array, "base", None)
+    return array
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("mmap", [True, False])
     def test_every_queryable_kind_round_trips_bit_identically(
@@ -168,15 +175,26 @@ class TestRoundTrip:
             slab = (
                 loaded._view.slab if index is dynamic else loaded.layered
             )
-            for name in ("layers", "order", "offsets", "slab"):
-                assert isinstance(getattr(slab, name), np.memmap), name
-            # points passes through LayeredSlab.from_arrays' asarray,
-            # which reclasses the memmap as a plain ndarray *view* —
-            # still zero-copy: it owns no data and maps the file
-            # read-only.
-            assert not loaded.points.flags["OWNDATA"]
-            assert not loaded.points.flags["WRITEABLE"]
-            assert isinstance(loaded.points.base, np.memmap)
+            # Every field is a plain ndarray view of the file's one
+            # mapping: it owns no data, is read-only, and its base
+            # chain reaches the np.memmap.
+            for name in ("points", "layers", "order", "offsets", "slab"):
+                field = getattr(slab, name)
+                assert not field.flags["OWNDATA"], name
+                assert not field.flags["WRITEABLE"], name
+                assert _mapping_of(field) is not None, name
+            assert loaded.points is slab.points
+
+    def test_mmap_load_hands_out_plain_views(self, tmp_path, rng):
+        """Queries slice plain ndarrays, not the np.memmap subclass,
+        and all of them view the same mapping."""
+        index = RobustIndex(rng.random((50, 3)), n_partitions=5)
+        path = tmp_path / "plain.snap"
+        save_snapshot(index, path)
+        slab = load_snapshot(path, mmap=True).layered
+        fields = [getattr(slab, name) for name in slab.__slots__]
+        assert all(type(field) is np.ndarray for field in fields)
+        assert len({id(_mapping_of(field)) for field in fields}) == 1
 
     def test_mmap_load_maps_the_file_once(self, tmp_path, rng, monkeypatch):
         """Every buffer is a view of one mapping of the file."""
