@@ -293,9 +293,3 @@ class TestMetrics:
                 slab.query(query, 2)
         assert inner.counters["index.queries"] == 1
         assert outer.counters["index.queries"] == 1
-
-    def test_no_collector_records_nothing(self):
-        slab = RobustIndex(np.eye(3), n_partitions=2).layered
-        assert obs.active_metrics() is None
-        result = slab.query(LinearQuery([1.0, 1.0, 1.0]), 2)
-        assert result.tids.size == 2
